@@ -51,10 +51,41 @@ def _emit(data, out_path: str | None):
         sys.stdout.write(text)
 
 
+_INSTANCE_FIELDS = (("d", int), ("alpha", int), ("beta", int),
+                    ("field", str), ("F1", str), ("F2", str))
+
+
+def _read_instance_file(path: str) -> dict:
+    """The JSON object of an instance file, checked for the keys and value
+    types an instance needs."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read instance file {path}: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(f"instance file {path} does not hold a JSON object")
+    missing = [k for k, _ in _INSTANCE_FIELDS if k not in data]
+    if missing:
+        raise CliError(f"instance file {path} lacks {', '.join(missing)}")
+    bad = [k for k, kind in _INSTANCE_FIELDS + (("F", str),)
+           if k in data and type(data[k]) is not kind]
+    if bad:
+        raise CliError(f"instance file {path} has values of the wrong type for {', '.join(bad)}")
+    return data
+
+
+def _degree_bound(args, v: int) -> int:
+    if args.degree_bound is None:
+        return 3 * v + 3
+    if args.degree_bound < 0:
+        raise CliError("--degree-bound must be >= 0")
+    return args.degree_bound
+
+
 def _instance_from_args(args) -> DivisorInstance:
     if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            return instance_from_json(json.load(fh))
+        return instance_from_json(_read_instance_file(args.infile))
     if args.d is None:
         raise CliError("need --d (with --f1/--f2 or --seed) or --in FILE")
     try:
@@ -94,7 +125,7 @@ def _verify_raw(args, data: dict) -> int:
     f = parse(data["F"], fld)
     d = f.degree()
     v = d // 2
-    bound = args.degree_bound if args.degree_bound is not None else 3 * v + 3
+    bound = _degree_bound(args, v)
     report: dict = {"instance": data, "raw_f_mode": True}
     failures = ["stored F disagrees with the assembled divisor"]
     zdeg = max((m[2] for m in f.terms), default=0)
@@ -121,8 +152,7 @@ def _verify_raw(args, data: dict) -> int:
 
 def cmd_verify(args) -> int:
     if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            data = json.load(fh)
+        data = _read_instance_file(args.infile)
         try:
             inst = instance_from_json(data)
         except InconsistentInstance:
@@ -130,7 +160,7 @@ def cmd_verify(args) -> int:
     else:
         inst = _instance_from_args(args)
     v = inst.params.v
-    bound = args.degree_bound if args.degree_bound is not None else 3 * v + 3
+    bound = _degree_bound(args, v)
     report: dict = {"instance": instance_to_json(inst)}
     timings: dict = {}
 
@@ -179,8 +209,7 @@ def cmd_syzygies(args) -> int:
 
 def cmd_hilbert(args) -> int:
     inst = _instance_from_args(args)
-    v = inst.params.v
-    bound = args.degree_bound if args.degree_bound is not None else 3 * v + 3
+    bound = _degree_bound(args, inst.params.v)
     gens = jacobian_generators(inst.f)
     values = [hilbert_function_quotient(gens, t) for t in range(bound + 1)]
     if args.csv:
@@ -234,7 +263,10 @@ def _sweep_task(task) -> dict:
 def _worker_count() -> int:
     env = os.environ.get("SAITO_FORGE_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise CliError(f"SAITO_FORGE_THREADS must be an integer, got {env!r}") from None
     return min(os.cpu_count() or 1, 8)
 
 
@@ -335,8 +367,7 @@ PrintLn "saito-forge export: all assertions passed";
 def cmd_export(args) -> int:
     f_text = None
     if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            data = json.load(fh)
+        data = _read_instance_file(args.infile)
         try:
             inst = instance_from_json(data)
         except InconsistentInstance:

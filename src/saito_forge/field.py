@@ -27,16 +27,35 @@ class ScalarSyntaxError(FieldError):
     pass
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first 12 prime bases is exact below this bound
+# (Sorenson & Webster 2015, "Strong pseudoprimes to twelve prime bases").
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test."""
+    if n >= _MR_EXACT_BELOW:
+        raise FieldError(f"cannot certify primality of {n}: "
+                         f"the test is exact only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,22 +1,31 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-Everything is deterministic: pivots are chosen leftmost-column first, topmost
-row first, never by magnitude, so identical inputs give identical echelon
-forms, kernels and ranks on every run.
+Everything is deterministic: pivots are chosen leftmost-column first, never by
+magnitude, so identical inputs give identical echelon forms, kernels and ranks
+on every run.
 
-Two performance paths back the generic routines:
+Two performance paths back the generic ``rref``:
 
-* prime fields: vectorized row reduction on int64 numpy arrays (products stay
-  below 2^63 for the moduli this toolkit accepts);
-* rationals: fraction-free Bareiss elimination on denominator-cleared integer
-  rows for rank/pivot queries, falling back to Fraction arithmetic only for
-  reduced-echelon solves where the matrices are small.
+* prime fields below 2^31: vectorized row reduction on int64 numpy arrays
+  (products stay below 2^63);
+* rationals: one sparse column-echelon engine over the integers answers
+  pivot, rank, kernel and affine-solve queries.  Each row is first scaled by
+  the lcm of its denominators, which changes neither the column dependencies
+  nor the right kernel.  Columns are then reduced left to right against an
+  integer echelon basis with two-term fraction-free combinations, dividing
+  out the content after each step.  A column is a pivot exactly when it does
+  not reduce to zero, so the pivot set is the greedy left-to-right column
+  basis that RREF finds.  A column that does reduce to zero yields an integer
+  relation with the independent columns to its left; its coordinates in
+  those columns are unique, so dividing the relation by the column's own
+  coefficient gives exactly the RREF kernel vector.  Nothing is
+  probabilistic and no certificate is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -54,45 +63,87 @@ def rref(rows: list, field: Field) -> list[int]:
     return pivots
 
 
-def _rows_to_int(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
+def _int_columns(rows, ncols: int) -> list[dict]:
+    """Sparse ``{row: int}`` columns of the matrix after clearing the
+    denominators of each row."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        nz = [(j, e) for j, e in enumerate(row) if e]
+        if not nz:
+            continue
         mult = 1
-        for e in row:
-            if isinstance(e, Fraction) and e.denominator != 1:
+        for _, e in nz:
+            if e.denominator != 1:
                 mult = lcm(mult, e.denominator)
-        out.append([int(e * mult) if mult != 1 else int(e) for e in row])
+        for j, e in nz:
+            cols[j][i] = e.numerator * (mult // e.denominator)
+    return cols
+
+
+def _combine(v: dict, a: int, w: dict, c: int) -> dict:
+    """The sparse vector a*v - c*w, without zero entries (c*w has none)."""
+    out = {k: a * x for k, x in v.items()} if a != 1 else dict(v)
+    for k, y in w.items():
+        x = out.get(k, 0) - c * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> list[int]:
-    """Fraction-free forward elimination on integer rows; returns pivot columns."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    piv = 0
-    prev = 1
-    for c in range(nc):
-        r = None
-        for i in range(piv, nr):
-            if rows[i][c]:
-                r = i
+def _divide(v: dict, g: int) -> dict:
+    return {k: x // g for k, x in v.items()}
+
+
+def _qq_echelon(rows, ncols: int, relations: bool):
+    """Left-to-right column echelon of a rational matrix.
+
+    Returns ``(pivots, deps)``: the pivot columns, and for every other column
+    ``j`` (only when ``relations``) an integer relation ``{col: coeff}`` over
+    ``j`` and the pivot columns left of it, with ``coeff[j] != 0``.
+    """
+    nrows = len(rows)
+    basis: dict = {}  # leading (smallest) row -> (vector, relation)
+    pivots: list[int] = []
+    deps: dict = {}
+    for j, v in enumerate(_int_columns(rows, ncols)):
+        rel = {j: 1} if relations else None
+        while v:
+            r = min(v)
+            hit = basis.get(r)
+            if hit is None:
+                basis[r] = (v, rel)
+                pivots.append(j)
                 break
-        if r is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        prow = rows[piv]
-        pv = prow[c]
-        for i in range(piv + 1, nr):
-            ri = rows[i]
-            f = ri[c]
-            rows[i] = [(pv * a - f * b) // prev for a, b in zip(ri, prow)]
-        prev = pv
-        pivots.append(c)
-        piv += 1
-        if piv == nr:
-            break
-    return pivots
+            w, wrel = hit
+            g = gcd(w[r], v[r])
+            a, c = w[r] // g, v[r] // g
+            v = _combine(v, a, w, c)
+            if relations:
+                rel = _combine(rel, a, wrel, c)
+                g = gcd(*v.values(), *rel.values())
+            else:
+                g = gcd(*v.values())
+            if g > 1:
+                v = _divide(v, g)
+                if relations:
+                    rel = _divide(rel, g)
+        else:  # reduced to zero: column j depends on the pivots left of it
+            if relations:
+                deps[j] = rel
+        if not relations and len(pivots) == nrows:
+            break  # full row rank: every later column is dependent
+    return pivots, deps
+
+
+def _relation_vector(rel: dict, j: int, ncols: int) -> list:
+    """The relation scaled to coefficient 1 at column ``j``, as Fractions."""
+    s = rel[j]
+    vec = [Fraction(0)] * ncols
+    for k, x in rel.items():
+        vec[k] = Fraction(x, s)
+    return vec
 
 
 def _modp_rref(mat: np.ndarray, p: int) -> list[int]:
@@ -138,12 +189,28 @@ def pivot_columns(rows: list, field: Field) -> list[int]:
     if isinstance(field, PrimeField) and field.p < _NUMPY_SAFE_P:
         return _modp_rref(_to_modp_array(rows, field.p), field.p)
     if isinstance(field, Rationals):
-        return _bareiss_echelon(_rows_to_int(rows))
+        return _qq_echelon(rows, len(rows[0]), relations=False)[0]
     return rref([list(r) for r in rows], field)
 
 
 def rank(rows: list, field: Field) -> int:
     return len(pivot_columns(rows, field))
+
+
+def _free_column_vectors(pivots, reduced, ncols: int, field: Field) -> list[list]:
+    """Kernel vectors read off a reduced echelon form: a 1 in one free column,
+    zeros in the other free columns."""
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        vec = [field.zero] * ncols
+        vec[j] = field.one
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(reduced[i][j])
+        basis.append(vec)
+    return basis
 
 
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
@@ -154,24 +221,17 @@ def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
     """
     if ncols == 0:
         return []
+    if isinstance(field, Rationals):
+        _, deps = _qq_echelon(rows, ncols, relations=True)
+        return [_relation_vector(rel, j, ncols) for j, rel in deps.items()]
     if rows and isinstance(field, PrimeField) and field.p < _NUMPY_SAFE_P:
         mat = _to_modp_array(rows, field.p)
         pivots = _modp_rref(mat, field.p)
         reduced = [[int(e) for e in mat[i]] for i in range(len(pivots))]
     else:
-        work = [list(r) for r in rows]
-        pivots = rref(work, field)
-        reduced = work[: len(pivots)]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [field.zero] * ncols
-        vec[j] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[i][j])
-        basis.append(vec)
-    return basis
+        reduced = [list(r) for r in rows]
+        pivots = rref(reduced, field)
+    return _free_column_vectors(pivots, reduced, ncols, field)
 
 
 def solve_affine(rows: list, rhs: list, field: Field):
@@ -180,22 +240,21 @@ def solve_affine(rows: list, rhs: list, field: Field):
     Returns (particular, kernel) with the canonical particular solution
     (free variables pinned to zero), or (None, kernel) when inconsistent.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
+    nc = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if isinstance(field, Rationals):
+        # b is the last column: a pivot there means b is not in the span of A
+        _, deps = _qq_echelon(aug, nc + 1, relations=True)
+        kernel = [_relation_vector(rel, j, nc) for j, rel in deps.items() if j < nc]
+        if nc not in deps:
+            return None, kernel
+        coords = _relation_vector(deps[nc], nc, nc + 1)
+        return [-x for x in coords[:nc]], kernel
     pivots = rref(aug, field)
+    kernel = _free_column_vectors([p for p in pivots if p < nc], aug, nc, field)
     if pivots and pivots[-1] == nc:
-        return None, kernel_basis([r[:nc] for r in aug], nc, field)
+        return None, kernel
     particular = [field.zero] * nc
     for i, pc in enumerate(pivots):
         particular[pc] = aug[i][nc]
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [field.zero] * nc
-        vec[j] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(aug[i][j])
-        basis.append(vec)
-    return particular, basis
+    return particular, kernel

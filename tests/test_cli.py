@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from saito_forge.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 WORKED = ["--d", "5", "--alpha", "0", "--beta", "0",
           "--f1", "1", "--f2", "x^2+x*y+y^2"]
@@ -227,3 +235,23 @@ def test_forced_route_mismatch_exits_1(capsys):
 def test_missing_arguments(capsys):
     code = main(["verify"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,env,files", [
+    (["verify", "--degree-bound", "-1", *WORKED], {}, {}),
+    (["verify", "--in", "{tmp}/absent.json"], {}, {}),
+    (["verify", "--in", "{tmp}/partial.json"], {}, {"partial.json": '{"d": 5}'}),
+    (["export", "--in", "{tmp}/bad.json"], {}, {"bad.json": '{"d": 5'}),
+    (["sweep", "--d", "5", "--field", "fp:1009"], {"SAITO_FORGE_THREADS": "abc"}, {}),
+], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads"])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "saito_forge.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from saito_forge.field import (DivisionByZero, FieldError, PrimeField, QQ,
-                               ScalarSyntaxError, check_char_policy,
+                               ScalarSyntaxError, _is_prime, check_char_policy,
                                field_from_spec)
 
 F101 = PrimeField(101)
@@ -88,3 +89,28 @@ def test_prime_field_residue_text():
 def test_composite_modulus_rejected():
     with pytest.raises(FieldError):
         PrimeField(91)
+
+
+def test_large_prime_spec_parses_fast():
+    t0 = time.perf_counter()
+    fld = field_from_spec("fp:2305843009213693951")  # the Mersenne prime 2^61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    assert fld.p == 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])  # Carmichael; strong pseudoprime to 2, 3, 5, 7
+def test_pseudoprimes_rejected(n):
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
+def test_primality_beyond_exact_range_refused():
+    with pytest.raises(FieldError, match="cannot certify"):
+        PrimeField(2**89 - 1)  # prime, but above the range where the test is exact
+
+
+def test_primality_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(2000) if _is_prime(n)] == [n for n in range(2000) if by_trial_division(n)]

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from saito_forge.family import build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.linalg import kernel_basis, pivot_columns, rank, rref, solve_affine
+from saito_forge.oracle import jacobian_generators, macaulay_matrix
 
 F1009 = PrimeField(1009)
 
@@ -89,3 +91,119 @@ def test_determinism():
     b1 = kernel_basis(rows, 25, F1009)
     b2 = kernel_basis([list(r) for r in rows], 25, F1009)
     assert b1 == b2
+
+
+# ----- the rational engine against the generic Fraction RREF ---------------
+
+
+def sparse_rational_matrix(rng, nr, nc):
+    """Sparse Fraction matrix with zero, duplicated and scaled columns."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.15
+             else Fraction(0) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(rng.randint(0, nc // 3)):
+        src, dst = rng.randrange(nc), rng.randrange(nc)
+        kind = rng.choice(("zero", "copy", "scale", "combine"))
+        other = rng.randrange(nc)
+        scale = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        for r in rows:
+            if kind == "zero":
+                r[dst] = Fraction(0)
+            elif kind == "copy":
+                r[dst] = r[src]
+            elif kind == "scale":
+                r[dst] = scale * r[src]
+            else:
+                r[dst] = r[src] + scale * r[other]
+    return rows
+
+
+def rref_reference(rows):
+    """(pivots, reduced rows) of the generic Fraction RREF."""
+    reduced = [list(r) for r in rows]
+    return rref(reduced, QQ), reduced
+
+
+def rref_kernel(rows, ncols):
+    pivots, reduced = rref_reference(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -reduced[i][j]
+        basis.append(vec)
+    return basis
+
+
+def all_fractions(vectors):
+    return all(type(x) is Fraction for vec in vectors for x in vec)
+
+
+RATIONAL_SHAPES = [(0, 5), (1, 1), (3, 7), (7, 3), (12, 12), (20, 30), (30, 20), (30, 30)]
+
+
+@pytest.mark.parametrize("nr,nc", RATIONAL_SHAPES)
+def test_rational_pivots_match_rref(nr, nc):
+    rng = random.Random(1000 * nr + nc)
+    for _ in range(15):
+        rows = sparse_rational_matrix(rng, nr, nc)
+        assert pivot_columns(rows, QQ) == rref_reference(rows)[0]
+
+
+@pytest.mark.parametrize("nr,nc", RATIONAL_SHAPES)
+def test_rational_kernel_matches_rref(nr, nc):
+    rng = random.Random(2000 * nr + nc)
+    for _ in range(15):
+        rows = sparse_rational_matrix(rng, nr, nc)
+        basis = kernel_basis(rows, nc, QQ)
+        assert basis == rref_kernel(rows, nc)
+        assert all_fractions(basis)
+
+
+@pytest.mark.parametrize("nr,nc", [(1, 1), (4, 6), (9, 5), (15, 15), (30, 25)])
+def test_rational_solve_affine_matches_rref(nr, nc):
+    rng = random.Random(3000 * nr + nc)
+    outcomes = set()
+    for k in range(20):
+        rows = sparse_rational_matrix(rng, nr, nc)
+        if k % 2:   # consistent by construction
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+            rhs = mat_vec(rows, x, QQ)
+        else:       # usually inconsistent when A is rank deficient
+            rhs = [Fraction(rng.randint(-4, 4)) for _ in range(nr)]
+        particular, kern = solve_affine(rows, rhs, QQ)
+        pivots, reduced = rref_reference([r + [b] for r, b in zip(rows, rhs)])
+        assert kern == rref_kernel(rows, nc)
+        assert all_fractions(kern)
+        if pivots and pivots[-1] == nc:
+            assert particular is None
+            outcomes.add("inconsistent")
+            continue
+        expected = [Fraction(0)] * nc
+        for i, pc in enumerate(pivots):
+            expected[pc] = reduced[i][nc]
+        assert particular == expected
+        assert all_fractions([particular])
+        assert mat_vec(rows, particular, QQ) == rhs
+        outcomes.add("consistent")
+    assert "consistent" in outcomes
+    if nr > nc:
+        assert "inconsistent" in outcomes
+
+
+def test_rational_engine_without_rows():
+    assert pivot_columns([], QQ) == []
+    assert rank([], QQ) == 0
+    basis = kernel_basis([], 3, QQ)
+    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert all_fractions(basis)
+    assert solve_affine([], [], QQ) == ([], [])
+
+
+def test_rational_engine_on_jacobian_macaulay_matrix():
+    inst = build_divisor(random_instance(9, 1, 1, 3, QQ))
+    for t in (8, 12):
+        entries = macaulay_matrix(jacobian_generators(inst.f), t).entries
+        assert pivot_columns(entries, QQ) == rref_reference(entries)[0]
