@@ -1,0 +1,75 @@
+"""Golden reports: the exact bytes each command writes, pinned by sha256.
+
+Every report is deterministic, so any refactor of the construction, the
+oracle or the CLI must leave these digests unchanged.  The two tampered
+instance files drive the raw-F verify mode; the z-free one has F_z = 0.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from saito_forge.cli import main
+
+WORKED = ["--d", "5", "--alpha", "0", "--beta", "0", "--f1", "1", "--f2", "x^2+x*y+y^2"]
+
+TAMPERED = {
+    "tampered-x5": "x^2*y^3 + x*y^4 + y^5 + y^4*z",
+    "tampered-zfree": "x^5 + y^5",
+}
+
+ODD = ["--d", "7", "--alpha", "0", "--beta", "1", "--seed", "3"]
+BETA0 = ["--d", "7", "--alpha", "1", "--beta", "0", "--seed", "2"]
+EVEN = ["--d", "8", "--alpha", "0", "--beta", "1", "--seed", "1"]
+
+# case id -> (argv without --out, sha256 of the written report)
+GOLDEN = {
+    "verify-explicit_odd-q": (["verify", *ODD, "--field", "q"],
+        "73603a0b3a18142df61cb4c7fa49a74e1f5d44a17c92e671d52d64e5dd779083"),
+    "verify-explicit_odd-fp": (["verify", *ODD, "--field", "fp:1009"],
+        "1fc8b0c908b8d87a3a8e54265e902a281c0958b4f0e1110522b1adf30bb02d88"),
+    "verify-explicit_beta0-q": (["verify", *BETA0, "--field", "q"],
+        "5c67b8471ce0a0d28117ad43674e1c2dfef210aecd634289cb190e76a8903c95"),
+    "verify-explicit_beta0-fp": (["verify", *BETA0, "--field", "fp:1009"],
+        "88e9fa1e50a1833c3fb9c97f22f733d4a1a42aa2ef7a43ec7bedcb7524154ca5"),
+    "verify-oracle-q": (["verify", *EVEN, "--field", "q"],
+        "3a794f213885449f72790faed41035e424e00e361045e56f208986f36d676998"),
+    "verify-oracle-fp": (["verify", *EVEN, "--field", "fp:1009"],
+        "9269eb3a7e291689d6b49443580ff0ef5478b507d45457009bff2afe95efc06e"),
+    "sweep-5..8-fp": (["sweep", "--d", "5..8", "--field", "fp:1009"],
+        "491a2b658a9b3569cecbbe4cd5f1b8ccb9ad3596484fa984b1cc9bf6868480c6"),
+    "export-macaulay2": (["export", *ODD, "--field", "q", "--cas", "macaulay2"],
+        "0e2838b40261b64546a0a66375fd90f63c660d33dbc60bc57b4f7f6a6868c11c"),
+    "export-cocoa": (["export", *EVEN, "--field", "fp:1009", "--cas", "cocoa"],
+        "3d409a7683fd647ccbbb75d1db6ec2606ecc63f727fe374f5a93dc5cab0cb498"),
+    "syzygies": (["syzygies", "--d", "6", "--seed", "1", "--field", "q", "--degree", "3"],
+        "fe55fe30bc724cc6b700bb3251236dacfb2110d37522d8f8fae20f2df2aad735"),
+    "hilbert": (["hilbert", *WORKED, "--degree-bound", "9"],
+        "f3fb96d7272cecc2b774ef3519d8496e3a72cb0dbfaabd653d95bad92832738e"),
+    "verify-tampered-x5": (["verify", "--in", "{tampered-x5}"],
+        "92f8c291cc63438c3cba3bd3e67ef0f4871127c25b525c997df75ec171980c17"),
+    "verify-tampered-zfree": (["verify", "--in", "{tampered-zfree}"],
+        "d828477552bbcdc57033546c4a8440e594cd0fc749b158daf74173073b7e426c"),
+}
+
+
+def report_bytes(argv, tmp_path) -> tuple[int, bytes]:
+    """Exit code and the exact bytes the command writes to --out."""
+    for name, f in TAMPERED.items():
+        inst = {"d": 5, "alpha": 0, "beta": 0, "field": "q",
+                "F1": "1", "F2": "x^2 + x*y + y^2", "F": f}
+        (tmp_path / f"{name}.json").write_text(json.dumps(inst))
+    argv = [a.format(**{n: str(tmp_path / f"{n}.json") for n in TAMPERED}) for a in argv]
+    out = tmp_path / "report.out"
+    code = main([*argv, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_report(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    argv, digest = GOLDEN[case]
+    code, data = report_bytes(argv, tmp_path)
+    assert code == (1 if "tampered" in case else 0)
+    assert hashlib.sha256(data).hexdigest() == digest
