@@ -12,7 +12,7 @@ from .column_system import (ColumnSystem, build_column_system,
                             column_cokernel_hilbert, column_syzygy_generator,
                             cokernel_series_coefficient, solve_column_system)
 from .saito import (SaitoConstructionFailed, SaitoMatrix, build_saito_matrix,
-                    compute_constants, coupling_residual, even_explicit_probe,
+                    compute_constants, coupling_residual,
                     last_column_residual, last_column_strata,
                     middle_column_residual, verify_saito)
 from .oracle import (MacaulayMatrix, SyzygyBasis, expected_multiplicity,

@@ -19,14 +19,17 @@ from concurrent.futures import ProcessPoolExecutor
 from .family import (DivisorInstance, InconsistentInstance, InvalidParams,
                      FamilyParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
-                     random_instance, random_non_squarefree_instance, validate)
+                     random_instance, random_non_squarefree_instance)
 from .field import FieldError, field_from_spec
-from .oracle import (freeness_probe, hilbert_function_quotient,
-                     jacobian_generators, point_support_check,
+from .oracle import (expected_multiplicity, freeness_probe,
+                     point_support_check, predicted_quotient_hilbert,
                      resolution_check, syzygy_kernel)
-from .poly import PolyError, parse, render
+from .poly import Poly, PolyError, parse, render
 from .saito import (DegenerateConstant, SaitoConstructionFailed,
-                    build_saito_matrix, even_explicit_probe)
+                    build_saito_matrix)
+
+# what a route that cannot build raises; verify reports it, export refuses
+ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, ValueError)
 
 
 class CliError(Exception):
@@ -106,10 +109,10 @@ def _instance_from_args(args) -> DivisorInstance:
             params = random_instance(args.d, args.alpha, args.beta, args.seed, fld)
         except InvalidParams as exc:
             raise CliError(str(exc))
-    report = validate(params)
-    if not report.ok:
-        raise CliError(json.dumps(report.to_json(), indent=2))
-    return build_divisor(params)
+    try:
+        return build_divisor(params)
+    except InvalidParams as exc:
+        raise CliError(json.dumps(exc.report.to_json(), indent=2) if exc.report else str(exc))
 
 
 def cmd_construct(args) -> int:
@@ -118,36 +121,63 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _verify_raw(args, data: dict) -> int:
-    """Fallback for an instance file whose stored F was tampered with: run the
-    oracle checks against the stored F itself and name what fails."""
-    fld = field_from_spec(data["field"])
-    f = parse(data["F"], fld)
+def _verify_bound(args, d: int) -> int:
+    """The verify degree bound.  Below the first t where the predicted Hilbert
+    function of S/J(F) reaches the multiplicity, the multiplicity check would
+    fail on a truncated series, so such a bound is invalid input."""
+    bound = _degree_bound(args, d // 2)
+    stable = 0
+    while predicted_quotient_hilbert(d, stable) < expected_multiplicity(d):
+        stable += 1
+    if bound < stable:
+        raise CliError(f"--degree-bound must be >= {stable} for d={d}")
+    return bound
+
+
+def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
+    """One verify pipeline on F: irreducibility, the Saito stage, resolution
+    and point support.  The Saito stage builds the matrix of an assembled
+    instance; a stored raw F (inst is None) gets the freeness probe instead
+    and fails by definition, its report naming every check that failed."""
     d = f.degree()
-    v = d // 2
-    bound = _degree_bound(args, v)
-    report: dict = {"instance": data, "raw_f_mode": True}
-    failures = ["stored F disagrees with the assembled divisor"]
-    zdeg = max((m[2] for m in f.terms), default=0)
-    report["irreducible"] = is_irreducible(f) if zdeg <= 1 else None
-    if report["irreducible"] is False:
-        failures.append("irreducible")
+    bound = _verify_bound(args, d)
+    timings: dict = {}
+
+    t0 = time.perf_counter()
+    irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.terms) else None
+    if inst is None:
+        probe = freeness_probe(f, bound)
+        stage = ("freeness_probe", probe.to_json(), probe.succeeded)
+    else:
+        try:
+            sm = build_saito_matrix(inst, route=args.route)
+            stage = ("saito", sm.to_json(), sm.verify.passed)
+        except ROUTE_FAILURES as exc:
+            stage = ("saito", {"pass": False, "error": str(exc)}, False)
+    timings["saito"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     res = resolution_check(f, bound)
-    report["resolution"] = res.to_json()
-    if not res.passed:
-        failures.append("resolution")
-    ps = point_support_check(f, min(bound, 3 * v + 2))
-    report["point_support"] = ps.to_json()
-    if not ps.certified:
-        failures.append("point_support")
-    probe = freeness_probe(f, bound)
-    report["freeness_probe"] = probe.to_json()
-    if not probe.succeeded:
-        failures.append("freeness_probe")
-    report["failures"] = failures
-    report["pass"] = False
+    timings["resolution"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    ps = point_support_check(f, min(bound, 3 * (d // 2) + 2))
+    timings["point_support"] = time.perf_counter() - t0
+
+    checks = [("irreducible", irreducible, irreducible is not False), stage,
+              ("resolution", res.to_json(), res.passed),
+              ("point_support", ps.to_json(), ps.certified)]
+    if inst is None:
+        checks.append(checks.pop(1))  # the raw report lists the probe last
+    report.update((key, section) for key, section, _ in checks)
+    failures = [key for key, _, ok in checks if not ok]
+    if inst is None:
+        report["failures"] = ["stored F disagrees with the assembled divisor"] + failures
+    report["pass"] = inst is not None and not failures
+    if args.timings:
+        report["timings"] = {k: round(t, 6) for k, t in timings.items()}
     _emit(report, args.out)
-    return 1
+    return 0 if report["pass"] else 1
 
 
 def cmd_verify(args) -> int:
@@ -156,43 +186,13 @@ def cmd_verify(args) -> int:
         try:
             inst = instance_from_json(data)
         except InconsistentInstance:
-            return _verify_raw(args, data)
+            f = parse(data["F"], field_from_spec(data["field"]))
+            if f.is_zero() or not f.is_homogeneous():
+                raise CliError(f"stored F in {args.infile} is not a nonzero form")
+            return _verify(args, f, {"instance": data, "raw_f_mode": True}, None)
     else:
         inst = _instance_from_args(args)
-    v = inst.params.v
-    bound = _degree_bound(args, v)
-    report: dict = {"instance": instance_to_json(inst)}
-    timings: dict = {}
-
-    t0 = time.perf_counter()
-    report["irreducible"] = is_irreducible(inst.f)
-    try:
-        sm = build_saito_matrix(inst, route=args.route)
-        report["saito"] = sm.to_json()
-    except (SaitoConstructionFailed, DegenerateConstant, ValueError) as exc:
-        report["saito"] = {"pass": False, "error": str(exc)}
-    timings["saito"] = time.perf_counter() - t0
-
-    if args.even_probe:
-        report["even_explicit_probe"] = even_explicit_probe(inst)
-
-    t0 = time.perf_counter()
-    res = resolution_check(inst, bound)
-    report["resolution"] = res.to_json()
-    timings["resolution"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ps = point_support_check(inst, min(bound, 3 * v + 2))
-    report["point_support"] = ps.to_json()
-    timings["point_support"] = time.perf_counter() - t0
-
-    passed = (report["irreducible"] and report["saito"].get("pass", False)
-              and res.passed and ps.certified)
-    report["pass"] = passed
-    if args.timings:
-        report["timings"] = {k: round(t, 6) for k, t in timings.items()}
-    _emit(report, args.out)
-    return 0 if passed else 1
+    return _verify(args, inst.f, {"instance": instance_to_json(inst)}, inst)
 
 
 def cmd_syzygies(args) -> int:
@@ -210,8 +210,7 @@ def cmd_syzygies(args) -> int:
 def cmd_hilbert(args) -> int:
     inst = _instance_from_args(args)
     bound = _degree_bound(args, inst.params.v)
-    gens = jacobian_generators(inst.f)
-    values = [hilbert_function_quotient(gens, t) for t in range(bound + 1)]
+    values = resolution_check(inst, bound).computed
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("t,hilbert_function\n")
@@ -260,14 +259,17 @@ def _sweep_task(task) -> dict:
     return entry
 
 
-def _worker_count() -> int:
+def _worker_count(ntasks: int) -> int:
+    """Sweep worker processes: SAITO_FORGE_THREADS (default 8), clamped to
+    the CPU count and to the number of tasks."""
     env = os.environ.get("SAITO_FORGE_THREADS", "").strip()
+    wanted = 8
     if env:
         try:
-            return max(1, int(env))
+            wanted = int(env)
         except ValueError:
             raise CliError(f"SAITO_FORGE_THREADS must be an integer, got {env!r}") from None
-    return min(os.cpu_count() or 1, 8)
+    return max(1, min(wanted, os.cpu_count() or 1, ntasks))
 
 
 def cmd_sweep(args) -> int:
@@ -285,8 +287,8 @@ def cmd_sweep(args) -> int:
             for trial in range(args.trials):
                 tasks.append((d, alpha, beta, args.seed + trial, args.field,
                               args.drop_squarefree))
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
@@ -380,7 +382,11 @@ def cmd_export(args) -> int:
                              "exporting assertions against the stored F\n")
     else:
         inst = _instance_from_args(args)
-    sm = build_saito_matrix(inst, route=args.route)
+    try:
+        sm = build_saito_matrix(inst, route=args.route)
+    except ROUTE_FAILURES as exc:
+        sys.stderr.write(f"export: route {args.route!r} cannot build a Saito matrix: {exc}\n")
+        return 1
     if args.cas == "macaulay2":
         script = _m2_script(inst, sm, f_text)
     else:
@@ -421,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p, with_route=True)
     p.add_argument("--degree-bound", type=int, default=None)
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--even-probe", action="store_true",
-                   help="also probe the experimental even-degree explicit column")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("syzygies", help="syzygy kernel basis at one degree")

@@ -31,10 +31,6 @@ class ColumnSystem:
     mu: object
 
     @property
-    def unknown_degree(self) -> int:
-        return self.params.v
-
-    @property
     def target_degrees(self) -> tuple[int, int]:
         p = self.params
         return (p.v + p.alpha, 2 * p.v - p.alpha)
@@ -52,6 +48,20 @@ class ColumnSolution:
         return len(self.kernel)
 
 
+def base_pair(params: FamilyParams):
+    """g1 = dF1/dy and g2 = -(x dF1/dx + (d - alpha) F1), both bivariate."""
+    f1 = params.f1
+    g1 = f1.partial("y")
+    g2 = -(Poly.variable(params.field, "x", 2) * f1.partial("x") + (params.d - params.alpha) * f1)
+    return g1, g2
+
+
+def y_bracket(params: FamilyParams) -> Poly:
+    """y dF2/dy + (d - v + alpha) F2, bivariate."""
+    f2, c = params.f2, params.d - params.v + params.alpha
+    return Poly.variable(params.field, "y", 2) * f2.partial("y") + c * f2
+
+
 def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     """Assemble the 2x3 coefficient matrix and right-hand side exactly.
 
@@ -59,20 +69,18 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     family members, where d - v - alpha - 1 = v - alpha); anything else breaks
     the row grading, so it is rejected up front.
     """
-    d, a, b = params.d, params.alpha, params.beta
+    a, b = params.alpha, params.beta
     v = params.v
     fld = params.field
-    f1, f2 = params.f1, params.f2
+    f2 = params.f2
     if f2.degree() != v - a:
         raise ValueError(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
-    g1 = f1.partial("y")
-    g2 = -(Poly.variable(fld, "x", 2) * f1.partial("x") + (d - a) * f1)
+    g1, g2 = base_pair(params)
     x = Poly.variable(fld, "x", 2)
     y = Poly.variable(fld, "y", 2)
-    bracket = y * f2.partial("y") + (d - v + a) * f2
     rows = (
         (-g2, x * g1, Poly.zero(fld, 2)),
-        (y * f2.partial("x"), bracket, Poly.monomial(fld, (b, v - a - b, 0), nvars=2)),
+        (y * f2.partial("x"), y_bracket(params), Poly.monomial(fld, (b, v - a - b, 0), nvars=2)),
     )
     rhs = (
         Poly.monomial(fld, (0, v + a, 0), mu, nvars=2),
@@ -128,20 +136,18 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
 
 
 def column_syzygy_generator(params: FamilyParams):
-    """The closed-form generator of the system's solution-line direction."""
-    d, a, b = params.d, params.alpha, params.beta
+    """The closed-form generator of the system's solution-line direction;
+    its last entry is the g3 of the middle Saito column."""
+    a, b = params.alpha, params.beta
     v = params.v
     fld = params.field
-    f1, f2 = params.f1, params.f2
-    g1 = f1.partial("y")
-    g2 = -(Poly.variable(fld, "x", 2) * f1.partial("x") + (d - a) * f1)
+    g1, g2 = base_pair(params)
     x = Poly.variable(fld, "x", 2)
     y = Poly.variable(fld, "y", 2)
-    bracket = (d - v + a) * f2 + y * f2.partial("y")
     return (
         Poly.monomial(fld, (b + 1, v - a - b, 0), nvars=2) * g1,
         Poly.monomial(fld, (b, v - a - b, 0), nvars=2) * g2,
-        -(x * y * f2.partial("x") * g1) - g2 * bracket,
+        -(x * y * params.f2.partial("x") * g1 + y_bracket(params) * g2),
     )
 
 

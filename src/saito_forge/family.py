@@ -16,7 +16,12 @@ from .poly import Poly, divides, is_squarefree_bivariate, parse, render
 
 
 class InvalidParams(Exception):
-    pass
+    """Parameters outside the family; ``report`` holds the failed validation
+    when there is one."""
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 class ExhaustedRetries(Exception):
@@ -114,16 +119,12 @@ class DivisorInstance:
     fy: Poly
     fz: Poly
 
-    @property
-    def jacobian(self):
-        return (self.fx, self.fy, self.fz)
-
 
 def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> DivisorInstance:
     """Assemble F and its gradient; raises InvalidParams on a failed report."""
     rep = validate(params, drop_squarefree=drop_squarefree)
     if not rep.ok:
-        raise InvalidParams(f"invalid parameters: {', '.join(rep.failures())}")
+        raise InvalidParams(f"invalid parameters: {', '.join(rep.failures())}", rep)
     d, a, b = params.d, params.alpha, params.beta
     v = params.v
     fld = params.field
@@ -133,9 +134,11 @@ def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> Diviso
     block2 = Poly.monomial(fld, (0, v + a + 1, 0)) * f2
     block_z = Poly.monomial(fld, (b, d - b - 1, 1))
     # the two bivariate support blocks may never share a monomial
-    assert not (set(block1.terms) & set(block2.terms)), "support blocks overlap"
+    if set(block1.terms) & set(block2.terms):
+        raise InvalidParams("support blocks of x^(d-a)*F1 and y^(v+a+1)*F2 overlap")
     f = block1 + block2 + block_z
-    assert f.is_homogeneous() and f.degree() == d
+    if not (f.is_homogeneous() and f.degree() == d):
+        raise InvalidParams(f"assembled F is not a form of degree {d}")
     f.euler_check()
     return DivisorInstance(params, f, f.partial("x"), f.partial("y"), f.partial("z"))
 
@@ -153,6 +156,12 @@ def _random_form(field: Field, degree: int, rng: random.Random) -> Poly:
     return Poly(field, 2, terms)
 
 
+def _require_char_policy(field: Field, d: int):
+    # no draw can pass validation over a field that fails the policy
+    if not check_char_policy(field, d):
+        raise InvalidParams(f"field {field.to_spec()} at d={d}: need char 0 or p > {3 * d}")
+
+
 def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ,
                     drop_squarefree: bool = False) -> FamilyParams:
     """Reproducible random family member for legal (d, alpha, beta).
@@ -163,6 +172,7 @@ def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ,
     """
     if not (alpha >= 0 and beta >= 0 and alpha + beta <= pair_bound(d)):
         raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
+    _require_char_policy(field, d)
     # string seeds hash deterministically across processes, tuples do not
     rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:{field!r}")
     for _ in range(100):
@@ -184,6 +194,7 @@ def random_non_squarefree_instance(d: int, alpha: int, beta: int, seed: int,
         raise InvalidParams("a repeated factor in F1 needs alpha >= 2")
     if not (beta >= 0 and alpha + beta <= pair_bound(d)):
         raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
+    _require_char_policy(field, d)
     rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:nsf:{field!r}")
     x = Poly.variable(field, "x", 2)
     y = Poly.variable(field, "y", 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .family import DivisorInstance
 from .field import Field
 from .linalg import kernel_basis, pivot_columns, rank, solve_affine
-from .poly import Poly, divides, grlex_key, monomials
+from .poly import Poly, det_unit, grlex_key, monomials
 
 
 def _binom2(n: int) -> int:
@@ -43,15 +43,17 @@ class MacaulayMatrix:
         return self.generators[0].field
 
 
-def macaulay_matrix(gens, t: int) -> MacaulayMatrix:
+def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
+    """``degrees`` gives the degree each generator is shifted from; by default
+    each generator's own degree, with zero generators left out."""
     gens = tuple(gens)
     fld = gens[0].field
     row_monos = monomials(t, 3)
     row_index = {m: i for i, m in enumerate(row_monos)}
     cols = []
     for gi, g in enumerate(gens):
-        dg = g.degree()
-        if g.is_zero() or dg > t:
+        dg = g.degree() if degrees is None else degrees[gi]
+        if dg < 0 or dg > t:
             continue
         for m in monomials(t - dg, 3):
             cols.append((gi, m))
@@ -122,36 +124,17 @@ class SyzygyBasis:
     vectors: tuple
 
 
-def _syzygy_kernel_raw(f: Poly, fx: Poly, fy: Poly, fz: Poly, t: int) -> SyzygyBasis:
+def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
     fld = f.field
     d = f.degree()
-    abc_monos = monomials(t, 3)
-    e_monos = monomials(t - 1, 3) if t >= 1 else []
-    target = monomials(t + d - 1, 3)
-    row_index = {m: i for i, m in enumerate(target)}
-    ncols = 3 * len(abc_monos) + len(e_monos)
-    rows = [[fld.zero] * ncols for _ in target]
-    col = 0
-    for g in (fx, fy, fz):
-        for m in abc_monos:
-            for gm, c in g.terms.items():
-                rows[row_index[(gm[0] + m[0], gm[1] + m[1], gm[2] + m[2])]][col] = c
-            col += 1
-    for m in e_monos:
-        for gm, c in f.terms.items():
-            rows[row_index[(gm[0] + m[0], gm[1] + m[1], gm[2] + m[2])]][col] = c
-        col += 1
-    basis = kernel_basis(rows, ncols, fld)
-    n = len(abc_monos)
+    # a zero partial still owns its block of unknowns (free syzygy entries)
+    mat = macaulay_matrix(jacobian_generators(f), t + d - 1, degrees=(d - 1,) * 3 + (d,))
     vectors = []
-    for vec in basis:
-        polys = []
-        for blk in range(3):
-            terms = {m: c for m, c in zip(abc_monos, vec[blk * n : (blk + 1) * n]) if not fld.is_zero(c)}
-            polys.append(Poly(fld, 3, terms))
-        terms = {m: c for m, c in zip(e_monos, vec[3 * n :]) if not fld.is_zero(c)}
-        polys.append(Poly(fld, 3, terms))
-        vectors.append(SyzygyVector(*polys))
+    for vec in kernel_basis(mat.entries, len(mat.columns), fld):
+        blocks = ({}, {}, {}, {})
+        for (gi, m), c in zip(mat.columns, vec):
+            blocks[gi][m] = c
+        vectors.append(SyzygyVector(*(Poly(fld, 3, b) for b in blocks)))
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
@@ -161,27 +144,26 @@ def _syzygy_kernel_raw(f: Poly, fx: Poly, fy: Poly, fz: Poly, t: int) -> SyzygyB
 def syzygy_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
     """Basis of {(a, b, c, e) : a F_x + b F_y + c F_z + e F = 0} in degree t
     (deg a = deg b = deg c = t, deg e = t - 1)."""
-    return _syzygy_kernel_raw(inst.f, inst.fx, inst.fy, inst.fz, t)
+    return _syzygy_kernel_raw(inst.f, t)
 
 
 def syzygy_residual(inst: DivisorInstance, vec: SyzygyVector) -> Poly:
     return vec.a * inst.fx + vec.b * inst.fy + vec.c * inst.fz + vec.e * inst.f
 
 
-def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
-    """Whether vec is an exact linear combination of the basis vectors."""
-    t = basis.degree
+def _flatten_syzygy(s: SyzygyVector, t: int):
     abc_monos = monomials(t, 3)
     e_monos = monomials(t - 1, 3) if t >= 1 else []
+    out = []
+    for p, monos in ((s.a, abc_monos), (s.b, abc_monos), (s.c, abc_monos), (s.e, e_monos)):
+        out.extend(p.coeff_of(m) for m in monos)
+    return out
 
-    def flatten(s: SyzygyVector):
-        out = []
-        for p, monos in ((s.a, abc_monos), (s.b, abc_monos), (s.c, abc_monos), (s.e, e_monos)):
-            out.extend(p.coeff_of(m) for m in monos)
-        return out
 
-    cols = [flatten(s) for s in basis.vectors]
-    target = flatten(vec)
+def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
+    """Whether vec is an exact linear combination of the basis vectors."""
+    cols = [_flatten_syzygy(s, basis.degree) for s in basis.vectors]
+    target = _flatten_syzygy(vec, basis.degree)
     rows = [[c[i] for c in cols] for i in range(len(target))]
     particular, _ = solve_affine(rows, target, field)
     return particular is not None
@@ -261,9 +243,6 @@ class PointSupportResult:
     n: int | None
     bound: int
 
-    def __bool__(self) -> bool:
-        return self.certified
-
     def to_json(self) -> dict:
         return {"certified": self.certified, "n": self.n, "bound": self.bound}
 
@@ -323,15 +302,6 @@ class ProbeReport:
         }
 
 
-def _flatten_syzygy(s: SyzygyVector, t: int):
-    abc_monos = monomials(t, 3)
-    e_monos = monomials(t - 1, 3) if t >= 1 else []
-    out = []
-    for p, monos in ((s.a, abc_monos), (s.b, abc_monos), (s.c, abc_monos), (s.e, e_monos)):
-        out.extend(p.coeff_of(m) for m in monos)
-    return out
-
-
 def _shift_syzygy(s: SyzygyVector, m) -> SyzygyVector:
     mono = Poly.monomial(s.a.field, m)
     return SyzygyVector(s.a * mono, s.b * mono, s.c * mono, s.e * mono)
@@ -347,14 +317,13 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     """
     fld = f.field
     d = f.degree()
-    fx, fy, fz = f.partial("x"), f.partial("y"), f.partial("z")
     report = ProbeReport(degree_bound)
     found: list[tuple[int, SyzygyVector]] = []
     x = Poly.variable(fld, "x")
     y = Poly.variable(fld, "y")
     z = Poly.variable(fld, "z")
     for t in range(1, degree_bound + 1):
-        basis = _syzygy_kernel_raw(f, fx, fy, fz, t)
+        basis = _syzygy_kernel_raw(f, t)
         span_cols = []
         for tg, g in found:
             for m in monomials(t - tg, 3):
@@ -376,20 +345,8 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
                 if j <= i or ti + tj != d - 1 or tj > t:
                     continue
                 b = [[x, gi.a, gj.a], [y, gi.b, gj.b], [z, gi.c, gj.c]]
-                det = _det3(b)
-                if det.is_zero():
-                    continue
-                ok, q = divides(f, det)
-                if ok and q.degree() == 0:
-                    report.assembled = {
-                        "degrees": [1, ti, tj],
-                        "unit": fld.render(q.coeff_of((0, 0, 0))),
-                    }
+                unit = det_unit(f, b)[1]
+                if unit is not None:
+                    report.assembled = {"degrees": [1, ti, tj], "unit": fld.render(unit)}
                     return report
     return report
-
-
-def _det3(m) -> Poly:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))

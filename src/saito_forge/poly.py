@@ -49,7 +49,8 @@ class Poly:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms: dict):
-        assert nvars in (2, 3)
+        if nvars not in (2, 3):
+            raise PolyError(f"nvars must be 2 or 3, got {nvars}")
         self.field = field
         self.nvars = nvars
         self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
@@ -266,14 +267,32 @@ def divides(d: "Poly", p: "Poly"):
     return True, Poly(f, nv, quot)
 
 
+def det3(m) -> Poly:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def det_unit(f: Poly, matrix):
+    """(det, c) for a 3x3 matrix, with c the nonzero scalar such that
+    det = c*f, or None when det is not a nonzero scalar multiple of f."""
+    det = det3(matrix)
+    if det.is_zero():
+        return det, None
+    ok, q = divides(f, det)
+    return det, (q.coeff_of((0, 0, 0)) if ok and q.degree() == 0 else None)
+
+
 def split_pure_power(p: "Poly", axis: str):
     """Decompose a bivariate homogeneous p of degree m as p = x*q + c*y^m
     (axis 'x') or p = y*q + c*x^m (axis 'y'); returns (q, c)."""
-    assert axis in ("x", "y")
+    if axis not in ("x", "y"):
+        raise UnknownVariable(f"split axis must be 'x' or 'y', got {axis!r}")
     f = p.field
     if p.is_zero():
         return Poly.zero(f, 2), f.zero
-    assert p.is_homogeneous() and p.nvars == 2
+    if not (p.is_homogeneous() and p.nvars == 2):
+        raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
     m = p.degree()
     if axis == "x":
         c = p.coeff_of((0, m, 0))
@@ -283,7 +302,8 @@ def split_pure_power(p: "Poly", axis: str):
         c = p.coeff_of((m, 0, 0))
         rest = p - Poly.monomial(f, (m, 0, 0), c, nvars=2)
         ok, q = (True, Poly.zero(f, 2)) if rest.is_zero() else divides(Poly.variable(f, "y", 2), rest)
-    assert ok
+    if not ok:
+        raise PolyError("the remainder after the pure power is not divisible")
     return q, c
 
 
@@ -322,7 +342,8 @@ def is_squarefree_bivariate(p: "Poly") -> bool:
     """
     if p.is_zero():
         raise ZeroPolynomial("square-freeness of the zero polynomial")
-    assert p.nvars == 2 and p.is_homogeneous()
+    if not (p.nvars == 2 and p.is_homogeneous()):
+        raise PolyError("square-freeness needs a homogeneous bivariate polynomial")
     f = p.field
     ex = min(m[0] for m in p.terms)
     ey = min(m[1] for m in p.terms)

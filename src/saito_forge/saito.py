@@ -9,14 +9,15 @@ column modulo F and det equals F up to a nonzero scalar.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .column_system import ColumnSolution, build_column_system, solve_column_system
+from .column_system import (ColumnSolution, base_pair, build_column_system,
+                            column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
-from .linalg import kernel_basis, solve_affine
+from .linalg import solve_affine
 from .oracle import syzygy_kernel
-from .poly import Poly, divides, monomials, render, split_pure_power
+# det3 is re-exported: callers take the determinant from this module
+from .poly import Poly, det3, det_unit, divides, monomials, render, split_pure_power
 
 ROUTE_EXPLICIT_ODD = "explicit_odd"
 ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
@@ -83,12 +84,6 @@ class SaitoMatrix:
         }
 
 
-def det3(m) -> Poly:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def verify_saito(f: Poly, matrix) -> VerifyReport:
     """Saito's criterion for a candidate 3x3 matrix: (grad F) . col = q_k * F
     exactly for every column and det = c * F with c a nonzero scalar."""
@@ -107,12 +102,8 @@ def verify_saito(f: Poly, matrix) -> VerifyReport:
         else:
             quotients.append(None)
             failures.append(f"column {j + 1}: gradient pairing is not a multiple of F")
-    det = det3(matrix)
-    unit = None
-    ok, q = divides(f, det) if not det.is_zero() else (False, None)
-    if ok and q.degree() == 0:
-        unit = q.coeff_of((0, 0, 0))
-    else:
+    det, unit = det_unit(f, matrix)
+    if unit is None:
         failures.append("det is not a nonzero scalar multiple of F")
     return VerifyReport(not failures, unit, det, quotients, failures)
 
@@ -120,26 +111,13 @@ def verify_saito(f: Poly, matrix) -> VerifyReport:
 # ----- closed-form ingredients ----------------------------------------------
 
 
-def base_pair(params):
-    """g1 = dF1/dy and g2 = -(x dF1/dx + (d - alpha) F1), both bivariate."""
-    fld = params.field
-    f1 = params.f1
-    g1 = f1.partial("y")
-    g2 = -(Poly.variable(fld, "x", 2) * f1.partial("x") + (params.d - params.alpha) * f1)
-    return g1, g2
-
-
 def middle_ingredients(params) -> dict:
-    """Everything the middle column needs: g1, g2, g3 and the z-multiplier w."""
-    d, a, b = params.d, params.alpha, params.beta
-    v = params.v
-    fld = params.field
-    f2 = params.f2
+    """Everything the middle column needs: g1, g2, g3 and the z-multiplier w.
+    g3 is the last entry of the column system's generator."""
+    d, b = params.d, params.beta
     g1, g2 = base_pair(params)
-    x = Poly.variable(fld, "x", 2)
-    y = Poly.variable(fld, "y", 2)
-    g3 = -(x * y * f2.partial("x") * g1 + (y * f2.partial("y") + (v + a + 1) * f2) * g2)
-    w = b * (y * g1) + (d - b - 1) * g2
+    g3 = column_syzygy_generator(params)[2]
+    w = b * (Poly.variable(params.field, "y", 2) * g1) + (d - b - 1) * g2
     return {"g1": g1, "g2": g2, "g3": g3, "w": w}
 
 
@@ -174,10 +152,8 @@ def compute_constants(params) -> dict:
         raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
     fld = params.field
     f1, f2 = params.f1, params.f2
-    y = Poly.variable(fld, "y", 2)
-    x = Poly.variable(fld, "x", 2)
-    bracket_y = y * f2.partial("y") + (d - v + al) * f2
-    bracket_x = x * f1.partial("x") + (d - al) * f1
+    bracket_y = y_bracket(params)
+    bracket_x = -base_pair(params)[1]
     f1_yedge = f1.coeff_of((0, al, 0))
     f2_xedge = f2.coeff_of((v - al, 0, 0))
     by_edge = bracket_y.coeff_of((0, v - al, 0))
@@ -209,15 +185,12 @@ def _z_stratum(p: Poly, k: int) -> Poly:
 def coupling_residual(params, ing: dict) -> Poly:
     """The bivariate identity tying h6 to the graded triple:
     b*y*h1 + x*y*F2x*h2 + (d-b-1)*x*h3 + (y*F2y + (d-v+a)*F2)*h4 + x*y*h6."""
-    d, al, be = params.d, params.alpha, params.beta
-    v = params.v
+    d, be = params.d, params.beta
     fld = params.field
-    f2 = params.f2
     x = Poly.variable(fld, "x", 2)
     y = Poly.variable(fld, "y", 2)
-    bracket_y = y * f2.partial("y") + (d - v + al) * f2
-    return (be * (y * ing["h1"]) + x * y * f2.partial("x") * ing["h2"]
-            + (d - be - 1) * (x * ing["h3"]) + bracket_y * ing["h4"]
+    return (be * (y * ing["h1"]) + x * y * params.f2.partial("x") * ing["h2"]
+            + (d - be - 1) * (x * ing["h3"]) + y_bracket(params) * ing["h4"]
             + x * y * ing["h6"])
 
 
@@ -272,8 +245,8 @@ def _build_explicit_odd(inst: DivisorInstance) -> SaitoMatrix:
     h4 = g2 * e
     v1, _ = split_pure_power(h1, "x")
     u1, _ = split_pure_power(h3, "y")
-    bracket_y = y * f2.partial("y") + (d - v + al) * f2
-    bracket_x = x * f1.partial("x") + (d - al) * f1
+    bracket_y = y_bracket(params)
+    bracket_x = -g2
     w1, _ = split_pure_power((f2 * bracket_x).scale(fld.mul(a, fld.from_int(d - v + al))), "y")
     w2, _ = split_pure_power((f1 * bracket_y).scale(fld.mul(b, fld.from_int(d - al))), "x")
     h6 = (-(be * v1) - (d - be - 1) * u1 - f2.partial("x") * h2
@@ -285,18 +258,8 @@ def _build_explicit_odd(inst: DivisorInstance) -> SaitoMatrix:
     eq2 = coupling_residual(params, ing)
     if not eq2.is_zero():
         raise SaitoConstructionFailed("coupling identity (eq2) has a nonzero residual", eq2)
-    col2 = middle_column(params, ing)
-    col3 = last_column(params, ing)
-    eq3 = col2[0] * inst.fx + col2[1] * inst.fy + col2[2] * inst.fz
-    eq4 = col3[0] * inst.fx + col3[1] * inst.fy + col3[2] * inst.fz
-    if not eq3.is_zero():
-        raise SaitoConstructionFailed("middle column (eq3) is not a syzygy", eq3)
-    if not eq4.is_zero():
-        raise SaitoConstructionFailed("last column (eq4) is not a syzygy", eq4)
-    matrix = _assemble(fld, col2, col3)
-    return _finish(inst, matrix, ROUTE_EXPLICIT_ODD, ing,
-                   {"a": a, "b": b, "mu": mu, "lambda": None},
-                   {"eq2": eq2, "eq3": eq3, "eq4": eq4}, sol)
+    return _finish_explicit(inst, ing, last_column(params, ing), ROUTE_EXPLICIT_ODD,
+                            {"a": a, "b": b, "mu": mu, "lambda": None}, eq2, sol)
 
 
 def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
@@ -336,19 +299,10 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
         h5.as_trivariate() + Poly.variable(fld, "z") * u_poly.as_trivariate()
         + (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2), lam) * g2.as_trivariate()),
     )
-    col2 = middle_column(params, ing)
-    eq3 = col2[0] * inst.fx + col2[1] * inst.fy + col2[2] * inst.fz
-    eq4 = col3[0] * inst.fx + col3[1] * inst.fy + col3[2] * inst.fz
-    if not eq3.is_zero():
-        raise SaitoConstructionFailed("middle column (eq3) is not a syzygy", eq3)
-    if not eq4.is_zero():
-        raise SaitoConstructionFailed("last column is not a syzygy after elimination", eq4)
     ing.update({"h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
                 "lambda_unique": lam_unique})
-    matrix = _assemble(fld, col2, col3)
-    return _finish(inst, matrix, ROUTE_EXPLICIT_BETA0, ing,
-                   {"a": None, "b": None, "mu": mu, "lambda": lam},
-                   {"eq2": None, "eq3": eq3, "eq4": eq4}, sol)
+    return _finish_explicit(inst, ing, col3, ROUTE_EXPLICIT_BETA0,
+                            {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
 def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
@@ -359,19 +313,12 @@ def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
     t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
     basis2 = syzygy_kernel(inst, t2)
     basis3 = basis2 if t3 == t2 else syzygy_kernel(inst, t3)
-    x = Poly.variable(fld, "x")
-    y = Poly.variable(fld, "y")
-    z = Poly.variable(fld, "z")
     for i, s2 in enumerate(basis2.vectors):
         for j, s3 in enumerate(basis3.vectors):
             if t2 == t3 and j <= i:
                 continue
-            matrix = [[x, s2.a, s3.a], [y, s2.b, s3.b], [z, s2.c, s3.c]]
-            det = det3(matrix)
-            if det.is_zero():
-                continue
-            ok, q = divides(inst.f, det)
-            if ok and q.degree() == 0:
+            matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+            if det_unit(inst.f, matrix)[1] is not None:
                 ing = {"f": inst.f, "syz2": s2, "syz3": s3}
                 return _finish(inst, matrix, ROUTE_ORACLE, ing,
                                {"a": None, "b": None, "mu": None, "lambda": None},
@@ -388,6 +335,18 @@ def _assemble(fld, col2, col3):
     ]
 
 
+def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix:
+    """Both closed-form columns must pair with the gradient to zero exactly."""
+    col2 = middle_column(inst.params, ing)
+    eq3, eq4 = (c[0] * inst.fx + c[1] * inst.fy + c[2] * inst.fz for c in (col2, col3))
+    if not eq3.is_zero():
+        raise SaitoConstructionFailed("middle column (eq3) is not a syzygy", eq3)
+    if not eq4.is_zero():
+        raise SaitoConstructionFailed("last column (eq4) is not a syzygy", eq4)
+    return _finish(inst, _assemble(inst.params.field, col2, col3), route, ing, constants,
+                   {"eq2": eq2, "eq3": eq3, "eq4": eq4}, sol)
+
+
 def _finish(inst, matrix, route, ing, constants, residuals, sol: ColumnSolution | None) -> SaitoMatrix:
     report = verify_saito(inst.f, matrix)
     if not report.passed:
@@ -395,93 +354,6 @@ def _finish(inst, matrix, route, ing, constants, residuals, sol: ColumnSolution 
     if sol is not None:
         ing["solution_dimension"] = sol.dimension
     return SaitoMatrix(matrix, route, report.unit, ing, constants, residuals, report)
-
-
-def even_explicit_probe(inst: DivisorInstance, tries: int = 20) -> dict:
-    """Experimental: search for an explicit last column in even degree.
-
-    Even degree ships no closed-form recipe (the odd-route helper system is
-    not even degree-consistent there), so this probes the odd-route column
-    shape with an unknown quadratic multiplier e = a*x^2 + b*x*y + c*y^2,
-    unknown bivariate triple of degree v and unknown z-tail, all eliminated
-    as one homogeneous linear system.  Kernel vectors (and a few seeded
-    combinations) are determinant-tested against the middle column; success
-    is recorded, never assumed.  Needs beta >= 1 for the column exponents.
-    """
-    params = inst.params
-    d, be = params.d, params.beta
-    v = params.v
-    fld = params.field
-    if d % 2 == 1 or be < 1:
-        return {"attempted": False, "reason": "needs even d and beta >= 1"}
-    g1, g2 = base_pair(params)
-    gm = params.gamma
-    y2 = Poly.variable(fld, "y", 2)
-    w = be * (y2 * g1) + (d - be - 1) * g2
-    h_monos = monomials(v, 2)
-    e_monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
-    tail_monos = monomials(v - 1, 2)
-
-    cols = []
-    for blk, mono_list in (("h1", h_monos), ("h3", h_monos), ("h5", h_monos),
-                           ("e", e_monos), ("tail", tail_monos)):
-        for m in mono_list:
-            unit = Poly.monomial(fld, m, nvars=2)
-            zero = Poly.zero(fld)
-            if blk == "h1":
-                col = (unit.as_trivariate(), zero, zero)
-            elif blk == "h3":
-                col = (zero, unit.as_trivariate(), zero)
-            elif blk == "h5":
-                col = (zero, zero, unit.as_trivariate())
-            elif blk == "e":
-                col = (Poly.monomial(fld, (be, gm + 1, 1)) * (g1 * unit).as_trivariate(),
-                       Poly.monomial(fld, (be - 1, gm + 1, 1)) * (g2 * unit).as_trivariate(),
-                       -(Poly.monomial(fld, (be - 1, gm, 2)) * (w * unit).as_trivariate()))
-            else:
-                col = (zero, zero, Poly.variable(fld, "z") * unit.as_trivariate())
-            cols.append(col)
-    residuals = [c[0] * inst.fx + c[1] * inst.fy + c[2] * inst.fz for c in cols]
-    support = sorted({m for r in residuals for m in r.terms},
-                     key=lambda m: (sum(m), m), reverse=True)
-    rows = [[r.coeff_of(m) for r in residuals] for m in support]
-    kern = kernel_basis(rows, len(cols), fld)
-    ing = middle_ingredients(params)
-    col2 = middle_column(params, ing)
-    xv = Poly.variable(fld, "x")
-    yv = Poly.variable(fld, "y")
-    zv = Poly.variable(fld, "z")
-    ne = len(h_monos) * 3
-
-    def try_vector(vec):
-        col3 = tuple(sum((cols[i][k].scale(vec[i]) for i in range(len(cols))),
-                         Poly.zero(fld)) for k in range(3))
-        matrix = [[xv, col2[0], col3[0]], [yv, col2[1], col3[1]], [zv, col2[2], col3[2]]]
-        det = det3(matrix)
-        if det.is_zero():
-            return None
-        ok, q = divides(inst.f, det)
-        if not (ok and q.degree() == 0):
-            return None
-        e_found = Poly(fld, 2, {m: c for m, c in zip(e_monos, vec[ne:ne + 3])
-                                if not fld.is_zero(c)})
-        return {"attempted": True, "success": True, "kernel_dimension": len(kern),
-                "e": render(e_found), "unit": fld.render(q.coeff_of((0, 0, 0)))}
-
-    for vec in kern:
-        hit = try_vector(vec)
-        if hit:
-            return hit
-    rng = random.Random("even-probe")
-    for _ in range(tries):
-        vec = [fld.zero] * len(cols)
-        for k in kern:
-            c = fld.from_int(rng.randint(1, 100))
-            vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, k)]
-        hit = try_vector(vec)
-        if hit:
-            return hit
-    return {"attempted": True, "success": False, "kernel_dimension": len(kern)}
 
 
 def build_saito_matrix(inst: DivisorInstance, route: str = "auto") -> SaitoMatrix:

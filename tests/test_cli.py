@@ -73,14 +73,6 @@ def test_verify_oracle_route_even_degree(capsys):
     assert data["saito"]["route"] == "oracle"
 
 
-def test_verify_even_probe_flag(capsys):
-    code, out = run(capsys, "verify", "--d", "8", "--beta", "1", "--seed", "2",
-                    "--field", "fp:1009", "--even-probe")
-    assert code == 0
-    data = json.loads(out)
-    assert data["even_explicit_probe"]["success"] is True
-
-
 def test_verify_mutated_instance_exits_1(tmp_path, capsys):
     inst = {
         "d": 5, "alpha": 0, "beta": 0, "field": "q",
@@ -237,21 +229,63 @@ def test_missing_arguments(capsys):
     assert code == 2
 
 
+def run_subprocess(argv, env=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "saito_forge.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv,env,files", [
     (["verify", "--degree-bound", "-1", *WORKED], {}, {}),
     (["verify", "--in", "{tmp}/absent.json"], {}, {}),
     (["verify", "--in", "{tmp}/partial.json"], {}, {"partial.json": '{"d": 5}'}),
     (["export", "--in", "{tmp}/bad.json"], {}, {"bad.json": '{"d": 5'}),
     (["sweep", "--d", "5", "--field", "fp:1009"], {"SAITO_FORGE_THREADS": "abc"}, {}),
-], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads"])
+    # the Hilbert function of the d=5 quotient first reaches 12 at t=4
+    (["verify", "--degree-bound", "2", *WORKED], {}, {}),
+    (["verify", "--in", "{tmp}/tampered.json", "--degree-bound", "3"], {},
+     {"tampered.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
+                       '"F2": "x^2 + x*y + y^2", "F": "x^5 + y^5"}'}),
+    (["verify", "--in", "{tmp}/inhomogeneous.json"], {},
+     {"inhomogeneous.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
+                            '"F2": "x^2 + x*y + y^2", "F": "x^5 + y"}'}),
+    # fp:7 fails the char policy p > 3d, so no random draw can succeed
+    (["verify", "--d", "6", "--field", "fp:7", "--seed", "1"], {}, {}),
+    (["sweep", "--d", "5..6", "--field", "fp:7"], {"SAITO_FORGE_THREADS": "1"}, {}),
+], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
+        "low-degree-bound", "low-degree-bound-raw-f", "raw-f-not-a-form",
+        "char-policy-verify", "char-policy-sweep"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "saito_forge.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": path, **env},
-                          capture_output=True, text=True, timeout=60)
+    proc = run_subprocess([a.replace("{tmp}", str(tmp_path)) for a in argv], env)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_export_unbuildable_route_exits_1_without_script(tmp_path):
+    out = tmp_path / "check.m2"
+    proc = run_subprocess(["export", "--d", "6", "--seed", "1", "--field", "fp:1009",
+                           "--route", "explicit_odd", "--out", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists() and proc.stdout == ""
+
+
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
+    # only the count is computed: no pool is ever built here
+    from saito_forge import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "100000")
+    assert cli._worker_count(50) == 4
+    assert cli._worker_count(3) == 3
+    assert cli._worker_count(0) == 1
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "0")
+    assert cli._worker_count(50) == 1
+    monkeypatch.delenv("SAITO_FORGE_THREADS")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._worker_count(50) == 8

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from saito_forge.field import FieldMismatch, PrimeField, QQ
-from saito_forge.poly import (EulerViolation, Poly, PolySyntaxError,
+from saito_forge.poly import (EulerViolation, Poly, PolyError, PolySyntaxError,
                               UnknownVariable, ZeroPolynomial, divides,
                               is_squarefree_bivariate, monomials, parse,
                               render, split_pure_power)
@@ -238,3 +242,23 @@ def test_monomials_order():
     ms = monomials(2, 3)
     assert ms[0] == (2, 0, 0) and ms[-1] == (0, 0, 2)
     assert len(ms) == 6
+
+
+def test_invariant_guards_survive_python_O():
+    # the guards are raises, not asserts, so -O cannot strip them
+    with pytest.raises(PolyError):
+        Poly(QQ, 4, {})
+    probe = ("from saito_forge.field import QQ\n"
+             "from saito_forge.poly import Poly, PolyError, split_pure_power\n"
+             "for call in (lambda: Poly(QQ, 4, {}),\n"
+             "             lambda: split_pure_power(Poly.variable(QQ, 'x', 2), 'z')):\n"
+             "    try:\n"
+             "        call()\n"
+             "    except PolyError:\n"
+             "        continue\n"
+             "    raise SystemExit('guard stripped')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

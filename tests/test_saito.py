@@ -10,7 +10,7 @@ from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
                                SaitoConstructionFailed, base_pair,
                                build_saito_matrix, compute_constants,
-                               coupling_residual, det3, even_explicit_probe,
+                               coupling_residual, det3,
                                last_column, last_column_residual,
                                last_column_strata, middle_column,
                                middle_column_residual, middle_ingredients,
@@ -276,23 +276,6 @@ def test_g3_perturbation_breaks_middle_column():
     assert middle_column_residual(inst, ing).is_zero()
     ing["g3"] = ing["g3"] + Poly.constant(F1009, 1, nvars=2)
     assert not middle_column_residual(inst, ing).is_zero()
-
-
-# ----- even-degree experimental probe ---------------------------------------------
-
-
-@pytest.mark.parametrize("d,a,b,fld", [(8, 0, 1, F1009), (10, 1, 1, F1009), (8, 0, 1, QQ)])
-def test_even_probe_finds_quadratic_multiplier(d, a, b, fld):
-    inst = build_divisor(random_instance(d, a, b, seed=5, field=fld))
-    res = even_explicit_probe(inst)
-    assert res["attempted"] and res["success"]
-    assert res["e"] != "0"
-
-
-def test_even_probe_skips_beta0():
-    inst = build_divisor(random_instance(6, 0, 0, seed=5, field=F1009))
-    res = even_explicit_probe(inst)
-    assert not res["attempted"]
 
 
 # ----- report shape ----------------------------------------------------------------
