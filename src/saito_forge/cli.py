@@ -21,7 +21,7 @@ from .family import (DivisorInstance, InconsistentInstance, InvalidParams,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, random_non_squarefree_instance)
 from .field import FieldError, field_from_spec
-from .oracle import (expected_multiplicity, freeness_probe,
+from .oracle import (JacobianLadder, expected_multiplicity, freeness_probe,
                      point_support_check, predicted_quotient_hilbert,
                      resolution_check, syzygy_kernel)
 from .poly import Poly, PolyError, parse, render
@@ -156,13 +156,19 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
             stage = ("saito", {"pass": False, "error": str(exc)}, False)
     timings["saito"] = time.perf_counter() - t0
 
+    # one elimination per degree: point support reads what resolution filled
+    ladder = JacobianLadder(f)
     t0 = time.perf_counter()
-    res = resolution_check(f, bound)
+    res = resolution_check(f, bound, ladder)
     timings["resolution"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ps = point_support_check(f, min(bound, 3 * (d // 2) + 2))
+    support_bound = 3 * (d // 2) + 2
+    ps = point_support_check(f, min(bound, support_bound), ladder)
     timings["point_support"] = time.perf_counter() - t0
+    if not ps.certified and bound < support_bound:
+        raise CliError(f"inconclusive: x^N and y^N lie in J(F) for no N <= --degree-bound {bound} "
+                       f"(the point-support bound for d={d} is {support_bound})")
 
     checks = [("irreducible", irreducible, irreducible is not False), stage,
               ("resolution", res.to_json(), res.passed),

@@ -4,10 +4,13 @@ Everything is deterministic: pivots are chosen leftmost-column first, never by
 magnitude, so identical inputs give identical echelon forms, kernels and ranks
 on every run.
 
-Two performance paths back the generic ``rref``:
+Every elimination goes through `eliminate`, which takes a matrix as its
+nonzero entries and returns its pivot columns and, on request, its kernel:
 
-* prime fields below 2^31: vectorized row reduction on int64 numpy arrays
-  (products stay below 2^63);
+* prime fields: row reduction on a numpy array (int64 below 2^31, where
+  products stay below 2^63; Python integers above).  Pivots alone need only
+  the row echelon form, in which each pivot clears only the rows below it,
+  from its column rightwards; a kernel takes the reduced form;
 * rationals: one sparse column-echelon engine over the integers answers
   pivot, rank, kernel and affine-solve queries.  Each row is first scaled by
   the lcm of its denominators, which changes neither the column dependencies
@@ -20,6 +23,8 @@ Two performance paths back the generic ``rref``:
   those columns are unique, so dividing the relation by the column's own
   coefficient gives exactly the RREF kernel vector.  Nothing is
   probabilistic and no certificate is needed.
+
+The generic ``rref`` on lists is the reference both paths are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .field import Field, PrimeField, Rationals
+from .field import Field, Rationals
 
 _NUMPY_SAFE_P = 1 << 31  # p**2 < 2**62 leaves int64 headroom for the row update
 
@@ -63,21 +68,19 @@ def rref(rows: list, field: Field) -> list[int]:
     return pivots
 
 
-def _int_columns(rows, ncols: int) -> list[dict]:
+def _int_columns(ncols: int, entries) -> list[dict]:
     """Sparse ``{row: int}`` columns of the matrix after clearing the
     denominators of each row."""
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        nz = [(j, e) for j, e in enumerate(row) if e]
-        if not nz:
-            continue
-        mult = 1
-        for _, e in nz:
-            if e.denominator != 1:
-                mult = lcm(mult, e.denominator)
-        for j, e in nz:
-            cols[j][i] = e.numerator * (mult // e.denominator)
-    return cols
+    rows, cols, vals = entries
+    rows = rows.tolist()
+    mult: dict = {}
+    for i, e in zip(rows, vals):
+        if e.denominator != 1:
+            mult[i] = lcm(mult.get(i, 1), e.denominator)
+    out = [{} for _ in range(ncols)]
+    for i, j, e in zip(rows, cols.tolist(), vals):
+        out[j][i] = e.numerator * (mult.get(i, 1) // e.denominator)
+    return out
 
 
 def _combine(v: dict, a: int, w: dict, c: int) -> dict:
@@ -96,18 +99,17 @@ def _divide(v: dict, g: int) -> dict:
     return {k: x // g for k, x in v.items()}
 
 
-def _qq_echelon(rows, ncols: int, relations: bool):
-    """Left-to-right column echelon of a rational matrix.
+def _qq_echelon(columns: list, nrows: int, relations: bool):
+    """Left-to-right column echelon of integer sparse columns.
 
     Returns ``(pivots, deps)``: the pivot columns, and for every other column
     ``j`` (only when ``relations``) an integer relation ``{col: coeff}`` over
     ``j`` and the pivot columns left of it, with ``coeff[j] != 0``.
     """
-    nrows = len(rows)
     basis: dict = {}  # leading (smallest) row -> (vector, relation)
     pivots: list[int] = []
     deps: dict = {}
-    for j, v in enumerate(_int_columns(rows, ncols)):
+    for j, v in enumerate(columns):
         rel = {j: 1} if relations else None
         while v:
             r = min(v)
@@ -139,99 +141,90 @@ def _qq_echelon(rows, ncols: int, relations: bool):
 
 def _relation_vector(rel: dict, j: int, ncols: int) -> list:
     """The relation scaled to coefficient 1 at column ``j``, as Fractions."""
-    s = rel[j]
-    vec = [Fraction(0)] * ncols
-    for k, x in rel.items():
-        vec[k] = Fraction(x, s)
-    return vec
+    zero = Fraction(0)
+    return [Fraction(rel[k], rel[j]) if k in rel else zero for k in range(ncols)]
 
 
-def _modp_rref(mat: np.ndarray, p: int) -> list[int]:
-    """In-place RREF of an int64 array modulo p; returns pivot columns."""
+def _modp_echelon(mat: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """In-place row echelon form of an integer array modulo p; returns the
+    pivot columns.  ``reduced`` asks for the RREF (pivot entries 1, pivot
+    columns cleared above as well), which kernel read-off needs."""
     nr, nc = mat.shape
     pivots = []
     piv = 0
     for c in range(nc):
-        col = mat[piv:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        r = piv + int(nz[0])
-        if r != piv:
-            mat[[piv, r]] = mat[[r, piv]]
-        inv = pow(int(mat[piv, c]), p - 2, p)
-        mat[piv] = (mat[piv] * inv) % p
-        f = mat[:, c].copy()
-        f[piv] = 0
-        nzr = np.nonzero(f)[0]
-        if len(nzr):
-            mat[nzr] = (mat[nzr] - np.outer(f[nzr], mat[piv])) % p
-        pivots.append(c)
-        piv += 1
         if piv == nr:
             break
+        nz = mat[piv:, c].nonzero()[0]
+        if len(nz) == 0:
+            continue
+        if nz[0]:
+            mat[[piv, piv + nz[0]]] = mat[[piv + nz[0], piv]]
+        lo = 0 if reduced else c
+        mat[piv, lo:] = mat[piv, lo:] * pow(int(mat[piv, c]), p - 2, p) % p
+        if reduced:
+            others = mat[:, c].nonzero()[0]
+            others = others[others != piv]
+        else:
+            others = piv + nz[1:]
+        if len(others):
+            mat[others, lo:] = (mat[others, lo:] - mat[others, c, None] * mat[piv, lo:]) % p
+        pivots.append(c)
+        piv += 1
     return pivots
 
 
-def _to_modp_array(rows, p: int) -> np.ndarray:
-    mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), dtype=np.int64)
-    return mat % p
+def _nonzero_entries(rows: list, ncols: int):
+    """``(rows, cols, values)`` of the nonzero entries of a dense matrix."""
+    mat = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    r, c = np.nonzero(mat)
+    return r, c, mat[r, c]
+
+
+def eliminate(nrows: int, ncols: int, entries, field: Field, kernel: bool = False):
+    """``(pivots, basis)`` of the matrix whose nonzero entries are
+    ``entries = (rows, cols, values)``, two integer arrays and a value array.
+
+    ``pivots`` are the columns not in the span of the columns to their left,
+    which is what rank and ideal-membership queries need.  With ``kernel``,
+    ``basis`` is the deterministic basis of the right kernel {u : A u = 0}:
+    each vector has a 1 in one RREF-free column and zeros in the other free
+    columns; otherwise it is None.
+    """
+    if isinstance(field, Rationals):
+        pivots, deps = _qq_echelon(_int_columns(ncols, entries), nrows, relations=kernel)
+        return pivots, [_relation_vector(rel, j, ncols) for j, rel in deps.items()] if kernel else None
+    rows, cols, vals = entries
+    dtype = np.int64 if field.p < _NUMPY_SAFE_P else object
+    mat = np.zeros((nrows, ncols), dtype=dtype)
+    mat[rows, cols] = np.asarray(vals, dtype=dtype) % field.p
+    pivots = _modp_echelon(mat, field.p, reduced=kernel)
+    if not kernel:
+        return pivots, None
+    # one vector per free column j: 1 at j, minus column j of the RREF at the pivots
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = np.zeros((len(free), ncols), dtype=dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -mat[:len(pivots), free].T % field.p
+    return pivots, basis.tolist()
 
 
 def pivot_columns(rows: list, field: Field) -> list[int]:
-    """Pivot columns of the matrix under left-to-right elimination.
-
-    A column is a pivot exactly when it is not in the span of the columns to
-    its left, which is what ideal-membership queries need.
-    """
+    """Pivot columns of a dense matrix under left-to-right elimination."""
     if not rows or not rows[0]:
         return []
-    if isinstance(field, PrimeField) and field.p < _NUMPY_SAFE_P:
-        return _modp_rref(_to_modp_array(rows, field.p), field.p)
-    if isinstance(field, Rationals):
-        return _qq_echelon(rows, len(rows[0]), relations=False)[0]
-    return rref([list(r) for r in rows], field)
+    return eliminate(len(rows), len(rows[0]), _nonzero_entries(rows, len(rows[0])), field)[0]
 
 
 def rank(rows: list, field: Field) -> int:
     return len(pivot_columns(rows, field))
 
 
-def _free_column_vectors(pivots, reduced, ncols: int, field: Field) -> list[list]:
-    """Kernel vectors read off a reduced echelon form: a 1 in one free column,
-    zeros in the other free columns."""
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [field.zero] * ncols
-        vec[j] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[i][j])
-        basis.append(vec)
-    return basis
-
-
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
-    """Basis of the right kernel {u : A u = 0}, deterministic.
-
-    Each basis vector has a 1 in one RREF-free column and zeros in the other
-    free columns.
-    """
+    """Kernel basis of a dense matrix with ``ncols`` columns (see `eliminate`)."""
     if ncols == 0:
         return []
-    if isinstance(field, Rationals):
-        _, deps = _qq_echelon(rows, ncols, relations=True)
-        return [_relation_vector(rel, j, ncols) for j, rel in deps.items()]
-    if rows and isinstance(field, PrimeField) and field.p < _NUMPY_SAFE_P:
-        mat = _to_modp_array(rows, field.p)
-        pivots = _modp_rref(mat, field.p)
-        reduced = [[int(e) for e in mat[i]] for i in range(len(pivots))]
-    else:
-        reduced = [list(r) for r in rows]
-        pivots = rref(reduced, field)
-    return _free_column_vectors(pivots, reduced, ncols, field)
+    return eliminate(len(rows), ncols, _nonzero_entries(rows, ncols), field, kernel=True)[1]
 
 
 def solve_affine(rows: list, rhs: list, field: Field):
@@ -242,19 +235,9 @@ def solve_affine(rows: list, rhs: list, field: Field):
     """
     nc = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if isinstance(field, Rationals):
-        # b is the last column: a pivot there means b is not in the span of A
-        _, deps = _qq_echelon(aug, nc + 1, relations=True)
-        kernel = [_relation_vector(rel, j, nc) for j, rel in deps.items() if j < nc]
-        if nc not in deps:
-            return None, kernel
-        coords = _relation_vector(deps[nc], nc, nc + 1)
-        return [-x for x in coords[:nc]], kernel
-    pivots = rref(aug, field)
-    kernel = _free_column_vectors([p for p in pivots if p < nc], aug, nc, field)
+    pivots, basis = eliminate(len(aug), nc + 1, _nonzero_entries(aug, nc + 1), field, kernel=True)
+    # b is the last column: a pivot there means b is not in the span of A;
+    # otherwise its kernel vector, the last one, is (-particular, 1)
     if pivots and pivots[-1] == nc:
-        return None, kernel
-    particular = [field.zero] * nc
-    for i, pc in enumerate(pivots):
-        particular[pc] = aug[i][nc]
-    return particular, kernel
+        return None, [vec[:nc] for vec in basis]
+    return [field.neg(x) for x in basis[-1][:nc]], [vec[:nc] for vec in basis[:-1]]

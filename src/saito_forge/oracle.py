@@ -3,18 +3,22 @@
 Everything here is exact linear algebra on Macaulay matrices: the degree-t
 piece of an ideal is the column space of the multiplication map from shifted
 generators into the monomial basis of degree t.  No Groebner bases anywhere;
-ranks and kernels answer every question asked in bounded degree.  Work for
-distinct degrees is independent (nothing is cached or shared), so callers may
-parallelize over t or over instances freely.
+ranks and kernels answer every question asked in bounded degree (Lazard's
+degree-by-degree elimination).  A `JacobianLadder` eliminates each degree of
+J(F) once and keeps only the answers, so the resolution and point-support
+checks of one F share it; nothing else is cached, and distinct degrees stay
+independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .family import DivisorInstance
 from .field import Field
-from .linalg import kernel_basis, pivot_columns, rank, solve_affine
+from .linalg import eliminate, pivot_columns, solve_affine
 from .poly import Poly, det_unit, grlex_key, monomials
 
 
@@ -38,10 +42,6 @@ class MacaulayMatrix:
     columns: tuple       # column index -> (generator index, shift monomial)
     entries: list        # row-major, raw scalars
 
-    @property
-    def field(self) -> Field:
-        return self.generators[0].field
-
 
 def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     """``degrees`` gives the degree each generator is shifted from; by default
@@ -64,14 +64,46 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
+def _row_index(i, j, t):
+    """Index of x^i y^j z^(t-i-j) in `monomials` (t, 3); also on arrays."""
+    return (t - i) * (t - i + 1) // 2 + (t - i - j)
+
+
+def _macaulay_entries(gens, t: int, degrees):
+    """Shape and nonzero entries ``(rows, cols, values)`` of `macaulay_matrix`
+    ``(gens, t, degrees)``, straight from the generators' terms: the column of
+    shift m holds g's coefficients at the rows of m times g's monomials."""
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0, dtype=object)]
+    ncols = 0
+    for g, dg in zip(gens, degrees):
+        if not 0 <= dg <= t:
+            continue
+        nshift = space_dim(t - dg)
+        if g.terms:
+            exps = np.array(list(g.terms), dtype=np.int64).reshape(-1, 3, 1)
+            shifts = np.array(monomials(t - dg, 3), dtype=np.int64).T
+            rows.append(_row_index(exps[:, 0] + shifts[0], exps[:, 1] + shifts[1], t).ravel())
+            cols.append(np.tile(np.arange(ncols, ncols + nshift), len(g.terms)))
+            vals.append(np.repeat(np.array(list(g.terms.values()), dtype=object), nshift))
+        ncols += nshift
+    return space_dim(t), ncols, tuple(np.concatenate(a) for a in (rows, cols, vals))
+
+
+def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
+    """(generator column count, pivots) of the degree-t Macaulay matrix of
+    ``gens`` with the ``candidates`` as last columns.  Pivots among the
+    generator columns are the pivots of those columns alone, and a candidate
+    lies in the ideal exactly when its column is not a pivot."""
+    gens = tuple(gens)
+    degrees = [g.degree() for g in gens] + [t] * len(candidates)
+    nrows, ncols, entries = _macaulay_entries(gens + tuple(candidates), t, degrees)
+    return ncols - len(candidates), eliminate(nrows, ncols, entries, gens[0].field)[0]
+
+
 def ideal_dim(gens, t: int) -> int:
     """dim of the degree-t piece of the homogeneous ideal (gens)."""
-    if t < 0:
-        return 0
-    mat = macaulay_matrix(gens, t)
-    if not mat.columns:
-        return 0
-    return rank(mat.entries, mat.field)
+    return len(_echelon(gens, t)[1])
 
 
 def hilbert_function_quotient(gens, t: int) -> int:
@@ -84,24 +116,9 @@ def jacobian_generators(f: Poly):
 
 def monomial_membership(gens, candidates, t: int) -> list[bool]:
     """Exact membership of each candidate (degree-t polynomial) in the
-    degree-t piece of (gens), all with one elimination.
-
-    Candidate columns are appended after the generator columns, so a
-    candidate lies in the ideal exactly when its column is not a pivot.
-    """
-    mat = macaulay_matrix(gens, t)
-    fld = mat.field
-    ncols = len(mat.columns)
-    row_index = {m: i for i, m in enumerate(mat.rows)}
-    rows = [list(r) for r in mat.entries]
-    for cand in candidates:
-        col = [fld.zero] * len(rows)
-        for m, c in cand.terms.items():
-            col[row_index[m]] = c
-        for r, v in zip(rows, col):
-            r.append(v)
-    pivots = set(pivot_columns(rows, fld))
-    return [ncols + i not in pivots for i in range(len(candidates))]
+    degree-t piece of (gens), all with one elimination."""
+    ngen, pivots = _echelon(gens, t, candidates)
+    return [ngen + i not in pivots for i in range(len(candidates))]
 
 
 # ----- syzygies ------------------------------------------------------------
@@ -128,13 +145,14 @@ def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
     fld = f.field
     d = f.degree()
     # a zero partial still owns its block of unknowns (free syzygy entries)
-    mat = macaulay_matrix(jacobian_generators(f), t + d - 1, degrees=(d - 1,) * 3 + (d,))
+    degrees = (d - 1,) * 3 + (d,)
+    nrows, ncols, entries = _macaulay_entries(jacobian_generators(f), t + d - 1, degrees)
+    shifts = [monomials(t + d - 1 - dg, 3) for dg in degrees]
     vectors = []
-    for vec in kernel_basis(mat.entries, len(mat.columns), fld):
-        blocks = ({}, {}, {}, {})
-        for (gi, m), c in zip(mat.columns, vec):
-            blocks[gi][m] = c
-        vectors.append(SyzygyVector(*(Poly(fld, 3, b) for b in blocks)))
+    for vec in eliminate(nrows, ncols, entries, fld, kernel=True)[1]:
+        coeffs = iter(vec)
+        vectors.append(SyzygyVector(*(Poly(fld, 3, {m: next(coeffs) for m in ms})
+                                      for ms in shifts)))
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
@@ -219,18 +237,52 @@ def _as_divisor_poly(obj) -> Poly:
     return obj.f if isinstance(obj, DivisorInstance) else obj
 
 
-def resolution_check(inst, t_max: int | None = None) -> ResolutionReport:
+class JacobianLadder:
+    """J(F) = (Fx, Fy, Fz, F) eliminated degree by degree, each degree once.
+
+    Degree t is one elimination of [M_t | x^t | y^t]: the Macaulay matrix of
+    J(F) with the two point-support candidates as its last columns.  It
+    gives both hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F); only
+    those answers are kept, never the matrix.
+    """
+
+    def __init__(self, f: Poly):
+        self.f = f
+        self._gens = jacobian_generators(f)
+        self._steps: dict = {}
+
+    def _step(self, t: int) -> tuple:
+        if t not in self._steps:
+            fld = self.f.field
+            ngen, pivots = _echelon(self._gens, t, (Poly.monomial(fld, (t, 0, 0)),
+                                                    Poly.monomial(fld, (0, t, 0))))
+            rank = sum(1 for c in pivots if c < ngen)
+            self._steps[t] = (space_dim(t) - rank, rank == len(pivots))
+        return self._steps[t]
+
+    def hf(self, t: int) -> int:
+        """Hilbert function of S/J(F) at t."""
+        return self._step(t)[0]
+
+    def powers_in(self, t: int) -> bool:
+        """Whether x^t and y^t both lie in J(F)."""
+        return self._step(t)[1]
+
+
+def resolution_check(inst, t_max: int | None = None,
+                     ladder: JacobianLadder | None = None) -> ResolutionReport:
     """Compare the computed Hilbert function of S/J(F) with the series the
     family's resolution shape implies, for all t <= t_max.
 
-    Accepts a DivisorInstance or a bare homogeneous polynomial (controls)."""
+    Accepts a DivisorInstance or a bare homogeneous polynomial (controls),
+    and the ladder of its F to read from (a fresh one by default)."""
     f = _as_divisor_poly(inst)
     d = f.degree()
     v = d // 2
     if t_max is None:
         t_max = 3 * v + 3
-    gens = jacobian_generators(f)
-    computed = [hilbert_function_quotient(gens, t) for t in range(t_max + 1)]
+    ladder = ladder or JacobianLadder(f)
+    computed = [ladder.hf(t) for t in range(t_max + 1)]
     predicted = [predicted_quotient_hilbert(d, t) for t in range(t_max + 1)]
     mismatch = next((t for t, (c, p) in enumerate(zip(computed, predicted)) if c != p), None)
     return ResolutionReport(d, t_max, computed, predicted, mismatch,
@@ -247,37 +299,22 @@ class PointSupportResult:
         return {"certified": self.certified, "n": self.n, "bound": self.bound}
 
 
-def point_support_check(inst, t_bound: int | None = None) -> PointSupportResult:
+def point_support_check(inst, t_bound: int | None = None,
+                        ladder: JacobianLadder | None = None) -> PointSupportResult:
     """Certify that x^N and y^N lie in J(F) for some N <= t_bound, which pins
     the singular locus to the single point (0:0:1).
 
-    Membership is monotone in N, so one check at the bound decides and a
-    binary search then reports the smallest such N.  Accepts a
-    DivisorInstance or a bare homogeneous polynomial (controls).
+    Membership is monotone in N, so the first N from d - 1 up where both lie
+    in J(F) is the smallest.  Accepts a DivisorInstance or a bare homogeneous
+    polynomial (controls), and the ladder of its F to read from.
     """
     f = _as_divisor_poly(inst)
     d = f.degree()
-    v = d // 2
     if t_bound is None:
-        t_bound = 3 * v + 2
-    gens = jacobian_generators(f)
-    fld = f.field
-
-    def both_in(n: int) -> bool:
-        xs = Poly.monomial(fld, (n, 0, 0))
-        ys = Poly.monomial(fld, (0, n, 0))
-        return all(monomial_membership(gens, [xs, ys], n))
-
-    if not both_in(t_bound):
-        return PointSupportResult(False, None, t_bound)
-    lo, hi = d - 1, t_bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if both_in(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return PointSupportResult(True, lo, t_bound)
+        t_bound = 3 * (d // 2) + 2
+    ladder = ladder or JacobianLadder(f)
+    n = next((n for n in range(d - 1, t_bound + 1) if ladder.powers_in(n)), None)
+    return PointSupportResult(n is not None, n, t_bound)
 
 
 # ----- exploratory freeness probe -------------------------------------------

@@ -247,6 +247,13 @@ def run_subprocess(argv, env=None):
     (["verify", "--in", "{tmp}/tampered.json", "--degree-bound", "3"], {},
      {"tampered.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
                        '"F2": "x^2 + x*y + y^2", "F": "x^5 + y^5"}'}),
+    # t=4 passes that threshold, but x^N, y^N lie in J(F) only from N=5 on,
+    # below the point-support bound 8: inconclusive, in both verify modes
+    (["verify", "--degree-bound", "4", *WORKED], {}, {}),
+    (["verify", "--in", "{tmp}/scaled.json", "--degree-bound", "4"], {},
+     {"scaled.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
+                     '"F2": "x^2 + x*y + y^2", '
+                     '"F": "2*x^5 + 2*x^2*y^3 + 2*x*y^4 + 2*y^5 + 2*y^4*z"}'}),
     (["verify", "--in", "{tmp}/inhomogeneous.json"], {},
      {"inhomogeneous.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
                             '"F2": "x^2 + x*y + y^2", "F": "x^5 + y"}'}),
@@ -254,7 +261,8 @@ def run_subprocess(argv, env=None):
     (["verify", "--d", "6", "--field", "fp:7", "--seed", "1"], {}, {}),
     (["sweep", "--d", "5..6", "--field", "fp:7"], {"SAITO_FORGE_THREADS": "1"}, {}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
-        "low-degree-bound", "low-degree-bound-raw-f", "raw-f-not-a-form",
+        "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
+        "point-support-bound-raw-f", "raw-f-not-a-form",
         "char-policy-verify", "char-policy-sweep"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
@@ -263,6 +271,13 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_point_support_bound_below_n_is_inconclusive(capsys):
+    assert main(["verify", "--degree-bound", "4", *WORKED]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--degree-bound 4" in captured.err
+    assert main(["verify", "--degree-bound", "5", *WORKED]) == 0
 
 
 def test_export_unbuildable_route_exits_1_without_script(tmp_path):

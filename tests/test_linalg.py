@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from saito_forge.family import build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.linalg import kernel_basis, pivot_columns, rank, rref, solve_affine
+from saito_forge.linalg import (_modp_echelon, kernel_basis, pivot_columns, rank, rref,
+                                solve_affine)
 from saito_forge.oracle import jacobian_generators, macaulay_matrix
 
 F1009 = PrimeField(1009)
@@ -207,3 +209,65 @@ def test_rational_engine_on_jacobian_macaulay_matrix():
     for t in (8, 12):
         entries = macaulay_matrix(jacobian_generators(inst.f), t).entries
         assert pivot_columns(entries, QQ) == rref_reference(entries)[0]
+
+
+# ----- the mod-p row echelon against the generic RREF -----------------------
+
+
+def structured_modp_matrices(fld, rng):
+    """Random matrices mod p: full, rank-deficient (a product through a
+    narrow middle), tall, wide, and with zero rows or zero columns."""
+    def product(nr, k, nc):
+        a, b = rand_matrix(fld, rng, nr, k, 1.0), rand_matrix(fld, rng, k, nc, 1.0)
+        return [[_dot(row, [b[i][j] for i in range(k)], fld) for j in range(nc)] for row in a]
+
+    for _ in range(6):
+        yield rand_matrix(fld, rng, 7, 7, 0.7)              # square
+        yield product(8, 3, 9)                              # rank 3
+        yield product(6, 1, 6)                              # rank 1
+        yield rand_matrix(fld, rng, 15, 4)                  # tall
+        yield rand_matrix(fld, rng, 4, 15)                  # wide
+        rows = rand_matrix(fld, rng, 8, 8, 0.6)
+        for i in rng.sample(range(8), 3):
+            rows[i] = [fld.zero] * 8                        # zero rows
+        yield rows
+        rows = product(7, 4, 10)
+        for j in rng.sample(range(10), 4):
+            for r in rows:
+                r[j] = fld.zero                             # zero columns
+        yield rows
+    yield [[fld.zero] * 5 for _ in range(4)]                # all zero
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1, 2**61 - 1])
+def test_modp_echelon_matches_rref(p):
+    fld = PrimeField(p)
+    dtype = np.int64 if p < 2**31 else object
+    for rows in structured_modp_matrices(fld, random.Random(p % 1000)):
+        reduced = [list(r) for r in rows]
+        pivots = rref(reduced, fld)
+        mat = np.array(rows, dtype=dtype)
+        assert _modp_echelon(mat.copy(), p, reduced=False) == pivots
+        assert _modp_echelon(mat, p, reduced=True) == pivots
+        assert mat.tolist() == reduced
+        assert pivot_columns(rows, fld) == pivots
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1, 2**61 - 1])
+def test_modp_kernel_and_solve_match_rref(p):
+    fld = PrimeField(p)
+    for rows in structured_modp_matrices(fld, random.Random(p % 997)):
+        nc = len(rows[0])
+        reduced = [list(r) for r in rows]
+        pivots = rref(reduced, fld)
+        expected = []
+        for j in (j for j in range(nc) if j not in pivots):
+            vec = [0] * nc
+            vec[j] = 1
+            for i, pc in enumerate(pivots):
+                vec[pc] = fld.neg(reduced[i][j])
+            expected.append(vec)
+        assert kernel_basis(rows, nc, fld) == expected
+        rhs = [r[0] for r in rows]  # consistent: the first column
+        particular, kernel = solve_affine(rows, rhs, fld)
+        assert kernel == expected and mat_vec(rows, particular, fld) == rhs

@@ -1,8 +1,11 @@
 import pytest
 
-from saito_forge.family import FamilyParams, build_divisor, random_instance
+from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import (SyzygyVector, expected_multiplicity,
+from saito_forge import oracle
+from saito_forge.linalg import pivot_columns, rref
+from saito_forge.oracle import (JacobianLadder, SyzygyVector, _macaulay_entries,
+                                expected_multiplicity,
                                 freeness_probe, hilbert_function_quotient,
                                 ideal_dim, in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
@@ -182,3 +185,108 @@ def test_probe_fermat_quintic_exhausts():
     assert not rep.succeeded
     # only the Euler vector and the Koszul relations of the partials show up
     assert rep.fresh_degrees == {1: 1, 4: 3}
+
+
+# ----- direct assembly against the dense Macaulay matrix --------------------------
+
+
+def dense(nrows, ncols, entries, fld):
+    out = [[fld.zero] * ncols for _ in range(nrows)]
+    for i, j, e in zip(*entries):
+        out[i][j] = e
+    return out
+
+
+def assembly_cases():
+    for d, fld in ((7, QQ), (8, F1009), (9, PrimeField(32003))):
+        inst = build_divisor(random_instance(d, 0, 1, seed=4, field=fld))
+        gens = jacobian_generators(inst.f)
+        for t in range(0, 3 * (d // 2) + 4, 3):
+            yield gens, t, None
+            # the ladder's layout: x^t and y^t appended as degree-t generators
+            yield gens + (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0))), t, None
+        yield gens, 9 + d - 1, (d - 1,) * 3 + (d,)  # the syzygy kernel's matrix at t = 9
+    zfree = jacobian_generators(parse("x^5 + y^5"))  # Fz = 0
+    for t in (3, 4, 6, 9):
+        yield zfree, t, None                # the zero partial is left out
+        yield zfree, t, (4, 4, 4, 5)        # the zero partial keeps its block
+
+
+def test_direct_assembly_matches_macaulay_matrix():
+    for gens, t, degrees in assembly_cases():
+        mat = macaulay_matrix(gens, t, degrees)
+        nrows, ncols, entries = _macaulay_entries(
+            gens, t, degrees or [g.degree() for g in gens])
+        assert (nrows, ncols) == (len(mat.rows), len(mat.columns))
+        assert len(entries[0]) == sum(1 for r in mat.entries for e in r if e)
+        assert dense(nrows, ncols, entries, gens[0].field) == mat.entries
+
+
+# ----- the Jacobian ladder against per-degree dense eliminations ------------------
+
+
+def dense_rank(gens, t, fld, generic: bool) -> int:
+    mat = macaulay_matrix(gens, t)
+    if not mat.columns:
+        return 0
+    if generic:
+        return len(rref([list(r) for r in mat.entries], fld))
+    return len(pivot_columns(mat.entries, fld))
+
+
+def ladder_reference(f, t_max: int, n_max: int, generic: bool):
+    """hf(t) for t <= t_max from the rank of each dense Macaulay matrix, and
+    the first N in [d-1, n_max] with x^N and y^N in J(F), scanning degree by
+    degree: b lies in the column span of A exactly when rank [A | b] = rank A."""
+    fld = f.field
+    gens = jacobian_generators(f)
+    ranks = [dense_rank(gens, t, fld, generic) for t in range(t_max + 1)]
+    hf = [space_dim(t) - r for t, r in enumerate(ranks)]
+    for n in range(f.degree() - 1, n_max + 1):
+        if all(dense_rank(gens + (Poly.monomial(fld, m),), n, fld, generic) == ranks[n]
+               for m in ((n, 0, 0), (0, n, 0))):
+            return hf, n
+    return hf, None
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+@pytest.mark.parametrize("d", range(5, 13))
+def test_ladder_matches_dense_reference(d, fld):
+    pairs = legal_pairs(d)
+    alpha, beta = pairs[d % len(pairs)]
+    f = build_divisor(random_instance(d, alpha, beta, seed=d, field=fld)).f
+    t_max, n_max = 3 * (d // 2) + 3, 3 * (d // 2) + 2
+    # Fraction RREF is too slow past d = 7; there the sparse rational engine
+    # (itself checked against it in test_linalg) eliminates the dense matrices
+    hf, n = ladder_reference(f, t_max, n_max, generic=fld is not QQ or d <= 7)
+    ladder = JacobianLadder(f)
+    assert [ladder.hf(t) for t in range(t_max + 1)] == hf
+    assert n is not None
+    assert point_support_check(f, n_max, ladder).n == n
+    assert [ladder.powers_in(t) for t in range(d - 1, n_max + 1)] == \
+        [t >= n for t in range(d - 1, n_max + 1)]
+
+
+def test_ladder_on_controls():
+    # the Fermat quintic's J = (x^4, y^4, z^4) is Artinian: hf ends in zeros
+    ladder = JacobianLadder(parse("x^5 + y^5 + z^5"))
+    assert [ladder.hf(t) for t in range(10)] == [1, 3, 6, 10, 12, 12, 10, 6, 3, 1]
+    assert point_support_check(parse("x^5 + y^5 + z^5"), 8, ladder).n == 4
+    # x*y*z is singular on three lines: no power of x lies in J = (yz, xz, xy)
+    assert not any(JacobianLadder(parse("x*y*z")).powers_in(t) for t in range(2, 9))
+
+
+def test_verify_eliminates_each_degree_once(monkeypatch, capsys):
+    from saito_forge.cli import main
+
+    degrees = []
+    real = oracle._echelon
+
+    def recording(gens, t, candidates=()):
+        degrees.append(t)
+        return real(gens, t, candidates)
+
+    monkeypatch.setattr(oracle, "_echelon", recording)
+    assert main(["verify", "--d", "9", "--alpha", "1", "--beta", "0", "--seed", "2",
+                 "--field", "fp:1009"]) == 0
+    assert degrees == list(range(3 * 4 + 4))  # 0..bound, each once
