@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from .column_system import NoSolution
 from .family import (DivisorInstance, InconsistentInstance, InvalidParams,
                      FamilyParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
@@ -28,8 +29,8 @@ from .poly import Poly, PolyError, parse, render
 from .saito import (DegenerateConstant, SaitoConstructionFailed,
                     build_saito_matrix)
 
-# what a route that cannot build raises; verify reports it, export refuses
-ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, ValueError)
+# what a route that cannot build raises; verify and sweep report it, export refuses
+ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, NoSolution, ValueError)
 
 
 class CliError(Exception):
@@ -257,7 +258,7 @@ def _sweep_task(task) -> dict:
         entry["route"] = sm.route
         entry["unit_c"] = str(sm.unit)
         entry["pass"] = sm.verify.passed
-    except SaitoConstructionFailed as exc:
+    except ROUTE_FAILURES as exc:
         entry["route"] = "failed"
         entry["error"] = str(exc)
         entry["pass"] = False

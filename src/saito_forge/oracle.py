@@ -8,17 +8,25 @@ degree-by-degree elimination).  A `JacobianLadder` eliminates each degree of
 J(F) once and keeps only the answers, so the resolution and point-support
 checks of one F share it; nothing else is cached, and distinct degrees stay
 independent.
+
+Two exact identities shrink each ladder matrix.  A single-term generator c*m
+(the family's Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit
+column at row m*s: those rows count once each toward the rank and are deleted
+from every other column, since the column space is their span plus the rest
+projected off them, so rank and memberships are unchanged.  Euler's d*F = x*Fx + y*Fy + z*Fz puts F
+in (Fx, Fy, Fz) when d is nonzero in the field, and the ladder drops it then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
 
 import numpy as np
 
 from .family import DivisorInstance
 from .field import Field
-from .linalg import eliminate, pivot_columns, solve_affine
+from .linalg import eliminate
 from .poly import Poly, det_unit, grlex_key, monomials
 
 
@@ -91,23 +99,26 @@ def _macaulay_entries(gens, t: int, degrees):
 
 
 def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
-    """(generator column count, pivots) of the degree-t Macaulay matrix of
-    ``gens`` with the ``candidates`` as last columns.  Pivots among the
-    generator columns are the pivots of those columns alone, and a candidate
-    lies in the ideal exactly when its column is not a pivot."""
-    gens = tuple(gens)
-    degrees = [g.degree() for g in gens] + [t] * len(candidates)
-    nrows, ncols, entries = _macaulay_entries(gens + tuple(candidates), t, degrees)
-    return ncols - len(candidates), eliminate(nrows, ncols, entries, gens[0].field)[0]
-
-
-def ideal_dim(gens, t: int) -> int:
-    """dim of the degree-t piece of the homogeneous ideal (gens)."""
-    return len(_echelon(gens, t)[1])
-
-
-def hilbert_function_quotient(gens, t: int) -> int:
-    return space_dim(t) - ideal_dim(gens, t)
+    """(rank, memberships) of the degree-t Macaulay matrix of ``gens`` with
+    the ``candidates`` as last columns: the rank of the generator columns,
+    and for each candidate whether it lies in the span of the columns to its
+    left, so all candidates lie in the ideal exactly when all are True.  Rows
+    covered by single-term generators count toward the rank and are deleted
+    from the other columns, which alone are eliminated."""
+    single = [g for g in gens if len(g.terms) == 1]
+    multi = [g for g in gens if len(g.terms) != 1]
+    covered = np.zeros(space_dim(t), dtype=bool)
+    covered[_macaulay_entries(single, t, [g.degree() for g in single])[2][0]] = True
+    degrees = [g.degree() for g in multi] + [t] * len(candidates)
+    _, ncols, (rows, cols, vals) = _macaulay_entries(multi + list(candidates), t, degrees)
+    keep = ~covered[rows]
+    renumber = np.cumsum(~covered) - 1
+    ncover = int(covered.sum())
+    pivots = eliminate(len(covered) - ncover, ncols, (renumber[rows[keep]], cols[keep], vals[keep]),
+                       gens[0].field)[0]
+    ngen = ncols - len(candidates)
+    return (ncover + sum(1 for c in pivots if c < ngen),
+            [ngen + i not in pivots for i in range(len(candidates))])
 
 
 def jacobian_generators(f: Poly):
@@ -115,10 +126,10 @@ def jacobian_generators(f: Poly):
 
 
 def monomial_membership(gens, candidates, t: int) -> list[bool]:
-    """Exact membership of each candidate (degree-t polynomial) in the
-    degree-t piece of (gens), all with one elimination."""
-    ngen, pivots = _echelon(gens, t, candidates)
-    return [ngen + i not in pivots for i in range(len(candidates))]
+    """Membership of each degree-t candidate in the degree-t piece of (gens),
+    all with one elimination (see `_echelon`: exact for every candidate up to
+    the first one that is not a member)."""
+    return _echelon(gens, t, candidates)[1]
 
 
 # ----- syzygies ------------------------------------------------------------
@@ -169,22 +180,35 @@ def syzygy_residual(inst: DivisorInstance, vec: SyzygyVector) -> Poly:
     return vec.a * inst.fx + vec.b * inst.fy + vec.c * inst.fz + vec.e * inst.f
 
 
-def _flatten_syzygy(s: SyzygyVector, t: int):
-    abc_monos = monomials(t, 3)
-    e_monos = monomials(t - 1, 3) if t >= 1 else []
-    out = []
-    for p, monos in ((s.a, abc_monos), (s.b, abc_monos), (s.c, abc_monos), (s.e, e_monos)):
-        out.extend(p.coeff_of(m) for m in monos)
-    return out
+def _syzygy_entries(vectors, t: int):
+    """Shape and nonzero entries of the columns m*g, for each (deg g, g) in
+    ``vectors`` and m of degree t - deg g: the blocks a, b, c (degree t) and
+    e (degree t - 1) start at rows 0, s, 2s and 3s, s = space_dim(t)."""
+    s = space_dim(t)
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0, dtype=object)]
+    ncols = 0
+    for tg, run in groupby(vectors, key=lambda v: v[0]):  # one shift set per degree
+        shifts = np.array(monomials(t - tg, 3), dtype=np.int64).T
+        nshift = shifts.shape[1]
+        terms, coeffs = [], []  # per term: x, y exponents, block degree, block row, column
+        for n, (_, g) in enumerate(run):
+            for k, p in enumerate(g.as_polys()):
+                terms.extend((m[0], m[1], t - (k == 3), k * s, ncols + n * nshift) for m in p.terms)
+                coeffs.extend(p.terms.values())
+        ncols += (n + 1) * nshift
+        i, j, tk, off, col = np.array(terms, dtype=np.int64).reshape(-1, 5, 1).transpose(1, 0, 2)
+        rows.append((_row_index(i + shifts[0], j + shifts[1], tk) + off).ravel())
+        cols.append((col + np.arange(nshift)).ravel())
+        vals.append(np.repeat(np.array(coeffs, dtype=object), nshift))
+    return 3 * s + space_dim(t - 1), ncols, tuple(np.concatenate(a) for a in (rows, cols, vals))
 
 
 def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
     """Whether vec is an exact linear combination of the basis vectors."""
-    cols = [_flatten_syzygy(s, basis.degree) for s in basis.vectors]
-    target = _flatten_syzygy(vec, basis.degree)
-    rows = [[c[i] for c in cols] for i in range(len(target))]
-    particular, _ = solve_affine(rows, target, field)
-    return particular is not None
+    t = basis.degree
+    nrows, ncols, entries = _syzygy_entries([(t, s) for s in basis.vectors + (vec,)], t)
+    return ncols - 1 not in eliminate(nrows, ncols, entries, field)[0]
 
 
 # ----- resolution shape and multiplicity ------------------------------------
@@ -243,21 +267,23 @@ class JacobianLadder:
     Degree t is one elimination of [M_t | x^t | y^t]: the Macaulay matrix of
     J(F) with the two point-support candidates as its last columns.  It
     gives both hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F); only
-    those answers are kept, never the matrix.
+    those answers are kept, never the matrix.  F is kept only when p | d, as
+    otherwise Euler's identity puts its shifts in the partials' span, and
+    `_echelon` takes out the rows a single-term partial covers.
     """
 
     def __init__(self, f: Poly):
         self.f = f
-        self._gens = jacobian_generators(f)
+        char = f.field.char
+        self._gens = jacobian_generators(f)[:4 if char and f.degree() % char == 0 else 3]
         self._steps: dict = {}
 
     def _step(self, t: int) -> tuple:
         if t not in self._steps:
             fld = self.f.field
-            ngen, pivots = _echelon(self._gens, t, (Poly.monomial(fld, (t, 0, 0)),
-                                                    Poly.monomial(fld, (0, t, 0))))
-            rank = sum(1 for c in pivots if c < ngen)
-            self._steps[t] = (space_dim(t) - rank, rank == len(pivots))
+            rank, members = _echelon(self._gens, t, (Poly.monomial(fld, (t, 0, 0)),
+                                                     Poly.monomial(fld, (0, t, 0))))
+            self._steps[t] = (space_dim(t) - rank, all(members))
         return self._steps[t]
 
     def hf(self, t: int) -> int:
@@ -339,11 +365,6 @@ class ProbeReport:
         }
 
 
-def _shift_syzygy(s: SyzygyVector, m) -> SyzygyVector:
-    mono = Poly.monomial(s.a.field, m)
-    return SyzygyVector(s.a * mono, s.b * mono, s.c * mono, s.e * mono)
-
-
 def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     """Search for a Saito matrix of a reduced homogeneous f by brute force.
 
@@ -361,19 +382,12 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     z = Poly.variable(fld, "z")
     for t in range(1, degree_bound + 1):
         basis = _syzygy_kernel_raw(f, t)
-        span_cols = []
-        for tg, g in found:
-            for m in monomials(t - tg, 3):
-                span_cols.append(_flatten_syzygy(_shift_syzygy(g, m), t))
-        kern_cols = [_flatten_syzygy(v, t) for v in basis.vectors]
-        cols = span_cols + kern_cols
-        if not cols:
+        nrows, ncols, entries = _syzygy_entries(found + [(t, v) for v in basis.vectors], t)
+        if not ncols:
             continue
-        rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-        pivots = set(pivot_columns(rows, fld))
+        pivots = set(eliminate(nrows, ncols, entries, fld)[0])
         # a kernel column that survives as a pivot is independent of the span
-        fresh = [basis.vectors[i] for i in range(len(kern_cols))
-                 if len(span_cols) + i in pivots]
+        fresh = [v for i, v in enumerate(basis.vectors, ncols - len(basis.vectors)) if i in pivots]
         if fresh:
             report.fresh_degrees[t] = len(fresh)
             found.extend((t, g) for g in fresh)

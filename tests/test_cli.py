@@ -290,6 +290,53 @@ def test_export_unbuildable_route_exits_1_without_script(tmp_path):
     assert not out.exists() and proc.stdout == ""
 
 
+def test_verify_reports_route_failure_without_traceback(monkeypatch, capsys):
+    # the explicit routes solve a graded column system; make it inconsistent
+    from saito_forge import saito
+    from saito_forge.column_system import NoSolution
+
+    def no_solution(system):
+        raise NoSolution("graded column system is inconsistent")
+
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    monkeypatch.setattr(saito, "solve_column_system", no_solution)
+    code = main(["verify", *WORKED])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["saito"] == {"pass": False, "error": "graded column system is inconsistent"}
+    assert data["resolution"]["pass"] and data["point_support"]["certified"]
+
+
+def test_sweep_records_route_failure_and_continues(monkeypatch, capsys):
+    from saito_forge import cli
+    from saito_forge.saito import DegenerateConstant
+
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    argv = ["sweep", "--d", "5..7", "--seed", "1", "--field", "fp:1009"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    clean = json.loads(out)["instances"]
+    real = cli.build_saito_matrix
+
+    def degenerate_at_6(inst, route="auto"):
+        if inst.params.d == 6:
+            raise DegenerateConstant("mu vanished")
+        return real(inst, route)
+
+    monkeypatch.setattr(cli, "build_saito_matrix", degenerate_at_6)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["summary"]["fail"] == 1
+    for before, after in zip(clean, data["instances"], strict=True):
+        if after["d"] != 6:
+            assert after == before
+            continue
+        assert after["route"] == "failed" and after["error"] == "mu vanished"
+        assert after["pass"] is False and after["irreducible"] == before["irreducible"]
+
+
 def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
     # only the count is computed: no pool is ever built here
     from saito_forge import cli

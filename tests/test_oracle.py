@@ -4,15 +4,15 @@ from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
 from saito_forge.linalg import pivot_columns, rref
-from saito_forge.oracle import (JacobianLadder, SyzygyVector, _macaulay_entries,
+from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_entries,
+                                _syzygy_entries,
                                 expected_multiplicity,
-                                freeness_probe, hilbert_function_quotient,
-                                ideal_dim, in_kernel_span,
+                                freeness_probe, in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
                                 space_dim, syzygy_kernel, syzygy_residual)
-from saito_forge.poly import Poly, parse
+from saito_forge.poly import Poly, monomials, parse
 
 F1009 = PrimeField(1009)
 
@@ -27,16 +27,16 @@ def worked_instance(fld=QQ):
 
 def test_ideal_dim_variables():
     gens = [parse("x"), parse("y"), parse("z")]
-    assert ideal_dim(gens, 1) == 3
+    assert _echelon(gens, 1)[0] == 3
 
 
 def test_ideal_dim_single_square():
-    assert ideal_dim([parse("x^2")], 3) == 3  # x^3, x^2 y, x^2 z
+    assert _echelon([parse("x^2")], 3)[0] == 3  # x^3, x^2 y, x^2 z
 
 
 def test_ideal_dim_gradient_d5():
     inst = worked_instance()
-    assert ideal_dim(jacobian_generators(inst.f), 4) == 3
+    assert _echelon(jacobian_generators(inst.f), 4)[0] == 3
 
 
 def test_macaulay_column_shape():
@@ -47,7 +47,7 @@ def test_macaulay_column_shape():
 
 def test_hilbert_quotient_t0():
     inst = worked_instance()
-    assert hilbert_function_quotient(jacobian_generators(inst.f), 0) == 1
+    assert space_dim(0) - _echelon(jacobian_generators(inst.f), 0)[0] == 1
 
 
 def test_rank_stability_redundant_generator():
@@ -56,7 +56,7 @@ def test_rank_stability_redundant_generator():
     partials = [inst.fx, inst.fy, inst.fz]
     with_f = partials + [inst.f]
     for t in range(4, 10):
-        assert ideal_dim(partials, t) == ideal_dim(with_f, t)
+        assert _echelon(partials, t)[0] == _echelon(with_f, t)[0]
 
 
 # ----- syzygy kernels ---------------------------------------------------------
@@ -70,6 +70,8 @@ def test_euler_vector_at_degree_one():
                          Poly.constant(fld, fld.from_int(-5)))
     assert in_kernel_span(basis, euler, fld)
     assert syzygy_residual(inst, euler).is_zero()
+    zero = Poly.zero(fld)
+    assert not in_kernel_span(basis, SyzygyVector(parse("x"), zero, zero, zero), fld)
 
 
 def test_kernel_vectors_satisfy_relation():
@@ -222,6 +224,28 @@ def test_direct_assembly_matches_macaulay_matrix():
         assert dense(nrows, ncols, entries, gens[0].field) == mat.entries
 
 
+def shifted_products(vectors, t):
+    """Dense columns m*g by Poly products, in the order `_syzygy_entries` uses:
+    the coefficients of a, b, c in degree t, then of e in degree t - 1."""
+    cols = []
+    for tg, g in vectors:
+        for m in monomials(t - tg, 3):
+            mono = Poly.monomial(g.a.field, m)
+            cols.append([(p * mono).coeff_of(r) for k, p in enumerate(g.as_polys())
+                         for r in monomials(t - (k == 3), 3)])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_syzygy_entries_match_shifted_products():
+    for fld in (QQ, F1009):
+        inst = build_divisor(random_instance(8, 0, 1, seed=5, field=fld))
+        vectors = [(tg, v) for tg in (1, 2, 3) for v in syzygy_kernel(inst, tg).vectors]
+        vectors.append(vectors[0])  # a degree seen before starts a new run of shifts
+        for t in (3, 4, 6):
+            nrows, ncols, entries = _syzygy_entries(vectors, t)
+            assert dense(nrows, ncols, entries, fld) == shifted_products(vectors, t)
+
+
 # ----- the Jacobian ladder against per-degree dense eliminations ------------------
 
 
@@ -274,6 +298,71 @@ def test_ladder_on_controls():
     assert point_support_check(parse("x^5 + y^5 + z^5"), 8, ladder).n == 4
     # x*y*z is singular on three lines: no power of x lies in J = (yz, xz, xy)
     assert not any(JacobianLadder(parse("x*y*z")).powers_in(t) for t in range(2, 9))
+
+
+# ----- the reduced elimination against dense ranks --------------------------------
+
+
+def dense_echelon(gens, t, candidates, fld):
+    """`_echelon` from dense ranks of unreduced matrices: the rank of M_t, and
+    for each candidate whether appending it to M_t and the candidates before
+    it keeps the rank."""
+    small = fld is not QQ or t <= 7
+    ranks = [dense_rank(tuple(gens) + tuple(candidates[:i]), t, fld, generic=small)
+             for i in range(len(candidates) + 1)]
+    return ranks[0], [ranks[i + 1] == ranks[i] for i in range(len(candidates))]
+
+
+def echelon_cases():
+    """(F, t_max) per case: which partials are single-term varies."""
+    for fld in (QQ, F1009):
+        for d in (5, 8):
+            alpha, beta = legal_pairs(d)[-1]
+            f = build_divisor(random_instance(d, alpha, beta, seed=3, field=fld)).f
+            assert len(f.partial("z").terms) == 1  # Fz = x^beta y^(d-beta-1)
+            yield pytest.param(f, 3 * (d // 2) + 3, id=f"family-d{d}-{fld.char or 'q'}")
+    # Fz = y^4 + 3xyz^2 + 5z^4: no partial is a single term, nothing is covered
+    yield pytest.param(parse("x^5 + x^2*y^3 + x*y^4 + y^5 + y^4*z + x*y*z^3 + z^5"), 9,
+                       id="no-single-term")
+    # (x^4, y^4, z^4): every partial is single-term and their covered rows overlap
+    yield pytest.param(parse("x^5 + y^5 + z^5"), 10, id="fermat")
+    yield pytest.param(parse("x^5 + y^5"), 9, id="z-free")  # Fz = 0
+    # p | d: Fx = yz^3, Fy = xz^3, Fz = 3xyz^2, and Euler says nothing about F
+    yield pytest.param(parse("x^5 + y^5 + x*y*z^3", PrimeField(5)), 9, id="p-divides-d")
+
+
+@pytest.mark.parametrize("f,t_max", echelon_cases())
+def test_echelon_matches_dense_reference(f, t_max):
+    fld = f.field
+    gens = jacobian_generators(f)
+    for t in range(t_max + 1):
+        cands = (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0)))
+        for sub in (gens, gens[:3]):
+            assert _echelon(sub, t, cands) == dense_echelon(sub, t, cands, fld), (t, len(sub))
+    ladder = JacobianLadder(f)
+    hf, n = ladder_reference(f, t_max, t_max, generic=fld is not QQ)
+    assert [ladder.hf(t) for t in range(t_max + 1)] == hf
+    assert point_support_check(f, t_max, ladder).n == n
+
+
+def test_ladder_keeps_f_when_p_divides_d():
+    # over fp:5 the partials of this quintic do not span F in degree 5
+    f = parse("x^5 + y^5 + x*y*z^3", PrimeField(5))
+    partials = jacobian_generators(f)[:3]
+    assert space_dim(5) - dense_rank(partials, 5, f.field, generic=True) == 14
+    assert JacobianLadder(f).hf(5) == 13
+
+
+def test_echelon_candidates_in_covered_rows():
+    # x^2 covers the rows x^2 (t = 2) and x^3, x^2 y, x^2 z (t = 3)
+    gens = (parse("x^2"), parse("y^2 + z^2"))
+    members = {"x^2": True, "x^2 + y^2 + z^2": True, "y^2 + z^2 - 3*x^2": True,
+               "x^2 + x*y": False, "x*y": False, "0": True}
+    for text, member in members.items():
+        cand = (parse(text),)
+        assert _echelon(gens, 2, cand) == dense_echelon(gens, 2, cand, QQ) == (2, [member])
+    cands = (parse("x^2*y + y^3 + y*z^2"), parse("x^2*z"), parse("x*y*z"))
+    assert _echelon(gens, 3, cands) == dense_echelon(gens, 3, cands, QQ) == (6, [True, True, False])
 
 
 def test_verify_eliminates_each_degree_once(monkeypatch, capsys):
