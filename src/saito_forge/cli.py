@@ -17,8 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .column_system import NoSolution
-from .family import (DivisorInstance, InconsistentInstance, InvalidParams,
-                     FamilyParams, build_divisor, instance_from_json,
+from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
+                     InvalidParams, FamilyParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, random_non_squarefree_instance)
 from .field import FieldError, field_from_spec
@@ -231,24 +231,27 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+def _failed(entry: dict, exc: Exception) -> dict:
+    entry["route"] = "failed"
+    entry["error"] = str(exc)
+    entry["pass"] = False
+    return entry
+
+
 def _sweep_task(task) -> dict:
     d, alpha, beta, seed, field_spec, drop_squarefree = task
     fld = field_from_spec(field_spec)
     entry = {"d": d, "alpha": alpha, "beta": beta, "seed": seed, "field": field_spec}
-    if drop_squarefree and alpha >= 2:
-        params = random_non_squarefree_instance(d, alpha, beta, seed, fld)
-        inst = build_divisor(params, drop_squarefree=True)
-        entry["F"] = render(inst.f)
-        entry["square_free_F1"] = False
-        probe = freeness_probe(inst.f, 3 * params.v + 3)
-        entry["probe"] = probe.to_json()
-        entry["pass"] = probe.succeeded
-        return entry
-    params = random_instance(d, alpha, beta, seed, fld)
-    inst = build_divisor(params)
+    forced = drop_squarefree and alpha >= 2  # F1 carries a repeated factor
+    try:
+        draw = random_non_squarefree_instance if forced else random_instance
+        params = draw(d, alpha, beta, seed, fld)
+    except ExhaustedRetries as exc:
+        return _failed(entry, exc)
+    inst = build_divisor(params, drop_squarefree=forced)
     entry["F"] = render(inst.f)
     if drop_squarefree:
-        entry["square_free_F1"] = True
+        entry["square_free_F1"] = not forced
         probe = freeness_probe(inst.f, 3 * params.v + 3)
         entry["probe"] = probe.to_json()
         entry["pass"] = probe.succeeded
@@ -259,9 +262,7 @@ def _sweep_task(task) -> dict:
         entry["unit_c"] = str(sm.unit)
         entry["pass"] = sm.verify.passed
     except ROUTE_FAILURES as exc:
-        entry["route"] = "failed"
-        entry["error"] = str(exc)
-        entry["pass"] = False
+        _failed(entry, exc)
     entry["irreducible"] = is_irreducible(inst.f)
     return entry
 

@@ -4,39 +4,36 @@ Everything is deterministic: pivots are chosen leftmost-column first, never by
 magnitude, so identical inputs give identical echelon forms, kernels and ranks
 on every run.
 
-Every elimination goes through `eliminate`, which takes a matrix as its
-nonzero entries and returns its pivot columns and, on request, its kernel:
+Every elimination goes through `eliminate`, one sparse column-echelon engine
+for every field.  It takes a matrix as sparse ``{row: value}`` columns and
+reduces them left to right against an echelon basis keyed by each basis
+vector's leading (smallest) row.  A column is a pivot exactly when it does not
+reduce to zero, so the pivot set is the greedy left-to-right column basis that
+RREF finds.  A column that does reduce to zero yields a relation with the
+independent columns to its left; its coordinates in those columns are unique,
+so scaled to 1 at the column itself it is exactly the RREF kernel vector.
+Nothing is probabilistic and no certificate is needed.  Only the reduction
+step depends on the field:
 
-* prime fields: row reduction on a numpy array (int64 below 2^31, where
-  products stay below 2^63; Python integers above).  Pivots alone need only
-  the row echelon form, in which each pivot clears only the rows below it,
-  from its column rightwards; a kernel takes the reduced form;
-* rationals: one sparse column-echelon engine over the integers answers
-  pivot, rank, kernel and affine-solve queries.  Each row is first scaled by
-  the lcm of its denominators, which changes neither the column dependencies
-  nor the right kernel.  Columns are then reduced left to right against an
-  integer echelon basis with two-term fraction-free combinations, dividing
-  out the content after each step.  A column is a pivot exactly when it does
-  not reduce to zero, so the pivot set is the greedy left-to-right column
-  basis that RREF finds.  A column that does reduce to zero yields an integer
-  relation with the independent columns to its left; its coordinates in
-  those columns are unique, so dividing the relation by the column's own
-  coefficient gives exactly the RREF kernel vector.  Nothing is
-  probabilistic and no certificate is needed.
+* rationals: each row is first scaled by the lcm of its denominators, which
+  changes neither the column dependencies nor the right kernel; columns are
+  then reduced with two-term fraction-free integer combinations, dividing out
+  the content after each step;
+* prime fields: each basis vector is scaled to 1 at its leading row, and a
+  column is reduced in one reused dense accumulator of Python ints, taken
+  ``% p`` when read (so any p works), visiting its nonzero rows smallest
+  first through a heap.
 
-The generic ``rref`` on lists is the reference both paths are tested against.
+The generic ``rref`` on lists is the reference the engine is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-import numpy as np
-
 from .field import Field, Rationals
-
-_NUMPY_SAFE_P = 1 << 31  # p**2 < 2**62 leaves int64 headroom for the row update
 
 
 def rref(rows: list, field: Field) -> list[int]:
@@ -68,19 +65,15 @@ def rref(rows: list, field: Field) -> list[int]:
     return pivots
 
 
-def _int_columns(ncols: int, entries) -> list[dict]:
-    """Sparse ``{row: int}`` columns of the matrix after clearing the
-    denominators of each row."""
-    rows, cols, vals = entries
-    rows = rows.tolist()
+def _int_columns(columns: list) -> list[dict]:
+    """The columns as ``{row: int}`` after clearing the denominators of each row."""
     mult: dict = {}
-    for i, e in zip(rows, vals):
-        if e.denominator != 1:
-            mult[i] = lcm(mult.get(i, 1), e.denominator)
-    out = [{} for _ in range(ncols)]
-    for i, j, e in zip(rows, cols.tolist(), vals):
-        out[j][i] = e.numerator * (mult.get(i, 1) // e.denominator)
-    return out
+    for col in columns:
+        for i, e in col.items():
+            if e.denominator != 1:
+                mult[i] = lcm(mult.get(i, 1), e.denominator)
+    return [{i: e.numerator * (mult.get(i, 1) // e.denominator) for i, e in col.items() if e}
+            for col in columns]
 
 
 def _combine(v: dict, a: int, w: dict, c: int) -> dict:
@@ -99,121 +92,127 @@ def _divide(v: dict, g: int) -> dict:
     return {k: x // g for k, x in v.items()}
 
 
-def _qq_echelon(columns: list, nrows: int, relations: bool):
-    """Left-to-right column echelon of integer sparse columns.
-
-    Returns ``(pivots, deps)``: the pivot columns, and for every other column
-    ``j`` (only when ``relations``) an integer relation ``{col: coeff}`` over
-    ``j`` and the pivot columns left of it, with ``coeff[j] != 0``.
-    """
-    basis: dict = {}  # leading (smallest) row -> (vector, relation)
-    pivots: list[int] = []
-    deps: dict = {}
-    for j, v in enumerate(columns):
-        rel = {j: 1} if relations else None
-        while v:
-            r = min(v)
-            hit = basis.get(r)
-            if hit is None:
-                basis[r] = (v, rel)
-                pivots.append(j)
-                break
-            w, wrel = hit
-            g = gcd(w[r], v[r])
-            a, c = w[r] // g, v[r] // g
-            v = _combine(v, a, w, c)
-            if relations:
-                rel = _combine(rel, a, wrel, c)
-                g = gcd(*v.values(), *rel.values())
-            else:
-                g = gcd(*v.values())
-            if g > 1:
-                v = _divide(v, g)
-                if relations:
-                    rel = _divide(rel, g)
-        else:  # reduced to zero: column j depends on the pivots left of it
-            if relations:
-                deps[j] = rel
-        if not relations and len(pivots) == nrows:
-            break  # full row rank: every later column is dependent
-    return pivots, deps
-
-
-def _relation_vector(rel: dict, j: int, ncols: int) -> list:
-    """The relation scaled to coefficient 1 at column ``j``, as Fractions."""
-    zero = Fraction(0)
-    return [Fraction(rel[k], rel[j]) if k in rel else zero for k in range(ncols)]
-
-
-def _modp_echelon(mat: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """In-place row echelon form of an integer array modulo p; returns the
-    pivot columns.  ``reduced`` asks for the RREF (pivot entries 1, pivot
-    columns cleared above as well), which kernel read-off needs."""
-    nr, nc = mat.shape
-    pivots = []
-    piv = 0
-    for c in range(nc):
-        if piv == nr:
-            break
-        nz = mat[piv:, c].nonzero()[0]
-        if len(nz) == 0:
-            continue
-        if nz[0]:
-            mat[[piv, piv + nz[0]]] = mat[[piv + nz[0], piv]]
-        lo = 0 if reduced else c
-        mat[piv, lo:] = mat[piv, lo:] * pow(int(mat[piv, c]), p - 2, p) % p
-        if reduced:
-            others = mat[:, c].nonzero()[0]
-            others = others[others != piv]
+def _qq_reduce(v: dict, rel, basis: dict):
+    """Reduce an integer column against ``basis``: ``(lead, vector, relation)``
+    with ``lead`` None when it reduces to zero.  The relation, tracked only
+    when ``rel`` is given, expresses the reduced vector in the original columns."""
+    while v:
+        r = min(v)
+        hit = basis.get(r)
+        if hit is None:
+            return r, v, rel
+        w, wrel = hit
+        g = gcd(w[r], v[r])
+        a, c = w[r] // g, v[r] // g
+        v = _combine(v, a, w, c)
+        if rel is not None:
+            rel = _combine(rel, a, wrel, c)
+            g = gcd(*v.values(), *rel.values())
         else:
-            others = piv + nz[1:]
-        if len(others):
-            mat[others, lo:] = (mat[others, lo:] - mat[others, c, None] * mat[piv, lo:]) % p
-        pivots.append(c)
-        piv += 1
-    return pivots
+            g = gcd(*v.values())
+        if g > 1:
+            v = _divide(v, g)
+            if rel is not None:
+                rel = _divide(rel, g)
+    return None, None, rel
 
 
-def _nonzero_entries(rows: list, ncols: int):
-    """``(rows, cols, values)`` of the nonzero entries of a dense matrix."""
-    mat = np.array(rows, dtype=object).reshape(len(rows), ncols)
-    r, c = np.nonzero(mat)
-    return r, c, mat[r, c]
+def _fp_reducer(p: int, nrows: int):
+    """The mod-p counterpart of `_qq_reduce`, with its own dense accumulator;
+    every basis vector and relation it returns is scaled to 1 at ``lead``."""
+    acc = [0] * nrows
+
+    def reduce(v: dict, rel, basis: dict):
+        # entries are reduced mod p only when read; every row whose entry is
+        # a nonzero int is on the heap
+        for r, x in v.items():
+            acc[r] = x
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            r = heappop(heap)
+            c = acc[r] = acc[r] % p
+            if not c:
+                continue
+            hit = basis.get(r)
+            if hit is None:  # new leading row: drain the accumulator into the vector
+                inv = pow(c, p - 2, p)
+                acc[r] = 0
+                out = {r: 1}
+                for k in heap:
+                    x = acc[k] % p
+                    if x:
+                        out[k] = x * inv % p
+                    acc[k] = 0
+                if rel is not None:
+                    rel = {k: x * inv % p for k, x in rel.items() if x}
+                return r, out, rel
+            w, wrel = hit
+            for k, y in w.items():
+                x = acc[k]
+                if not x:
+                    heappush(heap, k)
+                acc[k] = x - c * y
+            if rel is not None:
+                for k, y in wrel.items():
+                    rel[k] = (rel.get(k, 0) - c * y) % p
+        return None, None, rel
+
+    return reduce
 
 
-def eliminate(nrows: int, ncols: int, entries, field: Field, kernel: bool = False):
-    """``(pivots, basis)`` of the matrix whose nonzero entries are
-    ``entries = (rows, cols, values)``, two integer arrays and a value array.
+def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False,
+              probe_from: int | None = None):
+    """``(pivots, relations)`` of the ``nrows``-row matrix with the sparse
+    ``{row: value}`` ``columns``.
 
     ``pivots`` are the columns not in the span of the columns to their left,
-    which is what rank and ideal-membership queries need.  With ``kernel``,
-    ``basis`` is the deterministic basis of the right kernel {u : A u = 0}:
-    each vector has a 1 in one RREF-free column and zeros in the other free
-    columns; otherwise it is None.
+    which is what rank and ideal-membership queries need.  Columns from
+    ``probe_from`` on are probes: each is reduced against the columns before
+    ``probe_from`` only and never joins the basis, so it is listed as a pivot
+    exactly when it is not in their span.  With ``kernel``, ``relations``
+    holds, for each non-pivot column j in order, its RREF kernel vector as a
+    ``{col: value}`` map in column order, with value 1 at j; otherwise it is
+    None.
     """
-    if isinstance(field, Rationals):
-        pivots, deps = _qq_echelon(_int_columns(ncols, entries), nrows, relations=kernel)
-        return pivots, [_relation_vector(rel, j, ncols) for j, rel in deps.items()] if kernel else None
-    rows, cols, vals = entries
-    dtype = np.int64 if field.p < _NUMPY_SAFE_P else object
-    mat = np.zeros((nrows, ncols), dtype=dtype)
-    mat[rows, cols] = np.asarray(vals, dtype=dtype) % field.p
-    pivots = _modp_echelon(mat, field.p, reduced=kernel)
-    if not kernel:
-        return pivots, None
-    # one vector per free column j: 1 at j, minus column j of the RREF at the pivots
-    free = sorted(set(range(ncols)).difference(pivots))
-    basis = np.zeros((len(free), ncols), dtype=dtype)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -mat[:len(pivots), free].T % field.p
-    return pivots, basis.tolist()
+    qq = isinstance(field, Rationals)
+    reduce = _qq_reduce if qq else _fp_reducer(field.p, nrows)
+    if qq:
+        columns = _int_columns(columns)
+    if probe_from is None:
+        probe_from = len(columns)
+    basis: dict = {}  # leading row -> (vector, relation)
+    pivots: list[int] = []
+    relations = [] if kernel else None
+    for j, v in enumerate(columns):
+        if not kernel and len(basis) == nrows:
+            break  # full row rank: every later column is dependent
+        lead, vec, rel = reduce(v, {j: 1} if kernel else None, basis)
+        if lead is None:
+            if kernel:
+                relations.append({k: Fraction(x, rel[j]) if qq else x
+                                  for k, x in sorted(rel.items()) if x})
+            continue
+        pivots.append(j)
+        if j < probe_from:
+            basis[lead] = (vec, rel)
+    return pivots, relations
+
+
+def _dense_columns(rows: list, ncols: int) -> list[dict]:
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+
+
+def _densify(relations: list, ncols: int, field: Field) -> list[list]:
+    zero = field.zero
+    return [[rel.get(k, zero) for k in range(ncols)] for rel in relations]
 
 
 def pivot_columns(rows: list, field: Field) -> list[int]:
     """Pivot columns of a dense matrix under left-to-right elimination."""
     if not rows or not rows[0]:
         return []
-    return eliminate(len(rows), len(rows[0]), _nonzero_entries(rows, len(rows[0])), field)[0]
+    return eliminate(len(rows), _dense_columns(rows, len(rows[0])), field)[0]
 
 
 def rank(rows: list, field: Field) -> int:
@@ -221,10 +220,12 @@ def rank(rows: list, field: Field) -> int:
 
 
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
-    """Kernel basis of a dense matrix with ``ncols`` columns (see `eliminate`)."""
+    """Kernel basis of a dense matrix with ``ncols`` columns: each vector has
+    a 1 in one RREF-free column and zeros in the other free columns."""
     if ncols == 0:
         return []
-    return eliminate(len(rows), ncols, _nonzero_entries(rows, ncols), field, kernel=True)[1]
+    relations = eliminate(len(rows), _dense_columns(rows, ncols), field, kernel=True)[1]
+    return _densify(relations, ncols, field)
 
 
 def solve_affine(rows: list, rhs: list, field: Field):
@@ -235,9 +236,10 @@ def solve_affine(rows: list, rhs: list, field: Field):
     """
     nc = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, basis = eliminate(len(aug), nc + 1, _nonzero_entries(aug, nc + 1), field, kernel=True)
+    pivots, relations = eliminate(len(aug), _dense_columns(aug, nc + 1), field, kernel=True)
+    basis = _densify(relations, nc, field)
     # b is the last column: a pivot there means b is not in the span of A;
     # otherwise its kernel vector, the last one, is (-particular, 1)
     if pivots and pivots[-1] == nc:
-        return None, [vec[:nc] for vec in basis]
-    return [field.neg(x) for x in basis[-1][:nc]], [vec[:nc] for vec in basis[:-1]]
+        return None, basis
+    return [field.neg(x) for x in basis[-1]], basis[:-1]

@@ -7,7 +7,9 @@ ranks and kernels answer every question asked in bounded degree (Lazard's
 degree-by-degree elimination).  A `JacobianLadder` eliminates each degree of
 J(F) once and keeps only the answers, so the resolution and point-support
 checks of one F share it; nothing else is cached, and distinct degrees stay
-independent.
+independent.  Matrices are assembled in pure Python as sparse ``{row: value}``
+columns straight from the generators' terms, and every elimination, over any
+field, is one `linalg.eliminate`.
 
 Two exact identities shrink each ladder matrix.  A single-term generator c*m
 (the family's Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit
@@ -20,9 +22,6 @@ in (Fx, Fy, Fz) when d is nonzero in the field, and the ladder drops it then.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import groupby
-
-import numpy as np
 
 from .family import DivisorInstance
 from .field import Field
@@ -72,52 +71,51 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
-def _row_index(i, j, t):
-    """Index of x^i y^j z^(t-i-j) in `monomials` (t, 3); also on arrays."""
-    return (t - i) * (t - i + 1) // 2 + (t - i - j)
+def _shifted_columns(terms, n: int, t: int) -> list[dict]:
+    """For each shift x^a y^b z^(n-a-b) in `monomials` order, the sparse column
+    of the ``terms`` (i, j, u, off, c) times the shift: the coefficient c of a
+    monomial x^i y^j z^(u-n-i-j), shifted, lies in a block of monomials of
+    degree u <= t starting at row ``off``.  The index of x^I y^J z^(u-I-J) in
+    `monomials` (u, 3) is ``(u-I)(u-I+1)/2 + (u-I-J)`` = ``bases[u-I] - J``."""
+    bases = [v * (v + 1) // 2 + v for v in range(t + 1)]
+    cols = []
+    for a in range(n, -1, -1):
+        shifted = [(bases[u - i - a] - j + off, c) for i, j, u, off, c in terms]
+        for b in range(n - a, -1, -1):
+            cols.append({r - b: c for r, c in shifted})
+    return cols
 
 
-def _macaulay_entries(gens, t: int, degrees):
-    """Shape and nonzero entries ``(rows, cols, values)`` of `macaulay_matrix`
-    ``(gens, t, degrees)``, straight from the generators' terms: the column of
-    shift m holds g's coefficients at the rows of m times g's monomials."""
-    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    vals = [np.zeros(0, dtype=object)]
-    ncols = 0
+def _macaulay_columns(gens, t: int, degrees) -> list[dict]:
+    """The sparse ``{row: value}`` columns of `macaulay_matrix` ``(gens, t,
+    degrees)``, straight from the generators' terms: the column of shift m
+    holds g's coefficients at the rows of m times g's monomials."""
+    cols = []
     for g, dg in zip(gens, degrees):
-        if not 0 <= dg <= t:
-            continue
-        nshift = space_dim(t - dg)
-        if g.terms:
-            exps = np.array(list(g.terms), dtype=np.int64).reshape(-1, 3, 1)
-            shifts = np.array(monomials(t - dg, 3), dtype=np.int64).T
-            rows.append(_row_index(exps[:, 0] + shifts[0], exps[:, 1] + shifts[1], t).ravel())
-            cols.append(np.tile(np.arange(ncols, ncols + nshift), len(g.terms)))
-            vals.append(np.repeat(np.array(list(g.terms.values()), dtype=object), nshift))
-        ncols += nshift
-    return space_dim(t), ncols, tuple(np.concatenate(a) for a in (rows, cols, vals))
+        if 0 <= dg <= t:
+            cols += _shifted_columns([(m[0], m[1], t, 0, c) for m, c in g.terms.items()], t - dg, t)
+    return cols
 
 
 def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
-    """(rank, memberships) of the degree-t Macaulay matrix of ``gens`` with
-    the ``candidates`` as last columns: the rank of the generator columns,
-    and for each candidate whether it lies in the span of the columns to its
-    left, so all candidates lie in the ideal exactly when all are True.  Rows
-    covered by single-term generators count toward the rank and are deleted
-    from the other columns, which alone are eliminated."""
+    """(rank, memberships) of the degree-t Macaulay matrix of ``gens``: the
+    rank of the generator columns, and for each degree-t candidate whether it
+    lies in their span, that is in the degree-t piece of (gens).  Rows covered
+    by single-term generators count toward the rank and are deleted from the
+    other columns, which alone are eliminated; each candidate is reduced
+    against the generator columns only."""
     single = [g for g in gens if len(g.terms) == 1]
     multi = [g for g in gens if len(g.terms) != 1]
-    covered = np.zeros(space_dim(t), dtype=bool)
-    covered[_macaulay_entries(single, t, [g.degree() for g in single])[2][0]] = True
+    covered = {r for col in _macaulay_columns(single, t, [g.degree() for g in single])
+               for r in col}
+    kept = [r for r in range(space_dim(t)) if r not in covered]
+    renumber = dict(zip(kept, range(len(kept))))
     degrees = [g.degree() for g in multi] + [t] * len(candidates)
-    _, ncols, (rows, cols, vals) = _macaulay_entries(multi + list(candidates), t, degrees)
-    keep = ~covered[rows]
-    renumber = np.cumsum(~covered) - 1
-    ncover = int(covered.sum())
-    pivots = eliminate(len(covered) - ncover, ncols, (renumber[rows[keep]], cols[keep], vals[keep]),
-                       gens[0].field)[0]
-    ngen = ncols - len(candidates)
-    return (ncover + sum(1 for c in pivots if c < ngen),
+    cols = [{renumber[r]: c for r, c in col.items() if r in renumber}
+            for col in _macaulay_columns(multi + list(candidates), t, degrees)]
+    ngen = len(cols) - len(candidates)
+    pivots = eliminate(len(renumber), cols, gens[0].field, probe_from=ngen)[0]
+    return (len(covered) + sum(1 for c in pivots if c < ngen),
             [ngen + i not in pivots for i in range(len(candidates))])
 
 
@@ -127,8 +125,7 @@ def jacobian_generators(f: Poly):
 
 def monomial_membership(gens, candidates, t: int) -> list[bool]:
     """Membership of each degree-t candidate in the degree-t piece of (gens),
-    all with one elimination (see `_echelon`: exact for every candidate up to
-    the first one that is not a member)."""
+    all with one elimination (see `_echelon`)."""
     return _echelon(gens, t, candidates)[1]
 
 
@@ -157,13 +154,15 @@ def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
     d = f.degree()
     # a zero partial still owns its block of unknowns (free syzygy entries)
     degrees = (d - 1,) * 3 + (d,)
-    nrows, ncols, entries = _macaulay_entries(jacobian_generators(f), t + d - 1, degrees)
-    shifts = [monomials(t + d - 1 - dg, 3) for dg in degrees]
+    cols = _macaulay_columns(jacobian_generators(f), t + d - 1, degrees)
+    unknown = [(k, m) for k, dg in enumerate(degrees) for m in monomials(t + d - 1 - dg, 3)]
     vectors = []
-    for vec in eliminate(nrows, ncols, entries, fld, kernel=True)[1]:
-        coeffs = iter(vec)
-        vectors.append(SyzygyVector(*(Poly(fld, 3, {m: next(coeffs) for m in ms})
-                                      for ms in shifts)))
+    for rel in eliminate(space_dim(t + d - 1), cols, fld, kernel=True)[1]:
+        blocks = ({}, {}, {}, {})
+        for col, c in rel.items():
+            k, m = unknown[col]
+            blocks[k][m] = c
+        vectors.append(SyzygyVector(*(Poly(fld, 3, b) for b in blocks)))
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
@@ -180,35 +179,24 @@ def syzygy_residual(inst: DivisorInstance, vec: SyzygyVector) -> Poly:
     return vec.a * inst.fx + vec.b * inst.fy + vec.c * inst.fz + vec.e * inst.f
 
 
-def _syzygy_entries(vectors, t: int):
-    """Shape and nonzero entries of the columns m*g, for each (deg g, g) in
+def _syzygy_columns(vectors, t: int) -> tuple[int, list[dict]]:
+    """The row count and the sparse columns m*g, for each (deg g, g) in
     ``vectors`` and m of degree t - deg g: the blocks a, b, c (degree t) and
     e (degree t - 1) start at rows 0, s, 2s and 3s, s = space_dim(t)."""
     s = space_dim(t)
-    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    vals = [np.zeros(0, dtype=object)]
-    ncols = 0
-    for tg, run in groupby(vectors, key=lambda v: v[0]):  # one shift set per degree
-        shifts = np.array(monomials(t - tg, 3), dtype=np.int64).T
-        nshift = shifts.shape[1]
-        terms, coeffs = [], []  # per term: x, y exponents, block degree, block row, column
-        for n, (_, g) in enumerate(run):
-            for k, p in enumerate(g.as_polys()):
-                terms.extend((m[0], m[1], t - (k == 3), k * s, ncols + n * nshift) for m in p.terms)
-                coeffs.extend(p.terms.values())
-        ncols += (n + 1) * nshift
-        i, j, tk, off, col = np.array(terms, dtype=np.int64).reshape(-1, 5, 1).transpose(1, 0, 2)
-        rows.append((_row_index(i + shifts[0], j + shifts[1], tk) + off).ravel())
-        cols.append((col + np.arange(nshift)).ravel())
-        vals.append(np.repeat(np.array(coeffs, dtype=object), nshift))
-    return 3 * s + space_dim(t - 1), ncols, tuple(np.concatenate(a) for a in (rows, cols, vals))
+    cols = []
+    for tg, g in vectors:
+        terms = [(m[0], m[1], t - (k == 3), k * s, c)
+                 for k, p in enumerate(g.as_polys()) for m, c in p.terms.items()]
+        cols += _shifted_columns(terms, t - tg, t)
+    return 3 * s + space_dim(t - 1), cols
 
 
 def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
     """Whether vec is an exact linear combination of the basis vectors."""
     t = basis.degree
-    nrows, ncols, entries = _syzygy_entries([(t, s) for s in basis.vectors + (vec,)], t)
-    return ncols - 1 not in eliminate(nrows, ncols, entries, field)[0]
+    nrows, cols = _syzygy_columns([(t, s) for s in basis.vectors + (vec,)], t)
+    return len(cols) - 1 not in eliminate(nrows, cols, field)[0]
 
 
 # ----- resolution shape and multiplicity ------------------------------------
@@ -382,12 +370,12 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     z = Poly.variable(fld, "z")
     for t in range(1, degree_bound + 1):
         basis = _syzygy_kernel_raw(f, t)
-        nrows, ncols, entries = _syzygy_entries(found + [(t, v) for v in basis.vectors], t)
-        if not ncols:
+        nrows, cols = _syzygy_columns(found + [(t, v) for v in basis.vectors], t)
+        if not cols:
             continue
-        pivots = set(eliminate(nrows, ncols, entries, fld)[0])
+        pivots = set(eliminate(nrows, cols, fld)[0])
         # a kernel column that survives as a pivot is independent of the span
-        fresh = [v for i, v in enumerate(basis.vectors, ncols - len(basis.vectors)) if i in pivots]
+        fresh = [v for i, v in enumerate(basis.vectors, len(cols) - len(basis.vectors)) if i in pivots]
         if fresh:
             report.fresh_degrees[t] = len(fresh)
             found.extend((t, g) for g in fresh)

@@ -229,11 +229,36 @@ def test_missing_arguments(capsys):
     assert code == 2
 
 
-def run_subprocess(argv, env=None):
+def run_subprocess(argv, env=None, code=None):
+    """Run the CLI (or the Python ``code``, given ``argv``) in a fresh
+    interpreter, under -O when the tests run under -O."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "saito_forge.cli", *argv],
+    start = ["-c", code] if code else ["-m", "saito_forge.cli"]
+    return subprocess.run([sys.executable, *(["-O"] if sys.flags.optimize else []), *start, *argv],
                           env={**os.environ, "PYTHONPATH": path, **(env or {})},
                           capture_output=True, text=True, timeout=60)
+
+
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None\n"
+                 "from saito_forge.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "9", "--field", "fp:1009"],
+    ["verify", "--d", "8", "--field", "q"],
+    ["sweep", "--d", "5..6"],
+], ids=["verify-fp", "verify-q", "sweep"])
+def test_runs_without_numpy(argv):
+    proc = run_subprocess(argv, {"SAITO_FORGE_THREADS": "1"}, code=WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+
+
+def test_import_leaves_numpy_out():
+    proc = run_subprocess([], code="import sys, saito_forge.cli\n"
+                                   "sys.exit('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv,env,files", [
@@ -335,6 +360,51 @@ def test_sweep_records_route_failure_and_continues(monkeypatch, capsys):
             continue
         assert after["route"] == "failed" and after["error"] == "mu vanished"
         assert after["pass"] is False and after["irreducible"] == before["irreducible"]
+
+
+def test_sweep_records_failed_draw_and_continues(monkeypatch, capsys):
+    from saito_forge import cli
+    from saito_forge.family import ExhaustedRetries
+
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    argv = ["sweep", "--d", "5..7", "--seed", "1", "--field", "fp:1009"]
+    code, out = run(capsys, *argv)
+    clean = json.loads(out)["instances"]
+    real = cli.random_instance
+
+    def exhausted_at_6(d, alpha, beta, seed, field):
+        if d == 6:
+            raise ExhaustedRetries("no valid instance")
+        return real(d, alpha, beta, seed, field)
+
+    monkeypatch.setattr(cli, "random_instance", exhausted_at_6)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["summary"]["fail"] == 1
+    for before, after in zip(clean, data["instances"], strict=True):
+        if after["d"] != 6:
+            assert after == before
+            continue
+        assert after == {"d": 6, "alpha": 0, "beta": 0, "seed": 1, "field": "fp:1009",
+                         "route": "failed", "error": "no valid instance", "pass": False}
+
+
+def test_sweep_records_failed_non_squarefree_draw(monkeypatch, capsys):
+    from saito_forge import cli
+    from saito_forge.family import ExhaustedRetries
+
+    def exhausted(*args):
+        raise ExhaustedRetries("no non-square-free instance")
+
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    monkeypatch.setattr(cli, "random_non_squarefree_instance", exhausted)
+    code, out = run(capsys, "sweep", "--d", "10", "--alpha", "2", "--drop-squarefree",
+                    "--field", "fp:1009")
+    assert code == 0
+    entry, = json.loads(out)["instances"]
+    assert entry["route"] == "failed" and entry["pass"] is False
+    assert entry["error"] == "no non-square-free instance"
 
 
 def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from saito_forge.family import build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.linalg import (_modp_echelon, kernel_basis, pivot_columns, rank, rref,
+from saito_forge.linalg import (eliminate, kernel_basis, pivot_columns, rank, rref,
                                 solve_affine)
 from saito_forge.oracle import jacobian_generators, macaulay_matrix
 
@@ -119,22 +118,24 @@ def sparse_rational_matrix(rng, nr, nc):
     return rows
 
 
-def rref_reference(rows):
-    """(pivots, reduced rows) of the generic Fraction RREF."""
+def rref_reference(rows, fld=QQ):
+    """(pivots, reduced rows) of the generic RREF."""
     reduced = [list(r) for r in rows]
-    return rref(reduced, QQ), reduced
+    return rref(reduced, fld), reduced
 
 
-def rref_kernel(rows, ncols):
-    pivots, reduced = rref_reference(rows)
+def rref_kernel(rows, ncols, fld=QQ):
+    """One vector per RREF-free column j: 1 at j, minus column j of the RREF
+    at the pivot columns."""
+    pivots, reduced = rref_reference(rows, fld)
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
+        vec = [fld.zero] * ncols
+        vec[j] = fld.one
         for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][j]
+            vec[pc] = fld.neg(reduced[i][j])
         basis.append(vec)
     return basis
 
@@ -211,7 +212,7 @@ def test_rational_engine_on_jacobian_macaulay_matrix():
         assert pivot_columns(entries, QQ) == rref_reference(entries)[0]
 
 
-# ----- the mod-p row echelon against the generic RREF -----------------------
+# ----- the mod-p engine against the generic RREF ---------------------------
 
 
 def structured_modp_matrices(fld, rng):
@@ -239,18 +240,49 @@ def structured_modp_matrices(fld, rng):
     yield [[fld.zero] * 5 for _ in range(4)]                # all zero
 
 
+def sparse_columns(rows, ncols):
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+
+
 @pytest.mark.parametrize("p", [1009, 2**31 - 1, 2**61 - 1])
 def test_modp_echelon_matches_rref(p):
     fld = PrimeField(p)
-    dtype = np.int64 if p < 2**31 else object
     for rows in structured_modp_matrices(fld, random.Random(p % 1000)):
-        reduced = [list(r) for r in rows]
-        pivots = rref(reduced, fld)
-        mat = np.array(rows, dtype=dtype)
-        assert _modp_echelon(mat.copy(), p, reduced=False) == pivots
-        assert _modp_echelon(mat, p, reduced=True) == pivots
-        assert mat.tolist() == reduced
+        nc = len(rows[0])
+        pivots = rref_reference(rows, fld)[0]
+        columns = sparse_columns(rows, nc)
+        assert eliminate(len(rows), columns, fld) == (pivots, None)
+        got, relations = eliminate(len(rows), columns, fld, kernel=True)
+        assert got == pivots
+        free = [j for j in range(nc) if j not in pivots]
+        # each relation is sparse, in column order, and 1 at its own column
+        for j, rel in zip(free, relations, strict=True):
+            assert rel[j] == 1 and list(rel) == sorted(rel) and all(rel.values())
+        assert [[rel.get(k, 0) for k in range(nc)] for rel in relations] == \
+            rref_kernel(rows, nc, fld)
         assert pivot_columns(rows, fld) == pivots
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+def test_probe_columns_never_join_the_basis(fld):
+    rng = random.Random(91)
+    outcomes = set()
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 5)
+        rows = rand_matrix(fld, rng, nr, nc, 0.6)
+        # probes: random, a copy of the first (a member only if the first is),
+        # a column of the matrix, and zero
+        probes = [[r[0] for r in rand_matrix(fld, rng, nr, 1, 0.6)]]
+        probes += [probes[0], [r[rng.randrange(nc)] for r in rows], [fld.zero] * nr]
+        columns = sparse_columns(rows, nc) + [{i: e for i, e in enumerate(p) if e} for p in probes]
+        pivots = eliminate(nr, columns, fld, probe_from=nc)[0]
+        base = rank(rows, fld)
+        assert [j for j in pivots if j < nc] == pivot_columns(rows, fld)
+        for i, probe in enumerate(probes):
+            member = rank([r + [e] for r, e in zip(rows, probe)], fld) == base
+            assert (nc + i not in pivots) == member
+            outcomes.add((i, member))
+    assert (0, False) in outcomes and (1, False) in outcomes and (0, True) in outcomes
 
 
 @pytest.mark.parametrize("p", [1009, 2**31 - 1, 2**61 - 1])
@@ -258,15 +290,7 @@ def test_modp_kernel_and_solve_match_rref(p):
     fld = PrimeField(p)
     for rows in structured_modp_matrices(fld, random.Random(p % 997)):
         nc = len(rows[0])
-        reduced = [list(r) for r in rows]
-        pivots = rref(reduced, fld)
-        expected = []
-        for j in (j for j in range(nc) if j not in pivots):
-            vec = [0] * nc
-            vec[j] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = fld.neg(reduced[i][j])
-            expected.append(vec)
+        expected = rref_kernel(rows, nc, fld)
         assert kernel_basis(rows, nc, fld) == expected
         rhs = [r[0] for r in rows]  # consistent: the first column
         particular, kernel = solve_affine(rows, rhs, fld)

@@ -4,8 +4,8 @@ from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
 from saito_forge.linalg import pivot_columns, rref
-from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_entries,
-                                _syzygy_entries,
+from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_columns,
+                                _syzygy_columns,
                                 expected_multiplicity,
                                 freeness_probe, in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
@@ -158,6 +158,16 @@ def test_point_support_normal_crossings_control():
     assert res.n is None
 
 
+def test_membership_is_exact_for_every_candidate():
+    # x^4 is not in J(F)_4; a repeated candidate must not be tested against
+    # the first copy
+    f = parse("x^5 + x^2*y^3 + x*y^4 + y^5 + y^4*z")
+    x4 = Poly.monomial(QQ, (4, 0, 0))
+    assert monomial_membership(jacobian_generators(f), [x4, x4], 4) == [False, False]
+    assert _echelon(jacobian_generators(f), 4, (x4, x4)) == \
+        dense_echelon(jacobian_generators(f), 4, (x4, x4), QQ)
+
+
 def test_membership_of_zero_is_trivial():
     inst = worked_instance()
     gens = jacobian_generators(inst.f)
@@ -192,10 +202,11 @@ def test_probe_fermat_quintic_exhausts():
 # ----- direct assembly against the dense Macaulay matrix --------------------------
 
 
-def dense(nrows, ncols, entries, fld):
-    out = [[fld.zero] * ncols for _ in range(nrows)]
-    for i, j, e in zip(*entries):
-        out[i][j] = e
+def dense(nrows, columns, fld):
+    out = [[fld.zero] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, e in col.items():
+            out[i][j] = e
     return out
 
 
@@ -217,15 +228,14 @@ def assembly_cases():
 def test_direct_assembly_matches_macaulay_matrix():
     for gens, t, degrees in assembly_cases():
         mat = macaulay_matrix(gens, t, degrees)
-        nrows, ncols, entries = _macaulay_entries(
-            gens, t, degrees or [g.degree() for g in gens])
-        assert (nrows, ncols) == (len(mat.rows), len(mat.columns))
-        assert len(entries[0]) == sum(1 for r in mat.entries for e in r if e)
-        assert dense(nrows, ncols, entries, gens[0].field) == mat.entries
+        columns = _macaulay_columns(gens, t, degrees or [g.degree() for g in gens])
+        assert len(columns) == len(mat.columns)
+        assert sum(map(len, columns)) == sum(1 for r in mat.entries for e in r if e)
+        assert dense(len(mat.rows), columns, gens[0].field) == mat.entries
 
 
 def shifted_products(vectors, t):
-    """Dense columns m*g by Poly products, in the order `_syzygy_entries` uses:
+    """Dense columns m*g by Poly products, in the order `_syzygy_columns` uses:
     the coefficients of a, b, c in degree t, then of e in degree t - 1."""
     cols = []
     for tg, g in vectors:
@@ -240,10 +250,11 @@ def test_syzygy_entries_match_shifted_products():
     for fld in (QQ, F1009):
         inst = build_divisor(random_instance(8, 0, 1, seed=5, field=fld))
         vectors = [(tg, v) for tg in (1, 2, 3) for v in syzygy_kernel(inst, tg).vectors]
-        vectors.append(vectors[0])  # a degree seen before starts a new run of shifts
+        vectors.append(vectors[0])  # a repeated vector: its shifts come again
         for t in (3, 4, 6):
-            nrows, ncols, entries = _syzygy_entries(vectors, t)
-            assert dense(nrows, ncols, entries, fld) == shifted_products(vectors, t)
+            nrows, columns = _syzygy_columns(vectors, t)
+            assert nrows == 3 * space_dim(t) + space_dim(t - 1)
+            assert dense(nrows, columns, fld) == shifted_products(vectors, t)
 
 
 # ----- the Jacobian ladder against per-degree dense eliminations ------------------
@@ -305,12 +316,11 @@ def test_ladder_on_controls():
 
 def dense_echelon(gens, t, candidates, fld):
     """`_echelon` from dense ranks of unreduced matrices: the rank of M_t, and
-    for each candidate whether appending it to M_t and the candidates before
-    it keeps the rank."""
+    for each candidate whether appending it alone to M_t keeps the rank."""
     small = fld is not QQ or t <= 7
-    ranks = [dense_rank(tuple(gens) + tuple(candidates[:i]), t, fld, generic=small)
-             for i in range(len(candidates) + 1)]
-    return ranks[0], [ranks[i + 1] == ranks[i] for i in range(len(candidates))]
+    rank = dense_rank(gens, t, fld, generic=small)
+    return rank, [dense_rank(tuple(gens) + (c,), t, fld, generic=small) == rank
+                  for c in candidates]
 
 
 def echelon_cases():
