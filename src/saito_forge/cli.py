@@ -30,7 +30,7 @@ from .saito import (DegenerateConstant, SaitoConstructionFailed,
                     build_saito_matrix)
 
 # what a route that cannot build raises; verify and sweep report it, export refuses
-ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, NoSolution, ValueError)
+ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, NoSolution)
 
 
 class CliError(Exception):
@@ -40,19 +40,27 @@ class CliError(Exception):
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+    except ValueError:
+        raise CliError(f"--d must be a degree or a range lo..hi, got {text!r}") from None
+
+
+def _write(text: str, path: str | None):
+    """Write text to path, or to stdout without one; an unwritable path is bad input."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit(data, out_path: str | None):
-    text = json.dumps(data, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(data, indent=2) + "\n", out_path)
 
 
 _INSTANCE_FIELDS = (("d", int), ("alpha", int), ("beta", int),
@@ -219,10 +227,7 @@ def cmd_hilbert(args) -> int:
     bound = _degree_bound(args, inst.params.v)
     values = resolution_check(inst, bound).computed
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,hilbert_function\n")
-            for t, h in enumerate(values):
-                fh.write(f"{t},{h}\n")
+        _write("t,hilbert_function\n" + "".join(f"{t},{h}\n" for t, h in enumerate(values)), args.csv)
     _emit({
         "instance": instance_to_json(inst),
         "t_max": bound,
@@ -399,11 +404,7 @@ def cmd_export(args) -> int:
         script = _m2_script(inst, sm, f_text)
     else:
         script = _cocoa_script(inst, sm, f_text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(script)
-    else:
-        sys.stdout.write(script)
+    _write(script, args.out)
     return 0
 
 
@@ -419,7 +420,7 @@ def _add_instance_args(p, with_route=False):
     p.add_argument("--out", default=None)
     if with_route:
         p.add_argument("--route", default="auto",
-                       choices=["auto", "explicit", "oracle", "explicit_odd", "explicit_beta0"])
+                       choices=["auto", "oracle", "explicit_odd", "explicit_beta0"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,10 @@
 
 The z-free stratum of the degree-v syzygy that becomes the third matrix
 column is a triple (h1, h3, h5) of bivariate forms of degree v solving a
-2x3 system with polynomial entries built from F1 and F2.  The solver works
-on coefficient vectors indexed by monomials of fixed degree, so everything
-reduces to one exact elimination.
+2x3 system with polynomial entries built from F1 and F2.  Each unknown
+coefficient is the column of one z-free shift of a matrix column, built
+sparse by `poly.shifted_columns` with one row block per equation, so the
+solve and the cokernel dimensions are each one exact elimination.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .family import FamilyParams
-from .linalg import rank, solve_affine
-from .poly import Poly, monomials
+from .linalg import eliminate, solve_affine
+from .poly import Poly, column_polys, shifted_columns
 
 
 class NoSolution(Exception):
-    """The graded system is inconsistent; with validated parameters this
-    signals an implementation bug."""
+    """The graded system has no solution: F2 does not have the degree its
+    row grading needs (an even-degree member), or, with validated odd-degree
+    parameters, it is inconsistent, which signals an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     fld = params.field
     f2 = params.f2
     if f2.degree() != v - a:
-        raise ValueError(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
+        raise NoSolution(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
     g1, g2 = base_pair(params)
     x = Poly.variable(fld, "x", 2)
     y = Poly.variable(fld, "y", 2)
@@ -89,34 +91,13 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     return ColumnSystem(params, rows, rhs, mu)
 
 
-def _system_matrix(sys: ColumnSystem):
-    v = sys.params.v
-    fld = sys.params.field
-    unknowns = monomials(v, 2)
-    mat = []
-    rhs_vec = []
-    for row, rhs_poly, deg in zip(sys.rows, sys.rhs, sys.target_degrees):
-        for target in monomials(deg, 2):
-            line = []
-            for entry in row:
-                for u in unknowns:
-                    m = (target[0] - u[0], target[1] - u[1], 0)
-                    line.append(entry.coeff_of(m) if min(m[:2]) >= 0 else fld.zero)
-            mat.append(line)
-            rhs_vec.append(rhs_poly.coeff_of(target))
-    return mat, rhs_vec, unknowns
-
-
-def _vec_to_triple(vec, unknowns, fld):
-    n = len(unknowns)
-    polys = []
-    for blk in range(3):
-        terms = {}
-        for u, c in zip(unknowns, vec[blk * n : (blk + 1) * n]):
-            if not fld.is_zero(c):
-                terms[u] = c
-        polys.append(Poly(fld, 2, terms))
-    return tuple(polys)
+def _module_columns(sys: ColumnSystem, n: int, extra=()) -> tuple[int, list[dict]]:
+    """The sparse columns m * (column j of the 2x3 matrix), for j = 1..3 and
+    m of degree n, then the ``extra`` pairs; rows are the two equations'
+    monomials of degrees n + alpha and n + v - alpha."""
+    a, v = sys.params.alpha, sys.params.v
+    pairs = [(n, col) for col in zip(*sys.rows)] + list(extra)
+    return shifted_columns(pairs, (n + a, n + v - a), zfree=True)
 
 
 def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
@@ -125,14 +106,13 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
     The canonical representative pins every elimination-free coefficient to
     zero under the fixed monomial order, so repeated runs agree.
     """
-    fld = sys.params.field
-    mat, rhs_vec, unknowns = _system_matrix(sys)
-    particular, kernel = solve_affine(mat, rhs_vec, fld)
+    fld, v = sys.params.field, sys.params.v
+    nrows, cols = _module_columns(sys, v, [(0, sys.rhs)])
+    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
     if particular is None:
         raise NoSolution("graded column system is inconsistent")
-    h1, h3, h5 = _vec_to_triple(particular, unknowns, fld)
-    kern = tuple(_vec_to_triple(k, unknowns, fld) for k in kernel)
-    return ColumnSolution(h1, h3, h5, kern)
+    (h1, h3, h5), *kern = column_polys([particular, *kernel], (v,) * 3, fld, zfree=True)
+    return ColumnSolution(h1, h3, h5, tuple(kern))
 
 
 def column_syzygy_generator(params: FamilyParams):
@@ -156,30 +136,13 @@ def column_cokernel_hilbert(params: FamilyParams, i: int) -> int:
     generator module, by exact rank of the evaluation matrix."""
     if i < 0:
         return 0
-    d, a = params.d, params.alpha
-    v = params.v
-    fld = params.field
+    a, v, fld = params.alpha, params.v, params.field
     sys = build_column_system(params, fld.one)
     ambient = max(0, i - (v - a) + 1) + max(0, i - a + 1)
     if i < v:
         return ambient
-    shifts = monomials(i - v, 2)
-    rows_first = monomials(i - (v - a), 2) if i >= v - a else []
-    rows_second = monomials(i - a, 2) if i >= a else []
-    cols = []
-    for j in range(3):
-        top = sys.rows[0][j]
-        bot = sys.rows[1][j]
-        for m in shifts:
-            col = [top.coeff_of((t[0] - m[0], t[1] - m[1], 0))
-                   if t[0] >= m[0] and t[1] >= m[1] else fld.zero
-                   for t in rows_first]
-            col += [bot.coeff_of((t[0] - m[0], t[1] - m[1], 0))
-                    if t[0] >= m[0] and t[1] >= m[1] else fld.zero
-                    for t in rows_second]
-            cols.append(col)
-    mat = [[col[r] for col in cols] for r in range(len(rows_first) + len(rows_second))]
-    return ambient - rank(mat, fld)
+    nrows, cols = _module_columns(sys, i - v)
+    return ambient - len(eliminate(nrows, cols, fld)[0])
 
 
 def cokernel_series_coefficient(params: FamilyParams, i: int) -> int:

@@ -162,8 +162,7 @@ def _require_char_policy(field: Field, d: int):
         raise InvalidParams(f"field {field.to_spec()} at d={d}: need char 0 or p > {3 * d}")
 
 
-def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ,
-                    drop_squarefree: bool = False) -> FamilyParams:
+def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ) -> FamilyParams:
     """Reproducible random family member for legal (d, alpha, beta).
 
     Coefficients are drawn from a PRNG seeded by (d, alpha, beta, seed) and
@@ -179,7 +178,7 @@ def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ,
         f1 = _random_form(field, alpha, rng)
         f2 = _random_form(field, d - d // 2 - alpha - 1, rng)
         params = FamilyParams(d, alpha, beta, f1, f2, seed=seed)
-        if validate(params, drop_squarefree=drop_squarefree).ok:
+        if validate(params).ok:
             return params
     raise ExhaustedRetries(f"no valid instance after 100 draws for (d={d}, alpha={alpha}, beta={beta})")
 

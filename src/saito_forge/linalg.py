@@ -25,6 +25,9 @@ step depends on the field:
   first through a heap.
 
 The generic ``rref`` on lists is the reference the engine is tested against.
+Every program path builds its columns sparse with `poly.shifted_columns`;
+the dense-list front ends ``pivot_columns``, ``rank`` and ``kernel_basis``
+serve the tests and the benchmark's layer tracing.
 """
 
 from __future__ import annotations
@@ -228,18 +231,18 @@ def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
     return _densify(relations, ncols, field)
 
 
-def solve_affine(rows: list, rhs: list, field: Field):
-    """Solve A u = b exactly.
+def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):
+    """Solve A u = b exactly, with A given by its sparse ``{row: value}``
+    ``columns`` and b by the sparse column ``rhs``.
 
-    Returns (particular, kernel) with the canonical particular solution
-    (free variables pinned to zero), or (None, kernel) when inconsistent.
+    Returns (particular, kernel) as sparse ``{col: value}`` maps: the
+    canonical particular solution (free variables pinned to zero), or None
+    when inconsistent, and the RREF kernel basis of A (see `eliminate`).
     """
-    nc = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, relations = eliminate(len(aug), _dense_columns(aug, nc + 1), field, kernel=True)
-    basis = _densify(relations, nc, field)
+    nc = len(columns)
+    pivots, relations = eliminate(nrows, columns + [rhs], field, kernel=True)
     # b is the last column: a pivot there means b is not in the span of A;
-    # otherwise its kernel vector, the last one, is (-particular, 1)
+    # otherwise its relation, the last one, is (-particular, 1)
     if pivots and pivots[-1] == nc:
-        return None, basis
-    return [field.neg(x) for x in basis[-1]], basis[:-1]
+        return None, relations
+    return {k: field.neg(x) for k, x in relations[-1].items() if k != nc}, relations[:-1]

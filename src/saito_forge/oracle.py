@@ -8,8 +8,8 @@ degree-by-degree elimination).  A `JacobianLadder` eliminates each degree of
 J(F) once and keeps only the answers, so the resolution and point-support
 checks of one F share it; nothing else is cached, and distinct degrees stay
 independent.  Matrices are assembled in pure Python as sparse ``{row: value}``
-columns straight from the generators' terms, and every elimination, over any
-field, is one `linalg.eliminate`.
+columns straight from the generators' terms by `poly.shifted_columns`, and
+every elimination, over any field, is one `linalg.eliminate`.
 
 Two exact identities shrink each ladder matrix.  A single-term generator c*m
 (the family's Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit
@@ -26,16 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from .family import DivisorInstance
 from .field import Field
 from .linalg import eliminate
-from .poly import Poly, det_unit, grlex_key, monomials
-
-
-def _binom2(n: int) -> int:
-    return (n + 1) * (n + 2) // 2 if n >= 0 else 0
-
-
-def space_dim(t: int) -> int:
-    """dim of the degree-t piece of K[x,y,z]."""
-    return _binom2(t)
+from .poly import (Poly, column_polys, det_unit, grlex_key, monomials, shifted_columns,
+                   space_dim)
 
 
 @dataclass(frozen=True)
@@ -71,30 +63,12 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
-def _shifted_columns(terms, n: int, t: int) -> list[dict]:
-    """For each shift x^a y^b z^(n-a-b) in `monomials` order, the sparse column
-    of the ``terms`` (i, j, u, off, c) times the shift: the coefficient c of a
-    monomial x^i y^j z^(u-n-i-j), shifted, lies in a block of monomials of
-    degree u <= t starting at row ``off``.  The index of x^I y^J z^(u-I-J) in
-    `monomials` (u, 3) is ``(u-I)(u-I+1)/2 + (u-I-J)`` = ``bases[u-I] - J``."""
-    bases = [v * (v + 1) // 2 + v for v in range(t + 1)]
-    cols = []
-    for a in range(n, -1, -1):
-        shifted = [(bases[u - i - a] - j + off, c) for i, j, u, off, c in terms]
-        for b in range(n - a, -1, -1):
-            cols.append({r - b: c for r, c in shifted})
-    return cols
-
-
 def _macaulay_columns(gens, t: int, degrees) -> list[dict]:
     """The sparse ``{row: value}`` columns of `macaulay_matrix` ``(gens, t,
     degrees)``, straight from the generators' terms: the column of shift m
     holds g's coefficients at the rows of m times g's monomials."""
-    cols = []
-    for g, dg in zip(gens, degrees):
-        if 0 <= dg <= t:
-            cols += _shifted_columns([(m[0], m[1], t, 0, c) for m, c in g.terms.items()], t - dg, t)
-    return cols
+    return shifted_columns([(t - dg, (g,)) for g, dg in zip(gens, degrees) if 0 <= dg <= t],
+                           (t,))[1]
 
 
 def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
@@ -155,14 +129,8 @@ def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
     # a zero partial still owns its block of unknowns (free syzygy entries)
     degrees = (d - 1,) * 3 + (d,)
     cols = _macaulay_columns(jacobian_generators(f), t + d - 1, degrees)
-    unknown = [(k, m) for k, dg in enumerate(degrees) for m in monomials(t + d - 1 - dg, 3)]
-    vectors = []
-    for rel in eliminate(space_dim(t + d - 1), cols, fld, kernel=True)[1]:
-        blocks = ({}, {}, {}, {})
-        for col, c in rel.items():
-            k, m = unknown[col]
-            blocks[k][m] = c
-        vectors.append(SyzygyVector(*(Poly(fld, 3, b) for b in blocks)))
+    relations = eliminate(space_dim(t + d - 1), cols, fld, kernel=True)[1]
+    vectors = [SyzygyVector(*polys) for polys in column_polys(relations, (t, t, t, t - 1), fld)]
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
@@ -183,13 +151,7 @@ def _syzygy_columns(vectors, t: int) -> tuple[int, list[dict]]:
     """The row count and the sparse columns m*g, for each (deg g, g) in
     ``vectors`` and m of degree t - deg g: the blocks a, b, c (degree t) and
     e (degree t - 1) start at rows 0, s, 2s and 3s, s = space_dim(t)."""
-    s = space_dim(t)
-    cols = []
-    for tg, g in vectors:
-        terms = [(m[0], m[1], t - (k == 3), k * s, c)
-                 for k, p in enumerate(g.as_polys()) for m, c in p.terms.items()]
-        cols += _shifted_columns(terms, t - tg, t)
-    return 3 * s + space_dim(t - 1), cols
+    return shifted_columns([(t - tg, g.as_polys()) for tg, g in vectors], (t, t, t, t - 1))
 
 
 def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
@@ -208,9 +170,9 @@ def predicted_quotient_hilbert(d: int, t: int) -> int:
     for even d, over (1-z)^3."""
     v = d // 2
     if d % 2 == 1:
-        return _binom2(t) - 3 * _binom2(t - 2 * v) + 2 * _binom2(t - 3 * v)
-    return (_binom2(t) - 3 * _binom2(t - (2 * v - 1))
-            + _binom2(t - (3 * v - 2)) + _binom2(t - (3 * v - 1)))
+        return space_dim(t) - 3 * space_dim(t - 2 * v) + 2 * space_dim(t - 3 * v)
+    return (space_dim(t) - 3 * space_dim(t - (2 * v - 1))
+            + space_dim(t - (3 * v - 2)) + space_dim(t - (3 * v - 1)))
 
 
 def expected_multiplicity(d: int) -> int:

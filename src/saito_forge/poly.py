@@ -7,10 +7,14 @@ allocates a fresh result, so values can be shared freely across threads.
 
 The canonical text form prints terms in descending graded-lexicographic order
 (x > y > z) with explicit ``*`` between coefficient and variables and no
-``^1``; ``parse`` inverts it exactly.
+``^1``; ``parse`` inverts it exactly.  ``monomials`` lists each degree's basis
+in that order, and ``shifted_columns`` builds every linear system the package
+solves from shifted forms, as sparse columns indexed in that order.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .field import Field, FieldMismatch, QQ
 
@@ -522,4 +526,48 @@ def monomials(degree: int, nvars: int = 3):
         for i in range(degree, -1, -1):
             for j in range(degree - i, -1, -1):
                 out.append((i, j, degree - i - j))
+    return out
+
+
+def space_dim(t: int) -> int:
+    """dim of the degree-t piece of K[x,y,z], the length of `monomials` (t)."""
+    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+
+
+def shifted_columns(pairs, degrees, zfree: bool = False) -> tuple[int, list[dict]]:
+    """The row count and the sparse ``{row: value}`` columns m*g of a linear
+    system over shifted polynomials, for each ``(n, g)`` in ``pairs`` and each
+    shift m of degree n in `monomials` order (only the z-free x^a y^(n-a)
+    with ``zfree``).  ``g`` holds one form per row block: block k lists the
+    monomials of degree ``degrees[k]`` in `monomials` order, after the blocks
+    before it, and every m*g[k] must have that degree.  The index of
+    x^I y^J z^(u-I-J) in `monomials` (u) is ``(u-I)(u-I+1)/2 + (u-I-J)``, so
+    each shift costs one subtraction per term."""
+    offsets = list(accumulate(map(space_dim, degrees), initial=0))
+    bases = [w * (w + 1) // 2 + w for w in range(max(degrees, default=0) + 1)]
+    cols = []
+    for n, g in pairs:
+        terms = [(m[0], m[1], u, off, c) for p, u, off in zip(g, degrees, offsets)
+                 for m, c in p.terms.items()]
+        for a in range(n, -1, -1):
+            shifted = [(bases[u - i - a] - j + off, c) for i, j, u, off, c in terms]
+            for b in (n - a,) if zfree else range(n - a, -1, -1):
+                cols.append({r - b: c for r, c in shifted})
+    return offsets[-1], cols
+
+
+def column_polys(vectors, shifts, field: Field, zfree: bool = False) -> list[tuple]:
+    """Read sparse ``{column: value}`` vectors over the columns that
+    `shifted_columns` builds from pairs of shift degrees ``shifts`` back into
+    polynomials: per vector, one polynomial per pair, the sum of value * m
+    over the pair's columns m*g (bivariate with ``zfree``)."""
+    nvars = 2 if zfree else 3
+    index = [(k, m) for k, n in enumerate(shifts) for m in monomials(n, nvars)]
+    out = []
+    for vec in vectors:
+        blocks = [{} for _ in shifts]
+        for col, c in vec.items():
+            k, m = index[col]
+            blocks[k][m] = c
+        out.append(tuple(Poly(field, nvars, b) for b in blocks))
     return out

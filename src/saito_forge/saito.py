@@ -1,7 +1,8 @@
 """Saito matrices for the divisor family: closed-form routes and verifier.
 
 For odd degree the matrix is assembled from explicit formulas; a residual
-elimination pins the one remaining scalar on the beta = 0 variant.  Even
+elimination, on sparse columns from `poly.shifted_columns` like every other
+linear system, pins the one remaining scalar on the beta = 0 variant.  Even
 degree (and cross-checks) go through the syzygy-kernel oracle.  Every route
 verifies Saito's criterion before returning: the gradient annihilates each
 column modulo F and det equals F up to a nonzero scalar.
@@ -17,7 +18,8 @@ from .family import DivisorInstance
 from .linalg import solve_affine
 from .oracle import syzygy_kernel
 # det3 is re-exported: callers take the determinant from this module
-from .poly import Poly, det3, det_unit, divides, monomials, render, split_pure_power
+from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
+                   split_pure_power)
 
 ROUTE_EXPLICIT_ODD = "explicit_odd"
 ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
@@ -277,22 +279,16 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     lam_vec = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1.as_trivariate()) * inst.fx
                - (Poly.monomial(fld, (0, v - al - 1, 1)) * g2.as_trivariate()) * inst.fy
                + (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2.as_trivariate()) * inst.fz)
-    tail_monos = monomials(v - 1, 2)
-    tail_vecs = [Poly.monomial(fld, (m[0], m[1], 1)) * inst.fz for m in tail_monos]
-    support = sorted(set(base.terms) | set(lam_vec.terms)
-                     | {mm for tv in tail_vecs for mm in tv.terms},
-                     key=lambda m: (sum(m), m), reverse=True)
-    rows = []
-    rhs = []
-    for m in support:
-        rows.append([tv.coeff_of(m) for tv in tail_vecs] + [lam_vec.coeff_of(m)])
-        rhs.append(fld.neg(base.coeff_of(m)))
-    particular, kernel = solve_affine(rows, rhs, fld)
+    # unknowns: the tail u of degree v - 1, entering as u * z * Fz, and lambda
+    tail = Poly.variable(fld, "z") * inst.fz
+    nrows, cols = shifted_columns([(v - 1, (tail,)), (0, (lam_vec,)), (0, (-base,))],
+                                  (v + d - 1,), zfree=True)
+    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
     if particular is None:
         raise SaitoConstructionFailed("no scalar/tail choice closes the beta=0 last column", base)
-    u_poly = Poly(fld, 2, {m: c for m, c in zip(tail_monos, particular[:-1]) if not fld.is_zero(c)})
-    lam = particular[-1]
-    lam_unique = all(fld.is_zero(k[-1]) for k in kernel)
+    (u_poly, lam_poly), *kernel = column_polys([particular, *kernel], (v - 1, 0), fld, zfree=True)
+    lam = lam_poly.coeff_of((0, 0, 0))
+    lam_unique = all(k[1].is_zero() for k in kernel)
     col3 = (
         h1.as_trivariate() - Poly.monomial(fld, (1, v - al - 1, 1), lam) * g1.as_trivariate(),
         h3.as_trivariate() - Poly.monomial(fld, (0, v - al - 1, 1), lam) * g2.as_trivariate(),
@@ -374,6 +370,4 @@ def build_saito_matrix(inst: DivisorInstance, route: str = "auto") -> SaitoMatri
         return _build_explicit_beta0(inst)
     if route == ROUTE_ORACLE:
         return _build_oracle(inst)
-    if route == "explicit":
-        return _build_explicit_odd(inst) if be >= 1 else _build_explicit_beta0(inst)
     raise ValueError(f"unknown route {route!r}")

@@ -285,10 +285,18 @@ def test_import_leaves_numpy_out():
     # fp:7 fails the char policy p > 3d, so no random draw can succeed
     (["verify", "--d", "6", "--field", "fp:7", "--seed", "1"], {}, {}),
     (["sweep", "--d", "5..6", "--field", "fp:7"], {"SAITO_FORGE_THREADS": "1"}, {}),
+    # an output path in a directory that does not exist cannot be written
+    (["construct", *WORKED, "--out", "{tmp}/absent/x.json"], {}, {}),
+    (["hilbert", *WORKED, "--csv", "{tmp}/absent/h.csv"], {}, {}),
+    (["export", *WORKED, "--out", "{tmp}/absent/x.m2"], {}, {}),
+    (["sweep", "--d", "abc"], {}, {}),
+    (["sweep", "--d", "5.."], {}, {}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
         "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
         "point-support-bound-raw-f", "raw-f-not-a-form",
-        "char-policy-verify", "char-policy-sweep"])
+        "char-policy-verify", "char-policy-sweep",
+        "unwritable-out", "unwritable-csv", "unwritable-export", "range-not-a-number",
+        "range-open"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -313,6 +321,19 @@ def test_export_unbuildable_route_exits_1_without_script(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert not out.exists() and proc.stdout == ""
+
+
+def test_route_bug_is_not_reported_as_failed_check(monkeypatch):
+    # only the route failures proper are written out as "pass": false; a
+    # builtin error inside a route is a bug and propagates
+    from saito_forge import saito
+
+    def broken(system):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(saito, "solve_column_system", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["verify", *WORKED])
 
 
 def test_verify_reports_route_failure_without_traceback(monkeypatch, capsys):

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from saito_forge.column_system import (build_column_system,
+from saito_forge.column_system import (NoSolution, build_column_system,
                                        column_cokernel_hilbert,
                                        column_syzygy_generator,
                                        cokernel_series_coefficient,
                                        solve_column_system)
-from saito_forge.family import FamilyParams, random_instance
+from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.poly import Poly, parse
+from saito_forge.linalg import rref
+from saito_forge.poly import Poly, monomials, parse
 
 F1009 = PrimeField(1009)
 
@@ -63,7 +64,7 @@ def test_row_degrees():
 
 def test_wrong_f2_degree_rejected():
     params = random_instance(6, 0, 0, seed=1, field=F1009)  # even d: deg F2 = v-a-1
-    with pytest.raises(ValueError):
+    with pytest.raises(NoSolution):
         build_column_system(params, F1009.one)
 
 
@@ -89,6 +90,59 @@ def test_solve_random_instances(d, a, b, fld):
     assert all(h.is_zero() or h.degree() == params.v for h in (sol.h1, sol.h3, sol.h5))
     gen = column_syzygy_generator(params)
     assert triple_is_multiple(sol.kernel[0], gen, fld)
+
+
+def dense_layout(sys):
+    """The system as a dense matrix and right-hand side by coefficient lookup:
+    one row per target monomial of each equation, one column per unknown
+    coefficient (h1, h3, h5 in turn, each over the monomials of degree v)."""
+    fld, unknowns = sys.params.field, monomials(sys.params.v, 2)
+    mat, rhs = [], []
+    for row, rhs_poly, deg in zip(sys.rows, sys.rhs, sys.target_degrees):
+        for t in monomials(deg, 2):
+            mat.append([entry.coeff_of((t[0] - u[0], t[1] - u[1], 0))
+                        if t[0] >= u[0] and t[1] >= u[1] else fld.zero
+                        for entry in row for u in unknowns])
+            rhs.append(rhs_poly.coeff_of(t))
+    return mat, rhs, unknowns
+
+
+def rref_solve(mat, rhs, fld):
+    """(pivots, particular, kernel) of A u = b from the generic RREF of
+    [A | b]: free unknowns pinned to zero, one kernel vector per free column."""
+    nc = len(mat[0])
+    reduced = [row + [b] for row, b in zip(mat, rhs)]
+    pivots = rref(reduced, fld)
+    particular = [fld.zero] * nc
+    for i, pc in enumerate(pivots):
+        particular[pc] = reduced[i][nc]
+    kernel = []
+    for j in (j for j in range(nc) if j not in pivots):
+        vec = [fld.zero] * nc
+        vec[j] = fld.one
+        for i, pc in enumerate(pivots):
+            vec[pc] = fld.neg(reduced[i][j])
+        kernel.append(vec)
+    return pivots, particular, kernel
+
+
+def as_triple(vec, unknowns, fld):
+    n = len(unknowns)
+    return tuple(Poly(fld, 2, dict(zip(unknowns, vec[k * n:(k + 1) * n]))) for k in range(3))
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+def test_solve_matches_rref_of_dense_layout(fld):
+    # every legal (alpha, beta) of the odd degrees 7..13 (even d has no system)
+    for d in range(7, 14, 2):
+        for a, b in legal_pairs(d):
+            sys = build_column_system(random_instance(d, a, b, seed=2, field=fld), fld.from_int(3))
+            mat, rhs, unknowns = dense_layout(sys)
+            pivots, particular, kernel = rref_solve(mat, rhs, fld)
+            assert pivots[-1] != len(unknowns) * 3  # b is in the column span
+            sol = solve_column_system(sys)
+            assert (sol.h1, sol.h3, sol.h5) == as_triple(particular, unknowns, fld)
+            assert sol.kernel == tuple(as_triple(k, unknowns, fld) for k in kernel)
 
 
 @pytest.mark.parametrize("d,a,b", [(5, 0, 0), (7, 0, 1), (9, 2, 0), (9, 1, 1)])

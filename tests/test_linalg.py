@@ -28,6 +28,17 @@ def mat_vec(rows, vec, fld):
     return [_dot(r, vec, fld) for r in rows]
 
 
+def densify(vec, ncols, fld=QQ):
+    """A sparse ``{col: value}`` map as a dense list."""
+    return [vec.get(k, fld.zero) for k in range(ncols)]
+
+
+def solve_dense(rows, ncols, rhs, fld):
+    """`solve_affine` on the sparse columns of a dense system A u = b."""
+    return solve_affine(len(rows), sparse_columns(rows, ncols),
+                        {i: b for i, b in enumerate(rhs) if b}, fld)
+
+
 def test_rref_known_rank():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
     pivots = rref(rows, QQ)
@@ -73,16 +84,16 @@ def test_solve_affine(fld):
         rows = rand_matrix(fld, rng, nr, nc)
         x = [fld.random(rng) for _ in range(nc)]
         b = mat_vec(rows, x, fld)
-        sol, kern = solve_affine(rows, b, fld)
+        sol, kern = solve_dense(rows, nc, b, fld)
         assert sol is not None
-        assert mat_vec(rows, sol, fld) == b
+        assert mat_vec(rows, densify(sol, nc, fld), fld) == b
         for k in kern:
-            assert all(fld.is_zero(s) for s in mat_vec(rows, k, fld))
+            assert all(fld.is_zero(s) for s in mat_vec(rows, densify(k, nc, fld), fld))
 
 
 def test_solve_affine_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    sol, _ = solve_affine(rows, [Fraction(1), Fraction(2)], QQ)
+    sol, _ = solve_dense(rows, 2, [Fraction(1), Fraction(2)], QQ)
     assert sol is None
 
 
@@ -176,10 +187,10 @@ def test_rational_solve_affine_matches_rref(nr, nc):
             rhs = mat_vec(rows, x, QQ)
         else:       # usually inconsistent when A is rank deficient
             rhs = [Fraction(rng.randint(-4, 4)) for _ in range(nr)]
-        particular, kern = solve_affine(rows, rhs, QQ)
+        particular, kern = solve_dense(rows, nc, rhs, QQ)
         pivots, reduced = rref_reference([r + [b] for r, b in zip(rows, rhs)])
-        assert kern == rref_kernel(rows, nc)
-        assert all_fractions(kern)
+        assert [densify(k, nc) for k in kern] == rref_kernel(rows, nc)
+        assert all_fractions(k.values() for k in kern)
         if pivots and pivots[-1] == nc:
             assert particular is None
             outcomes.add("inconsistent")
@@ -187,9 +198,9 @@ def test_rational_solve_affine_matches_rref(nr, nc):
         expected = [Fraction(0)] * nc
         for i, pc in enumerate(pivots):
             expected[pc] = reduced[i][nc]
-        assert particular == expected
-        assert all_fractions([particular])
-        assert mat_vec(rows, particular, QQ) == rhs
+        assert densify(particular, nc) == expected
+        assert all(particular.values()) and all_fractions([particular.values()])
+        assert mat_vec(rows, densify(particular, nc), QQ) == rhs
         outcomes.add("consistent")
     assert "consistent" in outcomes
     if nr > nc:
@@ -202,7 +213,7 @@ def test_rational_engine_without_rows():
     basis = kernel_basis([], 3, QQ)
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert all_fractions(basis)
-    assert solve_affine([], [], QQ) == ([], [])
+    assert solve_affine(0, [], {}, QQ) == ({}, [])
 
 
 def test_rational_engine_on_jacobian_macaulay_matrix():
@@ -293,5 +304,6 @@ def test_modp_kernel_and_solve_match_rref(p):
         expected = rref_kernel(rows, nc, fld)
         assert kernel_basis(rows, nc, fld) == expected
         rhs = [r[0] for r in rows]  # consistent: the first column
-        particular, kernel = solve_affine(rows, rhs, fld)
-        assert kernel == expected and mat_vec(rows, particular, fld) == rhs
+        particular, kernel = solve_dense(rows, nc, rhs, fld)
+        assert [densify(k, nc, fld) for k in kernel] == expected
+        assert mat_vec(rows, densify(particular, nc, fld), fld) == rhs

@@ -1,5 +1,6 @@
 import pytest
 
+from saito_forge.column_system import build_column_system
 from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
@@ -12,7 +13,7 @@ from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaula
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
                                 space_dim, syzygy_kernel, syzygy_residual)
-from saito_forge.poly import Poly, monomials, parse
+from saito_forge.poly import Poly, monomials, parse, shifted_columns
 
 F1009 = PrimeField(1009)
 
@@ -234,15 +235,15 @@ def test_direct_assembly_matches_macaulay_matrix():
         assert dense(len(mat.rows), columns, gens[0].field) == mat.entries
 
 
-def shifted_products(vectors, t):
-    """Dense columns m*g by Poly products, in the order `_syzygy_columns` uses:
-    the coefficients of a, b, c in degree t, then of e in degree t - 1."""
+def shifted_products(pairs, degrees, zfree=False):
+    """Dense columns m*g by Poly products, in the order `shifted_columns` uses:
+    for each (n, g) and each shift m of degree n (z-free with ``zfree``), the
+    coefficients of m*g[k] at the monomials of degree degrees[k], block by block."""
     cols = []
-    for tg, g in vectors:
-        for m in monomials(t - tg, 3):
-            mono = Poly.monomial(g.a.field, m)
-            cols.append([(p * mono).coeff_of(r) for k, p in enumerate(g.as_polys())
-                         for r in monomials(t - (k == 3), 3)])
+    for n, g in pairs:
+        for m in monomials(n, 2 if zfree else 3):
+            cols.append([(p * Poly.monomial(p.field, m, nvars=p.nvars)).coeff_of(r)
+                         for p, u in zip(g, degrees) for r in monomials(u, 3)])
     return [list(row) for row in zip(*cols)]
 
 
@@ -254,7 +255,20 @@ def test_syzygy_entries_match_shifted_products():
         for t in (3, 4, 6):
             nrows, columns = _syzygy_columns(vectors, t)
             assert nrows == 3 * space_dim(t) + space_dim(t - 1)
-            assert dense(nrows, columns, fld) == shifted_products(vectors, t)
+            pairs = [(t - tg, g.as_polys()) for tg, g in vectors]
+            assert dense(nrows, columns, fld) == shifted_products(pairs, (t, t, t, t - 1))
+        # z-free shifts: the two-block column system (bivariate, with its
+        # right-hand side and a zero entry) and the beta=0 route's tail z*Fz
+        params = random_instance(9, 1, 0, seed=5, field=fld)
+        system = build_column_system(params, fld.from_int(3))
+        inst = build_divisor(params)
+        v = params.v
+        for pairs, degrees in (
+                ([(v, col) for col in zip(*system.rows)] + [(0, system.rhs)], system.target_degrees),
+                ([(v - 1, (Poly.variable(fld, "z") * inst.fz,)), (v, (inst.fx,))], (v + 8,))):
+            nrows, columns = shifted_columns(pairs, degrees, zfree=True)
+            assert nrows == sum(map(space_dim, degrees))
+            assert dense(nrows, columns, fld) == shifted_products(pairs, degrees, zfree=True)
 
 
 # ----- the Jacobian ladder against per-degree dense eliminations ------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from saito_forge.column_system import NoSolution
 from saito_forge.family import FamilyParams, build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.oracle import SyzygyVector, in_kernel_span, syzygy_kernel
@@ -202,8 +203,12 @@ def test_route_agreement_odd(d, a, b, fld):
 
 def test_explicit_route_override_even_rejected():
     inst = build_divisor(random_instance(6, 0, 0, seed=1, field=F1009))
-    with pytest.raises((DegenerateConstant, ValueError)):
+    # the odd route's constants need odd d; the beta=0 route's graded system
+    # needs deg F2 = v - alpha, which fails one short on even d
+    with pytest.raises(DegenerateConstant):
         build_saito_matrix(inst, route="explicit_odd")
+    with pytest.raises(NoSolution):
+        build_saito_matrix(inst, route="explicit_beta0")
 
 
 def test_unknown_route():
