@@ -300,6 +300,9 @@ def cmd_sweep(args) -> int:
             for trial in range(args.trials):
                 tasks.append((d, alpha, beta, args.seed + trial, args.field,
                               args.drop_squarefree))
+    if not tasks:  # an empty summary would read as a pass
+        raise CliError(f"sweep selects no instance from --d {args.d} --trials {args.trials} "
+                       "and the --alpha/--beta filters")
     workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -67,14 +67,9 @@ class Rationals:
     """
 
     char = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # Fraction is immutable, so every caller can share one constant
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -145,19 +140,14 @@ class Rationals:
 class PrimeField:
     """The prime field F_p; values are ints reduced to ``0..p-1``."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -206,11 +206,6 @@ def _dense_columns(rows: list, ncols: int) -> list[dict]:
     return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
 
 
-def _densify(relations: list, ncols: int, field: Field) -> list[list]:
-    zero = field.zero
-    return [[rel.get(k, zero) for k in range(ncols)] for rel in relations]
-
-
 def pivot_columns(rows: list, field: Field) -> list[int]:
     """Pivot columns of a dense matrix under left-to-right elimination."""
     if not rows or not rows[0]:
@@ -228,7 +223,7 @@ def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
     if ncols == 0:
         return []
     relations = eliminate(len(rows), _dense_columns(rows, ncols), field, kernel=True)[1]
-    return _densify(relations, ncols, field)
+    return [[rel.get(k, field.zero) for k in range(ncols)] for rel in relations]
 
 
 def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):

@@ -10,11 +10,19 @@ The canonical text form prints terms in descending graded-lexicographic order
 ``^1``; ``parse`` inverts it exactly.  ``monomials`` lists each degree's basis
 in that order, and ``shifted_columns`` builds every linear system the package
 solves from shifted forms, as sparse columns indexed in that order.
+
+Sums, products, negation, scaling and ``det3`` run on maps of Python ints,
+as ``linalg.eliminate`` does: a rational operand (a row, in ``det3``) is
+scaled by the lcm of its denominators, and each result term is normalised
+once, by ``Fraction(n, den)`` or ``% p``.  ``det_unit`` tests det == c*F with
+c = det[lm F] / lc F, the same predicate as F | det with a constant quotient.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .field import Field, FieldMismatch, QQ
 
@@ -58,6 +66,13 @@ class Poly:
         self.field = field
         self.nvars = nvars
         self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
+
+    @classmethod
+    def _make(cls, field: Field, nvars: int, terms: dict) -> "Poly":
+        """Construct from terms already known to be nonzero and reduced."""
+        p = object.__new__(cls)
+        p.field, p.nvars, p.terms = field, nvars, terms
+        return p
 
     # ----- constructors -------------------------------------------------
 
@@ -127,40 +142,37 @@ class Poly:
         if self.nvars != other.nvars:
             raise FieldMismatch(f"mixed nvars {self.nvars} vs {other.nvars}; lift with as_trivariate()")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other, on common-denominator int maps."""
         self._check_compat(other)
-        f = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(out.get(m, f.zero), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(f, self.nvars, out)
+        a, da = _int_terms(self)
+        b, db = _int_terms(other)
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+        get = out.get
+        for m, c in b.items():
+            out[m] = get(m, 0) + sb * c
+        return _from_ints(self.field, self.nvars, out, den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._add(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, self.nvars, {m: f.neg(c) for m, c in self.terms.items()})
+        p = self.field.char  # p - c keeps a prime-field value in 1..p-1
+        terms = {m: p - c if p else -c for m, c in self.terms.items()}
+        return Poly._make(self.field, self.nvars, terms)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compat(other)
-        f = self.field
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Poly(f, self.nvars, out)
+        a, da = _int_terms(self)
+        b, db = _int_terms(other)
+        return _from_ints(self.field, self.nvars, _imul(a, b), da * db)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -179,7 +191,9 @@ class Poly:
         f = self.field
         if f.is_zero(c):
             return Poly.zero(f, self.nvars)
-        return Poly(f, self.nvars, {m: f.mul(v, c) for m, v in self.terms.items()})
+        a, da = _int_terms(self)
+        n = c.numerator  # c itself over a prime field
+        return _from_ints(f, self.nvars, {m: v * n for m, v in a.items()}, da * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -202,13 +216,10 @@ class Poly:
             e = m[i]
             if e == 0:
                 continue
-            mult = f.mul(c, f.from_int(e))
-            if f.is_zero(mult):
-                continue
             mm = list(m)
             mm[i] = e - 1
-            out[tuple(mm)] = mult
-        return Poly(f, self.nvars, out)
+            out[tuple(mm)] = f.mul(c, f.from_int(e))
+        return Poly(f, self.nvars, out)  # drops the multiples of char
 
     def euler_check(self):
         """Verify x*P_x + y*P_y + z*P_z = deg(P)*P exactly; return deg(P) in the field.
@@ -234,6 +245,43 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render(self)})"
+
+
+# ----- int-accumulator kernels ---------------------------------------------
+
+
+def _int_terms(p: "Poly") -> tuple[dict, int]:
+    """``({mono: int}, den)`` with p = ints / den: den is the lcm of the
+    coefficient denominators over the rationals and 1 over a prime field."""
+    if p.field.char:
+        return p.terms, 1
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _imul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
+    """The int map a*b, or ``out`` with sign*a*b added to it; zero entries stay."""
+    out = {} if out is None else out
+    get = out.get
+    for (x1, y1, z1), c1 in a.items():
+        c1 *= sign
+        for (x2, y2, z2), c2 in b.items():
+            m = (x1 + x2, y1 + y2, z1 + z2)
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+def _from_ints(field: Field, nvars: int, terms: dict, den: int) -> "Poly":
+    """The polynomial ints / den, normalising each nonzero term once:
+    ``Fraction(n, den)`` over the rationals, ``n % p`` over a prime field."""
+    if field.char:
+        p = field.p
+        out = {m: r for m, c in terms.items() if (r := c % p)}
+    elif den == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
+        out = {m: Fraction(c) for m, c in terms.items() if c}
+    else:
+        out = {m: Fraction(c, den) for m, c in terms.items() if c}
+    return Poly._make(field, nvars, out)
 
 
 def divides(d: "Poly", p: "Poly"):
@@ -272,19 +320,43 @@ def divides(d: "Poly", p: "Poly"):
 
 
 def det3(m) -> Poly:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    """Determinant of a 3x3 matrix of polynomials sharing one field and nvars.
+
+    Each row is scaled by the lcm of its denominators, the cofactor expansion
+    runs on int maps, and the product of the row lcms is divided out once."""
+    first = m[0][0]
+    rows, den = [], 1
+    for row in m:
+        for e in row:
+            first._check_compat(e)
+        ints = [_int_terms(e) for e in row]
+        rl = lcm(*[d for _, d in ints])
+        rows.append([t if d == rl else {k: c * (rl // d) for k, c in t.items()} for t, d in ints])
+        den *= rl
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    out = _imul(a, _imul(f, h, _imul(e, i), -1))
+    _imul(b, _imul(f, g, _imul(d, i), -1), out, -1)
+    _imul(c, _imul(e, g, _imul(d, h), -1), out)
+    return _from_ints(first.field, first.nvars, out, den)
 
 
 def det_unit(f: Poly, matrix):
     """(det, c) for a 3x3 matrix, with c the nonzero scalar such that
-    det = c*f, or None when det is not a nonzero scalar multiple of f."""
+    det = c*f, or None when det is not a nonzero scalar multiple of f.
+
+    c is read off at f's leading monomial, so the test is det == c*f (c is
+    then nonzero, as det is): exactly when f divides det with a constant
+    quotient."""
     det = det3(matrix)
     if det.is_zero():
         return det, None
-    ok, q = divides(f, det)
-    return det, (q.coeff_of((0, 0, 0)) if ok and q.degree() == 0 else None)
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.field != det.field:
+        raise FieldMismatch(f"{f.field} vs {det.field}")
+    lm, lc = f.leading_term()
+    c = f.field.div(det.coeff_of(lm), lc)
+    return det, (c if f.scale(c) == det else None)
 
 
 def split_pure_power(p: "Poly", axis: str):
@@ -298,14 +370,10 @@ def split_pure_power(p: "Poly", axis: str):
     if not (p.is_homogeneous() and p.nvars == 2):
         raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
     m = p.degree()
-    if axis == "x":
-        c = p.coeff_of((0, m, 0))
-        rest = p - Poly.monomial(f, (0, m, 0), c, nvars=2)
-        ok, q = (True, Poly.zero(f, 2)) if rest.is_zero() else divides(Poly.variable(f, "x", 2), rest)
-    else:
-        c = p.coeff_of((m, 0, 0))
-        rest = p - Poly.monomial(f, (m, 0, 0), c, nvars=2)
-        ok, q = (True, Poly.zero(f, 2)) if rest.is_zero() else divides(Poly.variable(f, "y", 2), rest)
+    pure = (0, m, 0) if axis == "x" else (m, 0, 0)
+    c = p.coeff_of(pure)
+    rest = p - Poly.monomial(f, pure, c, nvars=2)
+    ok, q = (True, Poly.zero(f, 2)) if rest.is_zero() else divides(Poly.variable(f, axis, 2), rest)
     if not ok:
         raise PolyError("the remainder after the pure power is not divisible")
     return q, c
@@ -314,7 +382,6 @@ def split_pure_power(p: "Poly", axis: str):
 def _dehomogenize_y(p: "Poly"):
     """Coefficient list of p(t, 1) for bivariate homogeneous p, index = t-degree."""
     m = p.degree()
-    f = p.field
     return [p.coeff_of((i, m - i, 0)) for i in range(m + 1)]
 
 
@@ -372,7 +439,6 @@ def render(p: "Poly") -> str:
     if not p.terms:
         return "0"
     f = p.field
-    one = f.one
     parts = []
     for i, (m, c) in enumerate(p.sorted_terms()):
         negative = f.char == 0 and c < 0
@@ -385,7 +451,7 @@ def render(p: "Poly") -> str:
                 factors.append(f"{v}^{e}")
         if not factors:
             body = f.render(mag)
-        elif mag == one:
+        elif mag == f.one:
             body = "*".join(factors)
         else:
             body = "*".join([f.render(mag)] + factors)
@@ -493,11 +559,7 @@ class _Parser:
             m, c = self.term()
             if sign < 0:
                 c = f.neg(c)
-            s = f.add(terms.get(m, f.zero), c)
-            if f.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            terms[m] = f.add(terms.get(m, f.zero), c)  # `parse` drops cancelled terms
             ch = self.peek()
             if ch == "":
                 break

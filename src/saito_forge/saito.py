@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .column_system import (ColumnSolution, base_pair, build_column_system,
-                            column_syzygy_generator, solve_column_system, y_bracket)
+from .column_system import (base_pair, build_column_system, column_syzygy_generator,
+                            solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
 from .oracle import syzygy_kernel
@@ -89,6 +89,11 @@ class SaitoMatrix:
 def verify_saito(f: Poly, matrix) -> VerifyReport:
     """Saito's criterion for a candidate 3x3 matrix: (grad F) . col = q_k * F
     exactly for every column and det = c * F with c a nonzero scalar."""
+    return _verify(f, matrix, *det_unit(f, matrix))
+
+
+def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
+    """`verify_saito` given ``(det, unit)`` = ``det_unit(f, matrix)``."""
     fld = f.field
     grad = (f.partial("x"), f.partial("y"), f.partial("z"))
     quotients = []
@@ -104,7 +109,6 @@ def verify_saito(f: Poly, matrix) -> VerifyReport:
         else:
             quotients.append(None)
             failures.append(f"column {j + 1}: gradient pairing is not a multiple of F")
-    det, unit = det_unit(f, matrix)
     if unit is None:
         failures.append("det is not a nonzero scalar multiple of F")
     return VerifyReport(not failures, unit, det, quotients, failures)
@@ -314,11 +318,11 @@ def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
             if t2 == t3 and j <= i:
                 continue
             matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
-            if det_unit(inst.f, matrix)[1] is not None:
+            if (det := det_unit(inst.f, matrix))[1] is not None:
                 ing = {"f": inst.f, "syz2": s2, "syz3": s3}
                 return _finish(inst, matrix, ROUTE_ORACLE, ing,
                                {"a": None, "b": None, "mu": None, "lambda": None},
-                               {"eq2": None, "eq3": None, "eq4": None}, None)
+                               {"eq2": None, "eq3": None, "eq4": None}, None, det)
     raise SaitoConstructionFailed(
         f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
 
@@ -343,8 +347,9 @@ def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix
                    {"eq2": eq2, "eq3": eq3, "eq4": eq4}, sol)
 
 
-def _finish(inst, matrix, route, ing, constants, residuals, sol: ColumnSolution | None) -> SaitoMatrix:
-    report = verify_saito(inst.f, matrix)
+def _finish(inst, matrix, route, ing, constants, residuals, sol, det=None) -> SaitoMatrix:
+    """Verify and wrap a built matrix, reusing ``det`` = ``det_unit(F, matrix)`` if given."""
+    report = verify_saito(inst.f, matrix) if det is None else _verify(inst.f, matrix, *det)
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
     if sol is not None:

@@ -152,11 +152,11 @@ def test_sweep_deterministic_across_worker_counts(capsys, monkeypatch):
 
 
 def test_sweep_empty_range(capsys):
-    code, out = run(capsys, "sweep", "--d", "5", "--alpha", "1", "--trials", "2",
-                    "--field", "fp:1009")
-    assert code == 0
-    data = json.loads(out)
-    assert data["summary"]["total"] == 0
+    # no legal (alpha, beta) pair at d=5 has alpha = 1: bad input, not a pass
+    assert main(["sweep", "--d", "5", "--alpha", "1", "--trials", "2",
+                 "--field", "fp:1009"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "selects no instance" in captured.err
 
 
 def test_sweep_drop_squarefree(capsys):
@@ -291,12 +291,17 @@ def test_import_leaves_numpy_out():
     (["export", *WORKED, "--out", "{tmp}/absent/x.m2"], {}, {}),
     (["sweep", "--d", "abc"], {}, {}),
     (["sweep", "--d", "5.."], {}, {}),
+    # a sweep that selects no instance must not read as a pass
+    (["sweep", "--d", "9..5"], {}, {}),
+    (["sweep", "--d", "5", "--trials", "0"], {}, {}),
+    (["sweep", "--d", "5", "--trials", "-1"], {}, {}),
+    (["sweep", "--d", "5", "--alpha", "7"], {}, {}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
         "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
         "point-support-bound-raw-f", "raw-f-not-a-form",
         "char-policy-verify", "char-policy-sweep",
         "unwritable-out", "unwritable-csv", "unwritable-export", "range-not-a-number",
-        "range-open"])
+        "range-open", "range-reversed", "no-trials", "negative-trials", "alpha-out-of-range"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -9,7 +9,7 @@ import pytest
 
 from saito_forge.field import FieldMismatch, PrimeField, QQ
 from saito_forge.poly import (EulerViolation, Poly, PolyError, PolySyntaxError,
-                              UnknownVariable, ZeroPolynomial, divides,
+                              UnknownVariable, ZeroPolynomial, det3, det_unit, divides,
                               is_squarefree_bivariate, monomials, parse,
                               render, split_pure_power)
 
@@ -108,6 +108,149 @@ def test_ring_axioms_random(fld):
         assert p * (q + r) == p * q + p * r
         if not p.is_zero() and not q.is_zero():
             assert (p * q).degree() == p.degree() + q.degree()
+
+
+# ----- int-accumulator kernels against a naive Field reference ----------------
+
+DIFF_FIELDS = [QQ, F1009, PrimeField(2**61 - 1)]
+
+
+def rand_form(fld, rng, deg, nvars):
+    """A sparse random form; over QQ with non-integral coefficients."""
+    terms = {}
+    for m in monomials(deg, nvars):
+        if rng.random() < 0.5:
+            terms[m] = (fld.random(rng) if fld.char
+                        else Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+    return Poly(fld, nvars, terms)
+
+
+def ref_add(p, q, sign=1):
+    f = p.field
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = f.add(out.get(m, f.zero), c if sign > 0 else f.neg(c))
+    return Poly(f, p.nvars, out)
+
+
+def ref_mul(p, q):
+    f = p.field
+    out: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            out[m] = f.add(out.get(m, f.zero), f.mul(c1, c2))
+    return Poly(f, p.nvars, out)
+
+
+def ref_det3(m):
+    def minor(a, b, c, d):
+        return ref_add(ref_mul(a, b), ref_mul(c, d), -1)
+    return ref_add(ref_add(ref_mul(m[0][0], minor(m[1][1], m[2][2], m[1][2], m[2][1])),
+                           ref_mul(m[0][1], minor(m[1][0], m[2][2], m[1][2], m[2][0])), -1),
+                   ref_mul(m[0][2], minor(m[1][0], m[2][1], m[1][1], m[2][0])))
+
+
+def ref_det_unit(f, matrix):
+    """The divisibility form of the det = c*F test."""
+    det = ref_det3(matrix)
+    if det.is_zero():
+        return det, None
+    ok, q = divides(f, det)
+    return det, (q.coeff_of((0, 0, 0)) if ok and q.degree() == 0 else None)
+
+
+def assert_canonical(p):
+    fld = p.field
+    for c in p.terms.values():
+        if fld.char:
+            assert type(c) is int and 0 < c < fld.p
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+def rand_matrix(fld, rng, nvars=3):
+    # entry (i, j) has degree r_i + s_j, so the determinant is homogeneous;
+    # trivariate matrices mix lifted bivariate forms with trivariate ones
+    r = [rng.randint(0, 1) for _ in range(3)]
+    s = [rng.randint(0, 2) for _ in range(3)]
+    return [[(rand_form(fld, rng, r[i] + s[j], 2).as_trivariate()
+              if nvars == 3 and rng.random() < 0.3
+              else rand_form(fld, rng, r[i] + s[j], nvars)) for j in range(3)]
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("fld", DIFF_FIELDS)
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_kernels_match_field_reference(fld, nvars):
+    rng = random.Random(8)
+    for _ in range(150):
+        p = rand_form(fld, rng, rng.randint(0, 4), nvars)
+        q = rand_form(fld, rng, rng.randint(0, 4), nvars)
+        c = fld.random_nonzero(rng) if fld.char else Fraction(rng.randint(-9, 9) or 1,
+                                                               rng.randint(1, 9))
+        r = ref_add(q, p, -1)  # p + r cancels every term of p
+        results = [(p + q, ref_add(p, q)), (p - q, ref_add(p, q, -1)),
+                   (-p, Poly(fld, nvars, {m: fld.neg(v) for m, v in p.terms.items()})),
+                   (p * q, ref_mul(p, q)), (p * r, ref_mul(p, r)),
+                   (p.scale(c), Poly(fld, nvars, {m: fld.mul(v, c) for m, v in p.terms.items()})),
+                   (p + r, q), (p - p, Poly.zero(fld, nvars)), (p + -p, Poly.zero(fld, nvars)),
+                   (p * Poly.zero(fld, nvars), Poly.zero(fld, nvars))]
+        for got, want in results:
+            assert got == want
+            assert got.nvars == nvars
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("fld", DIFF_FIELDS)
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_det3_matches_field_reference(fld, nvars):
+    rng = random.Random(9)
+    for _ in range(40):
+        m = rand_matrix(fld, rng, nvars)
+        det = det3(m)
+        assert det == ref_det3(m)
+        assert_canonical(det)
+        # equal rows cancel to the zero polynomial
+        twin = [m[0], m[1], m[0]]
+        assert det3(twin).is_zero() and ref_det3(twin).is_zero()
+
+
+def test_det3_rejects_mixed_entries():
+    ident = [[parse("x"), parse("0"), parse("0")],
+             [parse("0"), parse("y"), parse("0")],
+             [parse("0"), parse("0"), parse("z")]]
+    assert det3(ident) == parse("x*y*z")
+    for bad in (parse("x", nvars=2), parse("x", F1009)):
+        with pytest.raises(FieldMismatch):
+            det3([ident[0], ident[1], [parse("0"), bad, parse("z")]])
+
+
+@pytest.mark.parametrize("fld", DIFF_FIELDS)
+def test_det_unit_matches_field_reference(fld):
+    rng = random.Random(10)
+    x = Poly.variable(fld, "x")
+    checked = 0
+    while checked < 25:
+        m = rand_matrix(fld, rng)
+        det = ref_det3(m)
+        if det.is_zero() or det.degree() == 0:
+            continue
+        checked += 1
+        c = fld.random_nonzero(rng) if fld.char else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        f = det.scale(fld.inv(c))
+        extra = Poly.monomial(fld, monomials(det.degree())[rng.randrange(
+            len(monomials(det.degree())))])
+        wrong_degree = [[e * x for e in m[0]], m[1], m[2]]  # det = x * det(m)
+        cases = [(f, m, c),                                   # det = c*F
+                 (ref_add(f, extra), m, None),                # c*F plus one extra term
+                 (f, [m[0], m[1], m[1]], None),               # zero det
+                 (f, wrong_degree, None)]                     # x*c*F: wrong degree
+        for poly, matrix, unit in cases:
+            got = det_unit(poly, matrix)
+            assert got == ref_det_unit(poly, matrix)
+            assert got[1] == unit
+            assert_canonical(got[0])
 
 
 # ----- calculus -------------------------------------------------------------

@@ -6,7 +6,7 @@ from saito_forge.column_system import NoSolution
 from saito_forge.family import FamilyParams, build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.oracle import SyzygyVector, in_kernel_span, syzygy_kernel
-from saito_forge.poly import Poly, parse, render, split_pure_power
+from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
                                SaitoConstructionFailed, base_pair,
@@ -214,6 +214,22 @@ def test_explicit_route_override_even_rejected():
 def test_unknown_route():
     with pytest.raises(ValueError):
         build_saito_matrix(worked_instance(), route="nonsense")
+
+
+def test_oracle_takes_the_accepted_det_once(monkeypatch):
+    import saito_forge.saito as saito
+    calls = []
+
+    def counting(f, matrix):
+        calls.append(matrix)
+        return det_unit(f, matrix)
+
+    monkeypatch.setattr(saito, "det_unit", counting)
+    inst = build_divisor(random_instance(8, 1, 0, seed=55, field=F1009))
+    sm = build_saito_matrix(inst)
+    assert sm.route == ROUTE_ORACLE and sm.verify.passed
+    # the search's last det is the accepted one; verification reuses it
+    assert sum(m == sm.matrix for m in calls) == 1 and calls[-1] == sm.matrix
 
 
 # ----- verifier ------------------------------------------------------------------
