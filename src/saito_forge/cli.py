@@ -349,8 +349,6 @@ print "saito-forge export: all assertions passed";
 
 
 def _cocoa_script(inst: DivisorInstance, sm, f_text: str | None = None) -> str:
-    from .oracle import predicted_quotient_hilbert
-
     fld = inst.f.field
     d = inst.params.d
     v = inst.params.v

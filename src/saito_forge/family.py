@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .field import Field, QQ, check_char_policy, field_from_spec
-from .poly import Poly, divides, is_squarefree_bivariate, parse, render
+from .poly import Poly, coprime_forms, is_squarefree_bivariate, parse, render
 
 
 class InvalidParams(Exception):
@@ -94,18 +94,17 @@ def validate(params: FamilyParams, drop_squarefree: bool = False) -> ValidationR
     rep.add("char_policy", check_char_policy(params.field, d), f"need char 0 or p > {3 * d}")
     rep.add("f1_field", f1.field == f2.field, "F1 and F2 over the same field")
     rep.add("f1_bivariate", f1.nvars == 2 and f2.nvars == 2, "F1, F2 in x, y only")
-    x = Poly.variable(f1.field, "x", 2)
-    y = Poly.variable(f1.field, "y", 2)
     rep.add("f1_degree", (not f1.is_zero()) and f1.is_homogeneous() and f1.degree() == a,
             f"deg F1 = {f1.degree()}, expected {a}")
     deg2 = d - v - a - 1
     rep.add("f2_degree", (not f2.is_zero()) and f2.is_homogeneous() and f2.degree() == deg2,
             f"deg F2 = {f2.degree()}, expected {deg2}")
     if rep.ok:
-        rep.add("x_ndiv_f1", not divides(x, f1)[0], "x must not divide F1")
-        rep.add("y_ndiv_f1", not divides(y, f1)[0], "y must not divide F1")
-        rep.add("x_ndiv_f2", not divides(x, f2)[0], "x must not divide F2")
-        rep.add("y_ndiv_f2", not divides(y, f2)[0], "y must not divide F2")
+        # a variable divides a form exactly when it divides each of its terms
+        for name, form in (("f1", f1), ("f2", f2)):
+            for i, var in enumerate("xy"):
+                rep.add(f"{var}_ndiv_{name}", any(m[i] == 0 for m in form.terms),
+                        f"{var} must not divide {name.upper()}")
         if not drop_squarefree:
             rep.add("f1_squarefree", is_squarefree_bivariate(f1), "F1 must be square-free")
     return rep
@@ -209,26 +208,20 @@ def random_non_squarefree_instance(d: int, alpha: int, beta: int, seed: int,
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility test for polynomials linear in z.
+    """Irreducibility test for forms linear in z.
 
-    Writes f = A(x, y) + B(x, y) z; with B a monomial the only possible common
-    factors are x and y, so f factors exactly when A and B share one of them.
-    Validated family members always come out irreducible.
+    Writes f = A(x, y) + B(x, y) z.  Of two factors of f, one is free of z
+    and divides both A and B, so f factors exactly when A and B share a
+    nonconstant factor: f is irreducible, over K and over its algebraic
+    closure, when A and B are nonzero and `coprime_forms`.  A form with A or
+    B zero, such as the irreducible z itself, comes out reducible.
     """
-    fld = f.field
-    a_terms = {m: c for m, c in f.terms.items() if m[2] == 0}
-    b_terms = {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1}
-    if any(m[2] > 1 for m in f.terms):
-        raise ValueError("expected a polynomial linear in z")
-    a = Poly(fld, 3, a_terms)
-    b = Poly(fld, 3, b_terms)
-    if b.is_zero() or a.is_zero():
-        return False
-    for var in ("x", "y"):
-        p = Poly.variable(fld, var, 3)
-        if divides(p, a)[0] and divides(p, b)[0]:
-            return False
-    return True
+    if not f.is_homogeneous() or any(m[2] > 1 for m in f.terms):
+        raise ValueError("expected a form linear in z")
+    fld, d = f.field, f.degree()
+    a = Poly._make(fld, 3, {m: c for m, c in f.terms.items() if m[2] == 0})
+    b = Poly._make(fld, 3, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
+    return not (a.is_zero() or b.is_zero()) and coprime_forms(a, b, d, d - 1)
 
 
 def instance_to_json(inst: DivisorInstance) -> dict:

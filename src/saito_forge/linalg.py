@@ -26,8 +26,8 @@ step depends on the field:
 
 The generic ``rref`` on lists is the reference the engine is tested against.
 Every program path builds its columns sparse with `poly.shifted_columns`;
-the dense-list front ends ``pivot_columns``, ``rank`` and ``kernel_basis``
-serve the tests and the benchmark's layer tracing.
+the dense-list front ends ``pivot_columns`` and ``kernel_basis`` serve the
+tests and the benchmark's layer tracing.
 """
 
 from __future__ import annotations
@@ -211,10 +211,6 @@ def pivot_columns(rows: list, field: Field) -> list[int]:
     if not rows or not rows[0]:
         return []
     return eliminate(len(rows), _dense_columns(rows, len(rows[0])), field)[0]
-
-
-def rank(rows: list, field: Field) -> int:
-    return len(pivot_columns(rows, field))
 
 
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:

@@ -16,6 +16,10 @@ as ``linalg.eliminate`` does: a rational operand (a row, in ``det3``) is
 scaled by the lcm of its denominators, and each result term is normalised
 once, by ``Fraction(n, den)`` or ``% p``.  ``det_unit`` tests det == c*F with
 c = det[lm F] / lc F, the same predicate as F | det with a constant quotient.
+
+Common factors of binary forms are one Sylvester-rank test, ``coprime_forms``
+(two forms share a factor exactly when their resultant vanishes); it decides
+square-freeness here and irreducibility in ``family``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from itertools import accumulate
 from math import lcm
 
 from .field import Field, FieldMismatch, QQ
+from .linalg import eliminate
 
 VAR_NAMES = ("x", "y", "z")
 VAR_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -361,7 +366,9 @@ def det_unit(f: Poly, matrix):
 
 def split_pure_power(p: "Poly", axis: str):
     """Decompose a bivariate homogeneous p of degree m as p = x*q + c*y^m
-    (axis 'x') or p = y*q + c*x^m (axis 'y'); returns (q, c)."""
+    (axis 'x') or p = y*q + c*x^m (axis 'y'); returns (q, c).  Every other
+    term of p holds the axis variable, so q is p's rest with its exponent
+    of that variable lowered by one."""
     if axis not in ("x", "y"):
         raise UnknownVariable(f"split axis must be 'x' or 'y', got {axis!r}")
     f = p.field
@@ -371,65 +378,36 @@ def split_pure_power(p: "Poly", axis: str):
         raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
     m = p.degree()
     pure = (0, m, 0) if axis == "x" else (m, 0, 0)
-    c = p.coeff_of(pure)
-    rest = p - Poly.monomial(f, pure, c, nvars=2)
-    ok, q = (True, Poly.zero(f, 2)) if rest.is_zero() else divides(Poly.variable(f, axis, 2), rest)
-    if not ok:
-        raise PolyError("the remainder after the pure power is not divisible")
-    return q, c
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.terms.items() if (ex, ey, 0) != pure}
+    return Poly._make(f, 2, q), p.coeff_of(pure)
 
 
-def _dehomogenize_y(p: "Poly"):
-    """Coefficient list of p(t, 1) for bivariate homogeneous p, index = t-degree."""
-    m = p.degree()
-    return [p.coeff_of((i, m - i, 0)) for i in range(m + 1)]
+def coprime_forms(a: "Poly", b: "Poly", m: int, n: int) -> bool:
+    """Whether the z-free forms a and b, of degrees m and n (a form may be
+    zero), share no nonconstant factor, over K and over its algebraic closure.
 
-
-def _univ_trim(u, f):
-    while u and f.is_zero(u[-1]):
-        u.pop()
-    return u
-
-
-def _univ_mod(a, b, f):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = f.inv(lb)
-    while len(a) - 1 >= db and a:
-        da, la = len(a) - 1, a[-1]
-        q = f.mul(la, inv)
-        for i in range(db + 1):
-            a[da - db + i] = f.sub(a[da - db + i], f.mul(q, b[i]))
-        _univ_trim(a, f)
-    return a
+    They share one exactly when their resultant vanishes, that is, when the
+    Sylvester matrix, whose columns are the shifts of a by the monomials
+    of degree n-1 and of b by those of degree m-1, is singular."""
+    nrows, cols = shifted_columns([(n - 1, (a,)), (m - 1, (b,))], (m + n - 1,), zfree=True)
+    return len(eliminate(nrows, cols, a.field)[0]) == len(cols)
 
 
 def is_squarefree_bivariate(p: "Poly") -> bool:
-    """Square-freeness of a bivariate homogeneous polynomial.
+    """Square-freeness of a bivariate homogeneous polynomial p of degree m.
 
-    Strips any x and y factors first (each must appear with exponent <= 1),
-    then dehomogenizes at y = 1 and runs the Euclidean gcd of p with dp/dt.
+    A repeated factor of p divides p_x and p_y.  A common factor l of p_x and
+    p_y divides m*p = x*p_x + y*p_y, and then l^2 divides p.  So p is
+    square-free exactly when ``coprime_forms(p_x, p_y, m-1, m-1)``.
     Valid in characteristic 0 or > deg(p).
     """
     if p.is_zero():
         raise ZeroPolynomial("square-freeness of the zero polynomial")
     if not (p.nvars == 2 and p.is_homogeneous()):
         raise PolyError("square-freeness needs a homogeneous bivariate polynomial")
-    f = p.field
-    ex = min(m[0] for m in p.terms)
-    ey = min(m[1] for m in p.terms)
-    if ex > 1 or ey > 1:
-        return False
-    stripped = {(m[0] - ex, m[1] - ey, 0): c for m, c in p.terms.items()}
-    q = Poly(f, 2, stripped)
-    if q.degree() == 0:
-        return True
-    u = _univ_trim(_dehomogenize_y(q), f)
-    du = _univ_trim([f.mul(c, f.from_int(i)) for i, c in enumerate(u)][1:], f)
-    a, b = u, du
-    while b:
-        a, b = b, _univ_mod(a, b, f)
-    return len(a) == 1
+    m = p.degree()
+    return coprime_forms(p.partial("x"), p.partial("y"), m - 1, m - 1)
 
 
 # ----- text form ----------------------------------------------------------

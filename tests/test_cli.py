@@ -89,6 +89,21 @@ def test_verify_mutated_instance_exits_1(tmp_path, capsys):
     assert "resolution" in data["failures"]
 
 
+def test_verify_stored_reducible_f_is_not_irreducible(tmp_path, capsys):
+    inst = {
+        "d": 5, "alpha": 0, "beta": 0, "field": "q",
+        "F1": "1", "F2": "x^2 + x*y + y^2",
+        "F": "x^5 + 2*x^4*y + x*y^3*z + 2*y^4*z",  # (x + 2y)(x^4 + y^3*z)
+    }
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(inst))
+    code, out = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    data = json.loads(out)
+    assert data["irreducible"] is False
+    assert "irreducible" in data["failures"]
+
+
 def test_verify_instance_file_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "inst.json"
     code = main(["construct", "--d", "7", "--alpha", "1", "--beta", "0",

@@ -131,6 +131,9 @@ def test_is_irreducible():
     inst = build_divisor(worked_params())
     assert is_irreducible(inst.f)
     assert not is_irreducible(parse("x^2 + x*z"))  # x*(x+z)
+    # a common factor of A and B other than x or y, with B a monomial or not
+    assert not is_irreducible(parse("x^5 + 2*x^4*y + x*y^3*z + 2*y^4*z"))  # (x+2y)(x^4+y^3*z)
+    assert not is_irreducible(parse("x + y") * parse("x^4 + x^3*z + y^3*z"))
     for d, a, b in [(7, 0, 1), (9, 2, 0), (10, 1, 1)]:
         i = build_divisor(random_instance(d, a, b, seed=2, field=F1009))
         assert is_irreducible(i.f)
