@@ -166,7 +166,7 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     timings["saito"] = time.perf_counter() - t0
 
     # one elimination per degree: point support reads what resolution filled
-    ladder = JacobianLadder(f)
+    ladder = JacobianLadder(f if inst is None else inst)
     t0 = time.perf_counter()
     res = resolution_check(f, bound, ladder)
     timings["resolution"] = time.perf_counter() - t0

@@ -138,8 +138,9 @@ def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> Diviso
     f = block1 + block2 + block_z
     if not (f.is_homogeneous() and f.degree() == d):
         raise InvalidParams(f"assembled F is not a form of degree {d}")
-    f.euler_check()
-    return DivisorInstance(params, f, f.partial("x"), f.partial("y"), f.partial("z"))
+    grad = tuple(f.partial(var) for var in "xyz")
+    f.euler_check(grad)
+    return DivisorInstance(params, f, *grad)
 
 
 def _random_form(field: Field, degree: int, rng: random.Random) -> Poly:

@@ -93,7 +93,11 @@ def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
             [ngen + i not in pivots for i in range(len(candidates))])
 
 
-def jacobian_generators(f: Poly):
+def jacobian_generators(f) -> tuple:
+    """(Fx, Fy, Fz, F) of a bare F, or of a DivisorInstance from the gradient
+    it stores."""
+    if isinstance(f, DivisorInstance):
+        return (f.fx, f.fy, f.fz, f.f)
     return (f.partial("x"), f.partial("y"), f.partial("z"), f)
 
 
@@ -123,12 +127,16 @@ class SyzygyBasis:
     vectors: tuple
 
 
-def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
+def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
+    """The degree-t kernel of the Macaulay map of ``gens`` = (Fx, Fy, Fz, F),
+    from `jacobian_generators`.  Without ``with_f`` the F block is left out,
+    and every vector has e = 0."""
+    f = gens[3]
     fld = f.field
     d = f.degree()
     # a zero partial still owns its block of unknowns (free syzygy entries)
     degrees = (d - 1,) * 3 + (d,)
-    cols = _macaulay_columns(jacobian_generators(f), t + d - 1, degrees)
+    cols = _macaulay_columns(gens if with_f else gens[:3], t + d - 1, degrees)
     relations = eliminate(space_dim(t + d - 1), cols, fld, kernel=True)[1]
     vectors = [SyzygyVector(*polys) for polys in column_polys(relations, (t, t, t, t - 1), fld)]
     # stable preference: smallest e-support first, then leading monomial order
@@ -140,7 +148,15 @@ def _syzygy_kernel_raw(f: Poly, t: int) -> SyzygyBasis:
 def syzygy_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
     """Basis of {(a, b, c, e) : a F_x + b F_y + c F_z + e F = 0} in degree t
     (deg a = deg b = deg c = t, deg e = t - 1)."""
-    return _syzygy_kernel_raw(inst.f, t)
+    return _syzygy_kernel_raw(jacobian_generators(inst), t)
+
+
+def gradient_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
+    """Basis of AR(F) = {(a, b, c) : a F_x + b F_y + c F_z = 0} in degree t,
+    as vectors with e = 0: the kernel of the three gradient blocks alone.
+    `linalg.eliminate` reduces columns left to right, so it is exactly the
+    leading e = 0 part of `syzygy_kernel` (see `saito._build_oracle`)."""
+    return _syzygy_kernel_raw(jacobian_generators(inst), t, with_f=False)
 
 
 def syzygy_residual(inst: DivisorInstance, vec: SyzygyVector) -> Poly:
@@ -219,13 +235,15 @@ class JacobianLadder:
     gives both hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F); only
     those answers are kept, never the matrix.  F is kept only when p | d, as
     otherwise Euler's identity puts its shifts in the partials' span, and
-    `_echelon` takes out the rows a single-term partial covers.
+    `_echelon` takes out the rows a single-term partial covers.  Takes a
+    DivisorInstance, whose stored gradient it reads, or a bare F.
     """
 
-    def __init__(self, f: Poly):
-        self.f = f
+    def __init__(self, f):
+        gens = jacobian_generators(f)
+        self.f = f = gens[3]
         char = f.field.char
-        self._gens = jacobian_generators(f)[:4 if char and f.degree() % char == 0 else 3]
+        self._gens = gens[:4 if char and f.degree() % char == 0 else 3]
         self._steps: dict = {}
 
     def _step(self, t: int) -> tuple:
@@ -257,7 +275,7 @@ def resolution_check(inst, t_max: int | None = None,
     v = d // 2
     if t_max is None:
         t_max = 3 * v + 3
-    ladder = ladder or JacobianLadder(f)
+    ladder = ladder or JacobianLadder(inst)
     computed = [ladder.hf(t) for t in range(t_max + 1)]
     predicted = [predicted_quotient_hilbert(d, t) for t in range(t_max + 1)]
     mismatch = next((t for t, (c, p) in enumerate(zip(computed, predicted)) if c != p), None)
@@ -288,7 +306,7 @@ def point_support_check(inst, t_bound: int | None = None,
     d = f.degree()
     if t_bound is None:
         t_bound = 3 * (d // 2) + 2
-    ladder = ladder or JacobianLadder(f)
+    ladder = ladder or JacobianLadder(inst)
     n = next((n for n in range(d - 1, t_bound + 1) if ladder.powers_in(n)), None)
     return PointSupportResult(n is not None, n, t_bound)
 
@@ -330,8 +348,9 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     x = Poly.variable(fld, "x")
     y = Poly.variable(fld, "y")
     z = Poly.variable(fld, "z")
+    gens = jacobian_generators(f)
     for t in range(1, degree_bound + 1):
-        basis = _syzygy_kernel_raw(f, t)
+        basis = _syzygy_kernel_raw(gens, t)
         nrows, cols = _syzygy_columns(found + [(t, v) for v in basis.vectors], t)
         if not cols:
             continue

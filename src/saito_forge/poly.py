@@ -226,9 +226,10 @@ class Poly:
             out[tuple(mm)] = f.mul(c, f.from_int(e))
         return Poly(f, self.nvars, out)  # drops the multiples of char
 
-    def euler_check(self):
+    def euler_check(self, grad=None):
         """Verify x*P_x + y*P_y + z*P_z = deg(P)*P exactly; return deg(P) in the field.
 
+        ``grad`` holds the partials (P_x, P_y, P_z) when the caller has them.
         Raises EulerViolation on failure (an arithmetic bug, since the identity
         is forced for homogeneous input).
         """
@@ -238,9 +239,10 @@ class Poly:
             raise EulerViolation("input is not homogeneous")
         m = self.degree()
         f = self.field
+        names = VAR_NAMES[: self.nvars]
         lhs = Poly.zero(f, self.nvars)
-        for var in VAR_NAMES[: self.nvars]:
-            lhs = lhs + Poly.variable(f, var, self.nvars) * self.partial(var)
+        for var, p in zip(names, grad or [self.partial(var) for var in names]):
+            lhs = lhs + Poly.variable(f, var, self.nvars) * p
         if lhs != self.scale(f.from_int(m)):
             raise EulerViolation(f"Euler identity failed at degree {m}")
         return f.from_int(m)

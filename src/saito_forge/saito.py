@@ -16,7 +16,7 @@ from .column_system import (base_pair, build_column_system, column_syzygy_genera
                             solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import syzygy_kernel
+from .oracle import gradient_kernel, jacobian_generators, syzygy_kernel
 # det3 is re-exported: callers take the determinant from this module
 from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
                    split_pure_power)
@@ -86,16 +86,19 @@ class SaitoMatrix:
         }
 
 
-def verify_saito(f: Poly, matrix) -> VerifyReport:
+def verify_saito(f, matrix) -> VerifyReport:
     """Saito's criterion for a candidate 3x3 matrix: (grad F) . col = q_k * F
-    exactly for every column and det = c * F with c a nonzero scalar."""
-    return _verify(f, matrix, *det_unit(f, matrix))
+    exactly for every column and det = c * F with c a nonzero scalar.
+    Accepts a DivisorInstance, whose stored gradient it reads, or a bare F."""
+    gens = jacobian_generators(f)
+    return _verify(gens, matrix, *det_unit(gens[3], matrix))
 
 
-def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
-    """`verify_saito` given ``(det, unit)`` = ``det_unit(f, matrix)``."""
+def _verify(gens: tuple, matrix, det: Poly, unit) -> VerifyReport:
+    """`verify_saito` given ``gens`` = `jacobian_generators` (F) and
+    ``(det, unit)`` = ``det_unit(F, matrix)``."""
+    *grad, f = gens
     fld = f.field
-    grad = (f.partial("x"), f.partial("y"), f.partial("z"))
     quotients = []
     failures = []
     for j in range(3):
@@ -305,18 +308,43 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
+def _kernel_pairs(inst: DivisorInstance, t2: int, t3: int, kernel, first_only: bool):
+    """The pairs (s2, s3) of degree-t2 and degree-t3 ``kernel`` vectors in
+    search order, (i, j) with j > i when t2 == t3; only i = 0 with
+    ``first_only``."""
+    basis2 = kernel(inst, t2).vectors
+    if not basis2:
+        return
+    basis3 = basis2 if t3 == t2 else kernel(inst, t3).vectors
+    for i, s2 in enumerate(basis2[:1] if first_only else basis2):
+        for j, s3 in enumerate(basis3):
+            if t2 != t3 or j > i:
+                yield s2, s3
+
+
 def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
+    """Euler's column next to two syzygy columns with det = c*F, c a
+    nonzero scalar, of degrees (t2, t3) = (v - 1, v) for even d, (v, v) for
+    odd d.
+
+    The full search tries pairs (i, j) of `syzygy_kernel` vectors in order.
+    `linalg.eliminate` reduces columns left to right, so the relations of
+    the gradient blocks' columns do not depend on the F block after them,
+    and each has e = 0; a relation whose free column lies in the F block
+    has e = 1 there.  The full basis is sorted by e's support, stably, so
+    `gradient_kernel` is exactly its leading e = 0 part, and the pairs
+    (0, j) over it are the first pairs the full search tries.  Those are
+    tried first, without the F block, whose columns all depend on the
+    partials' when p does not divide d; if none works, the full search runs
+    unchanged.
+    """
     params = inst.params
     d = params.d
     v = params.v
     fld = params.field
     t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
-    basis2 = syzygy_kernel(inst, t2)
-    basis3 = basis2 if t3 == t2 else syzygy_kernel(inst, t3)
-    for i, s2 in enumerate(basis2.vectors):
-        for j, s3 in enumerate(basis3.vectors):
-            if t2 == t3 and j <= i:
-                continue
+    for kernel, first_only in ((gradient_kernel, True), (syzygy_kernel, False)):
+        for s2, s3 in _kernel_pairs(inst, t2, t3, kernel, first_only):
             matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
             if (det := det_unit(inst.f, matrix))[1] is not None:
                 ing = {"f": inst.f, "syz2": s2, "syz3": s3}
@@ -349,7 +377,8 @@ def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix
 
 def _finish(inst, matrix, route, ing, constants, residuals, sol, det=None) -> SaitoMatrix:
     """Verify and wrap a built matrix, reusing ``det`` = ``det_unit(F, matrix)`` if given."""
-    report = verify_saito(inst.f, matrix) if det is None else _verify(inst.f, matrix, *det)
+    report = (verify_saito(inst, matrix) if det is None
+              else _verify(jacobian_generators(inst), matrix, *det))
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
     if sol is not None:

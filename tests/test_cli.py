@@ -65,6 +65,23 @@ def test_verify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+def test_verify_takes_the_gradient_once(monkeypatch, capsys):
+    # the Saito stage and the Jacobian ladder read the instance's gradient
+    from saito_forge.poly import Poly
+    calls = []
+    real = Poly.partial
+
+    def counting(self, var):
+        if self.nvars == 3:
+            calls.append(var)
+        return real(self, var)
+
+    monkeypatch.setattr(Poly, "partial", counting)
+    code, _ = run(capsys, "verify", "--d", "8", "--alpha", "0", "--beta", "1",
+                  "--seed", "1", "--field", "fp:1009")
+    assert code == 0 and calls == list("xyz")
+
+
 def test_verify_oracle_route_even_degree(capsys):
     code, out = run(capsys, "verify", "--d", "6", "--seed", "1",
                     "--field", "fp:1009", "--route", "oracle")

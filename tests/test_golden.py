@@ -37,8 +37,12 @@ GOLDEN = {
         "3a794f213885449f72790faed41035e424e00e361045e56f208986f36d676998"),
     "verify-oracle-fp": (["verify", *EVEN, "--field", "fp:1009"],
         "9269eb3a7e291689d6b49443580ff0ef5478b507d45457009bff2afe95efc06e"),
+    "verify-oracle-odd-q": (["verify", *ODD, "--field", "q", "--route", "oracle"],
+        "44f5f3097025eedb471c6b1a8dbdd96c04385bda7a2e7fa60b9cc19959d17767"),
     "sweep-5..8-fp": (["sweep", "--d", "5..8", "--field", "fp:1009"],
         "491a2b658a9b3569cecbbe4cd5f1b8ccb9ad3596484fa984b1cc9bf6868480c6"),
+    "sweep-9..12-q": (["sweep", "--d", "9..12", "--field", "q"],
+        "af2ab5572ef476b20b11ce8fbe7171222ed753cd4602d3cee0a9808bcb9c1d3f"),
     "export-macaulay2": (["export", *ODD, "--field", "q", "--cas", "macaulay2"],
         "0e2838b40261b64546a0a66375fd90f63c660d33dbc60bc57b4f7f6a6868c11c"),
     "export-cocoa": (["export", *EVEN, "--field", "fp:1009", "--cas", "cocoa"],

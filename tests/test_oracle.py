@@ -8,7 +8,7 @@ from saito_forge.linalg import pivot_columns, rref
 from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_columns,
                                 _syzygy_columns,
                                 expected_multiplicity,
-                                freeness_probe, in_kernel_span,
+                                freeness_probe, gradient_kernel, in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
@@ -95,6 +95,24 @@ def test_kernel_determinism():
     b1 = syzygy_kernel(inst, 3)
     b2 = syzygy_kernel(inst, 3)
     assert b1.vectors == b2.vectors
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009])
+@pytest.mark.parametrize("d", [6, 8, 10, 12, 14])
+def test_gradient_kernel_is_the_leading_e_zero_part(d, fld):
+    # the gradient blocks are eliminated before the F block, so their
+    # relations do not see it; every F-block relation has e != 0
+    alpha, beta = legal_pairs(d)[-1]
+    inst = build_divisor(random_instance(d, alpha, beta, seed=d, field=fld))
+    v = d // 2
+    for t in (1, v - 1, v):
+        full = syzygy_kernel(inst, t).vectors
+        grad = gradient_kernel(inst, t).vectors
+        assert (len(grad) > 0) == (t >= v - 1)
+        assert full[:len(grad)] == grad
+        assert all(s.e.is_zero() for s in grad)
+        assert not any(s.e.is_zero() for s in full[len(grad):])
+        assert all(syzygy_residual(inst, s).is_zero() for s in grad)
 
 
 # ----- resolution shape / multiplicity ------------------------------------------

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from saito_forge.column_system import NoSolution
-from saito_forge.family import FamilyParams, build_divisor, random_instance
+from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import SyzygyVector, in_kernel_span, syzygy_kernel
+from saito_forge.oracle import SyzygyBasis, SyzygyVector, in_kernel_span, syzygy_kernel
 from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
@@ -216,7 +216,95 @@ def test_unknown_route():
         build_saito_matrix(worked_instance(), route="nonsense")
 
 
+def full_oracle_search(inst):
+    """The oracle route's search over the full `syzygy_kernel` alone: the
+    reference the gradient-first search must reproduce byte for byte."""
+    import saito_forge.saito as saito
+    fld = inst.params.field
+    d, v = inst.params.d, inst.params.v
+    t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
+    basis2 = syzygy_kernel(inst, t2).vectors
+    basis3 = basis2 if t3 == t2 else syzygy_kernel(inst, t3).vectors
+    for i, s2 in enumerate(basis2):
+        for j, s3 in enumerate(basis3):
+            if t2 == t3 and j <= i:
+                continue
+            matrix = saito._assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+            if det_unit(inst.f, matrix)[1] is not None:
+                ing = {"f": inst.f, "syz2": s2, "syz3": s3}
+                return saito._finish(inst, matrix, ROUTE_ORACLE, ing,
+                                     {"a": None, "b": None, "mu": None, "lambda": None},
+                                     {"eq2": None, "eq3": None, "eq4": None}, None)
+    raise AssertionError("the full search found no pair")
+
+
+ORACLE_CASES = ([(d, a, b) for d in (6, 8, 10, 12) for a, b in legal_pairs(d)]
+                + [(d, a, b) for d in (7, 9) for a, b in legal_pairs(d)])
+
+
+@pytest.mark.parametrize("d,a,b", ORACLE_CASES)
+def test_oracle_matches_full_search(d, a, b):
+    inst = build_divisor(random_instance(d, a, b, seed=4, field=QQ))
+    sm = build_saito_matrix(inst, route="oracle")
+    ref = full_oracle_search(inst)
+    assert sm.to_json() == ref.to_json()
+    assert sm.ingredients == ref.ingredients
+
+
+@pytest.mark.parametrize("d,a,b,fld", [(6, 0, 0, QQ), (10, 1, 1, F1009), (7, 0, 1, QQ), (9, 2, 0, F1009)])
+def test_oracle_needs_no_full_kernel(monkeypatch, d, a, b, fld):
+    # on family members a gradient-kernel pair always works: no fallback
+    import saito_forge.saito as saito
+
+    def refuse(inst, t):
+        raise AssertionError("the full kernel was searched")
+
+    monkeypatch.setattr(saito, "syzygy_kernel", refuse)
+    inst = build_divisor(random_instance(d, a, b, seed=55, field=fld))
+    assert build_saito_matrix(inst, route="oracle").verify.passed
+
+
+def empty_gradient_kernel(inst, t):
+    return SyzygyBasis(t, ())
+
+
+def useless_gradient_kernel(inst, t):
+    zero = Poly.zero(inst.params.field)
+    return SyzygyBasis(t, (SyzygyVector(zero, zero, zero, zero),) * 3)
+
+
+@pytest.mark.parametrize("stand_in", [empty_gradient_kernel, useless_gradient_kernel])
+@pytest.mark.parametrize("d,a,b,fld", [(8, 1, 0, F1009), (10, 1, 1, QQ), (9, 1, 1, QQ)])
+def test_oracle_falls_back_to_the_full_search(monkeypatch, stand_in, d, a, b, fld):
+    import saito_forge.saito as saito
+    inst = build_divisor(random_instance(d, a, b, seed=55, field=fld))
+    monkeypatch.setattr(saito, "gradient_kernel", stand_in)
+    assert build_saito_matrix(inst, route="oracle").to_json() == full_oracle_search(inst).to_json()
+
+
+@pytest.mark.parametrize("stand_in", [None, empty_gradient_kernel, useless_gradient_kernel])
+def test_oracle_failure_message(monkeypatch, stand_in):
+    import saito_forge.saito as saito
+    if stand_in is not None:
+        monkeypatch.setattr(saito, "gradient_kernel", stand_in)
+    monkeypatch.setattr(saito, "det_unit", lambda f, matrix: (det3(matrix), None))
+    inst = build_divisor(random_instance(8, 1, 0, seed=55, field=F1009))
+    with pytest.raises(SaitoConstructionFailed) as exc:
+        build_saito_matrix(inst)
+    assert str(exc.value) == "no kernel pair at degrees (3, 4) assembles a unit determinant"
+
+
 def test_oracle_takes_the_accepted_det_once(monkeypatch):
+    assert_accepted_det_once(monkeypatch)
+
+
+def test_oracle_fallback_takes_the_accepted_det_once(monkeypatch):
+    import saito_forge.saito as saito
+    monkeypatch.setattr(saito, "gradient_kernel", empty_gradient_kernel)
+    assert_accepted_det_once(monkeypatch)
+
+
+def assert_accepted_det_once(monkeypatch):
     import saito_forge.saito as saito
     calls = []
 
@@ -256,6 +344,30 @@ def test_verify_rescaled_column_gives_det_f():
     rep = verify_saito(inst.f, rescaled)
     assert rep.passed and rep.unit == fld.one
     assert det3(rescaled) == inst.f
+
+
+def test_verify_reads_the_instance_gradient():
+    inst = worked_instance()
+    sm = build_saito_matrix(inst)
+    assert verify_saito(inst, sm.matrix) == verify_saito(inst.f, sm.matrix) == sm.verify
+
+
+def test_gradient_taken_once_per_instance(monkeypatch):
+    # build_divisor takes the gradient; every route and the verifier read it
+    calls = []
+    real = Poly.partial
+
+    def counting(self, var):
+        if self.nvars == 3:
+            calls.append(var)
+        return real(self, var)
+
+    monkeypatch.setattr(Poly, "partial", counting)
+    for d, a, b in ((8, 1, 0), (9, 1, 1), (9, 1, 0)):
+        inst = build_divisor(random_instance(d, a, b, seed=5, field=F1009))
+        build_saito_matrix(inst)
+        build_saito_matrix(inst, route="oracle")
+    assert calls == list("xyz") * 3
 
 
 def test_verify_reports_failing_column():
