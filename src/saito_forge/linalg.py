@@ -24,6 +24,9 @@ step depends on the field:
   ``% p`` when read (so any p works), visiting its nonzero rows smallest
   first through a heap.
 
+`canonical_kernel` returns the same relations from any basis of the kernel,
+so a caller that knows a cheaper basis never eliminates the whole matrix.
+
 The generic ``rref`` on lists is the reference the engine is tested against.
 Every program path builds its columns sparse with `poly.shifted_columns`;
 the dense-list front ends ``pivot_columns`` and ``kernel_basis`` serve the
@@ -200,6 +203,58 @@ def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False,
         if j < probe_from:
             basis[lead] = (vec, rel)
     return pivots, relations
+
+
+def canonical_kernel(vectors: list, field: Field) -> list[dict]:
+    """The relations `eliminate` returns for a matrix whose kernel the sparse
+    ``{col: value}`` ``vectors`` span, computed from those vectors alone.
+
+    The RREF kernel basis depends only on the kernel and the column order:
+    its free columns are the last nonzero columns of the kernel's vectors,
+    and for each free j it holds the one kernel vector with 1 at j and 0 at
+    the other free columns.  So the vectors are row-reduced with each pivot
+    at a vector's last nonzero column, every pivot column is cleared from the
+    other vectors, and each is scaled to 1 at its pivot.  Any vector may be
+    given up to a nonzero factor, and with integer values over the
+    rationals; over the rationals the reduction runs on Python ints,
+    fraction-free as in `_qq_reduce`, and over a prime field ``% p``.
+    """
+    qq = isinstance(field, Rationals)
+    p = None if qq else field.p
+
+    def clear(v: dict, w: dict, k: int) -> dict:
+        # v with column k cleared by w; a prime-field w is 1 at k
+        if not qq:
+            return {j: r for j, x in _combine(v, 1, w, v[k]).items() if (r := x % p)}
+        g = gcd(w[k], v[k])
+        v = _combine(v, w[k] // g, w, v[k] // g)
+        g = gcd(*v.values())
+        return _divide(v, g) if g > 1 else v
+
+    basis: dict = {}  # pivot (last nonzero column) -> vector
+    for v in vectors:
+        if qq:
+            den = lcm(*[x.denominator for x in v.values()])
+            v = {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
+        else:
+            v = {k: r for k, x in v.items() if (r := x % p)}
+        while v and (k := max(v)) in basis:
+            v = clear(v, basis[k], k)
+        if v and not qq:
+            inv = pow(v[k], p - 2, p)
+            v = {j: x * inv % p for j, x in v.items()}
+        if v:
+            basis[k] = v
+    out = []
+    for k in sorted(basis):
+        v = basis[k]
+        # the vectors with smaller pivots are already cleared of every other
+        # pivot column, so clearing one from v puts no pivot column back
+        for j in [j for j in v if j != k and j in basis]:
+            v = clear(v, basis[j], j)
+        basis[k] = v
+        out.append({j: Fraction(x, v[k]) if qq else x for j, x in sorted(v.items())})
+    return out
 
 
 def _dense_columns(rows: list, ncols: int) -> list[dict]:

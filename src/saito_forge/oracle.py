@@ -17,17 +17,29 @@ column at row m*s: those rows count once each toward the rank and are deleted
 from every other column, since the column space is their span plus the rest
 projected off them, so rank and memberships are unchanged.  Euler's d*F = x*Fx + y*Fy + z*Fz puts F
 in (Fx, Fy, Fz) when d is nonzero in the field, and the ladder drops it then.
+
+The same identities shrink the syzygy kernels, whose RREF basis is printed
+byte for byte.  That basis depends only on the kernel and the column order,
+so `linalg.canonical_kernel` recovers it from any basis, and the kernel
+routines build a cheap one.  A single-term partial c*m covers rows here too:
+the other blocks are eliminated on the uncovered rows, and its entry of each
+relation is an exact monomial division of the rest by c*m.  That gives
+AR(F), the gradient kernel.  When d is nonzero in the field, AR(F) and one
+Euler vector (-x*e/d, -y*e/d, -z*e/d, e) per monomial e give the whole
+kernel of (Fx, Fy, Fz, F); when p | d the F block is eliminated with the
+partials instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .family import DivisorInstance
 from .field import Field
-from .linalg import eliminate
-from .poly import (Poly, column_polys, det_unit, grlex_key, monomials, shifted_columns,
-                   space_dim)
+from .linalg import canonical_kernel, eliminate
+from .poly import (Poly, column_polys, det_unit, dot, grlex_key, monomial_index, monomials,
+                   shifted_columns, space_dim)
 
 
 @dataclass(frozen=True)
@@ -127,18 +139,65 @@ class SyzygyBasis:
     vectors: tuple
 
 
+def _covered_kernel(gens: list, shifts: tuple, degree: int) -> list[dict]:
+    """A basis of the kernel of the degree-``degree`` Macaulay map whose
+    block k holds ``gens[k]`` shifted by the monomials of degree
+    ``shifts[k]``, as sparse ``{col: value}`` maps.
+
+    The first of the first three generators (the partials) with a single
+    term c*m covers rows: its block is c times the unit columns at the rows
+    it covers, so the other blocks are eliminated on the uncovered rows
+    alone, and its entry of each relation is read off the others as
+    -(sum of entry * generator) / (c*m).  That is an exact monomial
+    division: each term lands on one covered row.  A zero partial still
+    owns its block of unknowns, all free columns."""
+    fld = gens[-1].field
+    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)], (degree,))
+    offsets = list(accumulate(map(space_dim, shifts), initial=0))
+    k = next((k for k, g in enumerate(gens[:3]) if len(g.terms) == 1), None)
+    cover = range(offsets[k], offsets[k + 1]) if k is not None else range(0)
+    unit = {r: j for j in cover for r in cols[j]}  # covered row -> its unit column
+    kept = [j for j in range(len(cols)) if j not in cover]
+    rows = {r: i for i, r in enumerate(r for r in range(nrows) if r not in unit)}
+    relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
+                                      for j in kept], fld, kernel=True)[1]
+    relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
+    if k is not None:
+        scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
+        for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
+            for m, c in dot(polys, gens).terms.items():
+                rel[unit[monomial_index(m)]] = fld.mul(c, scale)
+    return relations
+
+
 def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
     """The degree-t kernel of the Macaulay map of ``gens`` = (Fx, Fy, Fz, F),
-    from `jacobian_generators`.  Without ``with_f`` the F block is left out,
-    and every vector has e = 0."""
-    f = gens[3]
+    from `jacobian_generators`: the RREF kernel basis that `linalg.eliminate`
+    gives for the whole matrix [Fx | Fy | Fz | F], computed from a cheaper
+    basis by `linalg.canonical_kernel`.  Without ``with_f`` the F block is
+    left out, and every vector has e = 0.
+
+    The cheaper basis is AR(F)_t from `_covered_kernel`.  When d is nonzero
+    in the field, Euler's d*F = x*Fx + y*Fy + z*Fz completes it to the whole
+    kernel with the vectors (-x*e/d, -y*e/d, -z*e/d, e), e over the
+    monomials of degree t - 1: a kernel vector less the Euler vectors of its
+    e-entry has e = 0.  When p | d the F block is eliminated with the
+    partials instead."""
+    *grad, f = gens
     fld = f.field
     d = f.degree()
-    # a zero partial still owns its block of unknowns (free syzygy entries)
-    degrees = (d - 1,) * 3 + (d,)
-    cols = _macaulay_columns(gens if with_f else gens[:3], t + d - 1, degrees)
-    relations = eliminate(space_dim(t + d - 1), cols, fld, kernel=True)[1]
-    vectors = [SyzygyVector(*polys) for polys in column_polys(relations, (t, t, t, t - 1), fld)]
+    euler = with_f and (fld.char == 0 or d % fld.char != 0)
+    shifts = (t, t, t, t - 1)
+    blocks = grad + [f] if with_f and not euler else grad
+    basis = _covered_kernel(blocks, shifts[:len(blocks)], t + d - 1)
+    if euler:
+        s = space_dim(t)
+        # d times the Euler vector of e, integral in both fields
+        basis += [{monomial_index((i + 1, j, k)): -1, s + monomial_index((i, j + 1, k)): -1,
+                   2 * s + monomial_index((i, j, k + 1)): -1, 3 * s + n: d}
+                  for n, (i, j, k) in enumerate(monomials(t - 1))]
+    relations = canonical_kernel(basis, fld)
+    vectors = [SyzygyVector(*polys) for polys in column_polys(relations, shifts, fld)]
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))

@@ -326,6 +326,23 @@ def divides(d: "Poly", p: "Poly"):
     return True, Poly(f, nv, quot)
 
 
+def dot(ps, qs) -> Poly:
+    """The sum of the products p*q over paired polynomials sharing one field
+    and nvars, accumulated in one int map and normalised once."""
+    first = ps[0]
+    pairs = []
+    for p, q in zip(ps, qs):
+        first._check_compat(p)
+        first._check_compat(q)
+        pairs.append((_int_terms(p), _int_terms(q)))
+    den = lcm(*[da * db for (_, da), (_, db) in pairs])
+    out: dict = {}
+    for (a, da), (b, db) in pairs:
+        s = den // (da * db)
+        _imul(a if s == 1 else {m: c * s for m, c in a.items()}, b, out)
+    return _from_ints(first.field, first.nvars, out, den)
+
+
 def det3(m) -> Poly:
     """Determinant of a 3x3 matrix of polynomials sharing one field and nvars.
 
@@ -569,6 +586,12 @@ def monomials(degree: int, nvars: int = 3):
             for j in range(degree - i, -1, -1):
                 out.append((i, j, degree - i - j))
     return out
+
+
+def monomial_index(m) -> int:
+    """The index of the exponent triple m in `monomials` (deg m)."""
+    w = m[1] + m[2]
+    return w * (w + 1) // 2 + m[2]
 
 
 def space_dim(t: int) -> int:

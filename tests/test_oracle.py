@@ -4,16 +4,16 @@ from saito_forge.column_system import build_column_system
 from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
-from saito_forge.linalg import pivot_columns, rref
+from saito_forge.linalg import eliminate, pivot_columns, rref
 from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_columns,
-                                _syzygy_columns,
+                                _syzygy_columns, _syzygy_kernel_raw,
                                 expected_multiplicity,
                                 freeness_probe, gradient_kernel, in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
                                 space_dim, syzygy_kernel, syzygy_residual)
-from saito_forge.poly import Poly, monomials, parse, shifted_columns
+from saito_forge.poly import Poly, column_polys, grlex_key, monomials, parse, shifted_columns
 
 F1009 = PrimeField(1009)
 
@@ -113,6 +113,59 @@ def test_gradient_kernel_is_the_leading_e_zero_part(d, fld):
         assert all(s.e.is_zero() for s in grad)
         assert not any(s.e.is_zero() for s in full[len(grad):])
         assert all(syzygy_residual(inst, s).is_zero() for s in grad)
+
+
+# ----- reduced syzygy kernels against the whole elimination ----------------------
+
+
+def full_elimination_kernel(gens, t, with_f=True):
+    """The kernel as the whole [Fx | Fy | Fz (| F)] Macaulay matrix
+    eliminates it, sorted as `syzygy_kernel` sorts: the reference the reduced
+    kernels must reproduce vector for vector."""
+    f = gens[3]
+    fld = f.field
+    blocks = [(t, (g,)) for g in gens[:3]] + ([(t - 1, (f,))] if with_f else [])
+    nrows, cols = shifted_columns(blocks, (t + f.degree() - 1,))
+    relations = eliminate(nrows, cols, fld, kernel=True)[1]
+    vectors = [SyzygyVector(*p) for p in column_polys(relations, (t, t, t, t - 1), fld)]
+    vectors.sort(key=lambda s: (len(s.e.terms),
+                                [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
+    return tuple(vectors)
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009])
+@pytest.mark.parametrize("d", [6, 7, 8, 9, 10])
+def test_reduced_kernels_match_full_elimination_on_the_family(d, fld):
+    # Fz is a single term: its rows are covered, and Euler gives the F block
+    pairs = legal_pairs(d)
+    for alpha, beta in (pairs[0], pairs[-1]):
+        inst = build_divisor(random_instance(d, alpha, beta, seed=d + beta, field=fld))
+        v = d // 2
+        for t in (1, v - 1, v, v + 3):
+            assert syzygy_kernel(inst, t).vectors == \
+                full_elimination_kernel(jacobian_generators(inst), t)
+            assert gradient_kernel(inst, t).vectors == \
+                full_elimination_kernel(jacobian_generators(inst), t, with_f=False)
+
+
+@pytest.mark.parametrize("text,fld", [
+    # p | d: the F block is eliminated with the partials, Fz = y^4 covered
+    ("x^2*y^3 + x*y^4 + y^5 + y^4*z", PrimeField(5)),
+    # every partial is a single term: the first, Fx, is covered
+    ("x^5 + y^5 + z^5", QQ),
+    # no partial is a single term: nothing is covered
+    ("x^5 + y^5 + z^5 + x^2*y^2*z", QQ),
+    ("x^5 + y^5 + z^5 + x^2*y^2*z", F1009),
+    # Fz = 0: its block holds only free columns
+    ("x^5 + y^5", QQ),
+    ("x^5 + y^5", F1009),
+])
+def test_reduced_kernels_match_full_elimination_on_controls(text, fld):
+    gens = jacobian_generators(parse(text, fld))
+    for t in range(6):
+        for with_f in (True, False):
+            assert _syzygy_kernel_raw(gens, t, with_f).vectors == \
+                full_elimination_kernel(gens, t, with_f)
 
 
 # ----- resolution shape / multiplicity ------------------------------------------

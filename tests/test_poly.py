@@ -9,8 +9,8 @@ import pytest
 
 from saito_forge.field import FieldMismatch, PrimeField, QQ
 from saito_forge.poly import (EulerViolation, Poly, PolyError, PolySyntaxError,
-                              UnknownVariable, ZeroPolynomial, det3, det_unit, divides,
-                              is_squarefree_bivariate, monomials, parse,
+                              UnknownVariable, ZeroPolynomial, det3, det_unit, divides, dot,
+                              is_squarefree_bivariate, monomial_index, monomials, parse,
                               render, split_pure_power)
 
 F1009 = PrimeField(1009)
@@ -204,6 +204,25 @@ def test_kernels_match_field_reference(fld, nvars):
 
 @pytest.mark.parametrize("fld", DIFF_FIELDS)
 @pytest.mark.parametrize("nvars", [2, 3])
+def test_dot_matches_field_reference(fld, nvars):
+    rng = random.Random(10)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        ps = [rand_form(fld, rng, 2, nvars) for _ in range(k)]
+        qs = [rand_form(fld, rng, rng.randint(0, 3), nvars) for _ in range(k)]
+        qs[0] = Poly.zero(fld, nvars)  # a zero factor contributes nothing
+        want = Poly.zero(fld, nvars)
+        for p, q in zip(ps, qs):
+            want = ref_add(want, ref_mul(p, q))
+        got = dot(ps, qs)
+        assert got == want and got.nvars == nvars
+        assert_canonical(got)
+    p = rand_form(fld, rng, 2, nvars)
+    assert dot([p, p], [p, -p]).is_zero()  # cancels to the zero polynomial
+
+
+@pytest.mark.parametrize("fld", DIFF_FIELDS)
+@pytest.mark.parametrize("nvars", [2, 3])
 def test_det3_matches_field_reference(fld, nvars):
     rng = random.Random(9)
     for _ in range(40):
@@ -385,6 +404,8 @@ def test_monomials_order():
     ms = monomials(2, 3)
     assert ms[0] == (2, 0, 0) and ms[-1] == (0, 0, 2)
     assert len(ms) == 6
+    for u in range(7):
+        assert [monomial_index(m) for m in monomials(u)] == list(range(len(monomials(u))))
 
 
 def test_invariant_guards_survive_python_O():
