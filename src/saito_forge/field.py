@@ -23,10 +23,6 @@ class FieldMismatch(FieldError):
     """Operands tagged with different coefficient fields."""
 
 
-class ScalarSyntaxError(FieldError):
-    pass
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Miller-Rabin on the first 12 prime bases is exact below this bound
 # (Sorenson & Webster 2015, "Strong pseudoprimes to twelve prime bases").
@@ -99,19 +95,6 @@ class Rationals:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                d = int(den)
-                if d <= 0:
-                    raise ScalarSyntaxError(f"denominator must be a positive integer: {text!r}")
-                return Fraction(int(num), d)
-            return Fraction(int(text))
-        except ValueError as exc:
-            raise ScalarSyntaxError(f"not a rational scalar: {text!r}") from exc
-
     def render(self, a) -> str:
         return str(a)
 
@@ -175,16 +158,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def parse(self, text: str) -> int:
-        text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
-            return int(text) % self.p
-        except ValueError as exc:
-            raise ScalarSyntaxError(f"not an F_{self.p} scalar: {text!r}") from exc
 
     def render(self, a) -> str:
         return str(a % self.p)

@@ -11,23 +11,27 @@ independent.  Matrices are assembled in pure Python as sparse ``{row: value}``
 columns straight from the generators' terms by `poly.shifted_columns`, and
 every elimination, over any field, is one `linalg.eliminate`.
 
-Two exact identities shrink each ladder matrix.  A single-term generator c*m
-(the family's Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit
-column at row m*s: those rows count once each toward the rank and are deleted
-from every other column, since the column space is their span plus the rest
-projected off them, so rank and memberships are unchanged.  Euler's d*F = x*Fx + y*Fy + z*Fz puts F
-in (Fx, Fy, Fz) when d is nonzero in the field, and the ladder drops it then.
+Every Macaulay matrix, of the ladder and of the syzygy kernels alike, is
+eliminated by `_echelon`, shrunk first by two exact identities:
 
-The same identities shrink the syzygy kernels, whose RREF basis is printed
-byte for byte.  That basis depends only on the kernel and the column order,
-so `linalg.canonical_kernel` recovers it from any basis, and the kernel
-routines build a cheap one.  A single-term partial c*m covers rows here too:
-the other blocks are eliminated on the uncovered rows, and its entry of each
-relation is an exact monomial division of the rest by c*m.  That gives
-AR(F), the gradient kernel.  When d is nonzero in the field, AR(F) and one
-Euler vector (-x*e/d, -y*e/d, -z*e/d, e) per monomial e give the whole
-kernel of (Fx, Fy, Fz, F); when p | d the F block is eliminated with the
-partials instead.
+* covered rows: the first single-term generator c*m (the family's
+  Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit column at row
+  m*s.  Those rows count once each toward the rank and are deleted from
+  every other column, since the column space is their span plus the rest
+  projected off them, so rank and memberships are unchanged.  A kernel
+  relation's entry in that block is -(sum of entry * generator) / (c*m),
+  an exact monomial division: each term lands on one covered row.
+* Euler: d*F = x*Fx + y*Fy + z*Fz puts every shift of F in the partials'
+  span when d is nonzero in the field.  `_eliminated_blocks` decides, for
+  the ladder and the kernels both, that F's block is eliminated exactly
+  when p | d.
+
+The ladder keeps ranks and memberships.  The syzygy kernels print their
+RREF basis byte for byte.  That basis depends only on the kernel and the
+column order, so `linalg.canonical_kernel` recovers it from any basis:
+the kernel of the partials' blocks is AR(F), the gradient kernel, and when
+F's block is dropped one Euler vector (-x*e/d, -y*e/d, -z*e/d, e) per
+monomial e completes it to the kernel of (Fx, Fy, Fz, F).
 """
 
 from __future__ import annotations
@@ -75,34 +79,45 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
-def _macaulay_columns(gens, t: int, degrees) -> list[dict]:
-    """The sparse ``{row: value}`` columns of `macaulay_matrix` ``(gens, t,
-    degrees)``, straight from the generators' terms: the column of shift m
-    holds g's coefficients at the rows of m times g's monomials."""
-    return shifted_columns([(t - dg, (g,)) for g, dg in zip(gens, degrees) if 0 <= dg <= t],
-                           (t,))[1]
+def _echelon(gens, t: int, degrees=None, candidates=(), kernel: bool = False) -> tuple:
+    """(rank, memberships, relations) of the degree-t Macaulay matrix whose
+    block k holds ``gens[k]`` shifted by the monomials of degree t -
+    ``degrees[k]``: by default each generator's own degree, a zero generator
+    then owning no block, while an explicit degree keeps a zero generator's
+    block of zero (free) columns.
 
-
-def _echelon(gens, t: int, candidates=()) -> tuple[int, list]:
-    """(rank, memberships) of the degree-t Macaulay matrix of ``gens``: the
-    rank of the generator columns, and for each degree-t candidate whether it
-    lies in their span, that is in the degree-t piece of (gens).  Rows covered
-    by single-term generators count toward the rank and are deleted from the
-    other columns, which alone are eliminated; each candidate is reduced
-    against the generator columns only."""
-    single = [g for g in gens if len(g.terms) == 1]
-    multi = [g for g in gens if len(g.terms) != 1]
-    covered = {r for col in _macaulay_columns(single, t, [g.degree() for g in single])
-               for r in col}
-    kept = [r for r in range(space_dim(t)) if r not in covered]
-    renumber = dict(zip(kept, range(len(kept))))
-    degrees = [g.degree() for g in multi] + [t] * len(candidates)
-    cols = [{renumber[r]: c for r, c in col.items() if r in renumber}
-            for col in _macaulay_columns(multi + list(candidates), t, degrees)]
-    ngen = len(cols) - len(candidates)
-    pivots = eliminate(len(renumber), cols, gens[0].field, probe_from=ngen)[0]
-    return (len(covered) + sum(1 for c in pivots if c < ngen),
-            [ngen + i not in pivots for i in range(len(candidates))])
+    The rank is that of the generator columns.  Each degree-t candidate is
+    reduced against the generator columns only, and its membership says
+    whether it lies in their span, that is in the degree-t piece of (gens).
+    With ``kernel`` and no candidates, relations is a basis of the kernel
+    of the generator columns as sparse ``{col: value}`` maps (not the RREF
+    one); otherwise it is None.  The first single-term generator covers
+    rows (see the module docstring): only the other columns, on the rows
+    left, are eliminated."""
+    fld = gens[0].field
+    if degrees is None:
+        degrees = [g.degree() for g in gens]
+    shifts = [t - dg if dg >= 0 else -1 for _, dg in zip(gens, degrees)]
+    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)]
+                                  + [(0, (c,)) for c in candidates], (t,))
+    offsets = list(accumulate(map(space_dim, shifts), initial=0))
+    k = next((k for k, g in enumerate(gens) if len(g.terms) == 1), None)
+    cover = range(offsets[k], offsets[k + 1]) if k is not None else range(0)
+    unit = {r: j for j in cover for r in cols[j]}  # covered row -> its unit column
+    kept = [j for j in range(len(cols)) if j not in cover]
+    rows = dict(zip([r for r in range(nrows) if r not in unit], range(nrows)))
+    ngen = offsets[-1] - len(cover)
+    pivots, relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
+                                              for j in kept], fld, kernel, probe_from=ngen)
+    members = [ngen + i not in pivots for i in range(len(candidates))]
+    if kernel:
+        relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
+        if k is not None:
+            scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
+            for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
+                for m, c in dot(polys, gens).terms.items():
+                    rel[unit[monomial_index(m)]] = fld.mul(c, scale)
+    return len(cover) + sum(1 for c in pivots if c < ngen), members, relations
 
 
 def jacobian_generators(f) -> tuple:
@@ -113,10 +128,26 @@ def jacobian_generators(f) -> tuple:
     return (f.partial("x"), f.partial("y"), f.partial("z"), f)
 
 
+def _eliminated_blocks(gens: tuple) -> tuple:
+    """The blocks of ``gens`` = (Fx, Fy, Fz, F) that an elimination of J(F)
+    needs: F's block exactly when p | deg F.  Otherwise Euler's
+    d*F = x*Fx + y*Fy + z*Fz puts every shift of F in the partials' span."""
+    f = gens[3]
+    char = f.field.char
+    return gens if char and f.degree() % char == 0 else gens[:3]
+
+
+def gradient_pairing(f, col) -> Poly:
+    """a*Fx + b*Fy + c*Fz for a column col = (a, b, c), plus e*F for a
+    syzygy vector (a, b, c, e): col paired with `jacobian_generators` (f)
+    by one `poly.dot`."""
+    return dot(col, jacobian_generators(f))
+
+
 def monomial_membership(gens, candidates, t: int) -> list[bool]:
     """Membership of each degree-t candidate in the degree-t piece of (gens),
     all with one elimination (see `_echelon`)."""
-    return _echelon(gens, t, candidates)[1]
+    return _echelon(gens, t, candidates=candidates)[1]
 
 
 # ----- syzygies ------------------------------------------------------------
@@ -139,37 +170,6 @@ class SyzygyBasis:
     vectors: tuple
 
 
-def _covered_kernel(gens: list, shifts: tuple, degree: int) -> list[dict]:
-    """A basis of the kernel of the degree-``degree`` Macaulay map whose
-    block k holds ``gens[k]`` shifted by the monomials of degree
-    ``shifts[k]``, as sparse ``{col: value}`` maps.
-
-    The first of the first three generators (the partials) with a single
-    term c*m covers rows: its block is c times the unit columns at the rows
-    it covers, so the other blocks are eliminated on the uncovered rows
-    alone, and its entry of each relation is read off the others as
-    -(sum of entry * generator) / (c*m).  That is an exact monomial
-    division: each term lands on one covered row.  A zero partial still
-    owns its block of unknowns, all free columns."""
-    fld = gens[-1].field
-    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)], (degree,))
-    offsets = list(accumulate(map(space_dim, shifts), initial=0))
-    k = next((k for k, g in enumerate(gens[:3]) if len(g.terms) == 1), None)
-    cover = range(offsets[k], offsets[k + 1]) if k is not None else range(0)
-    unit = {r: j for j in cover for r in cols[j]}  # covered row -> its unit column
-    kept = [j for j in range(len(cols)) if j not in cover]
-    rows = {r: i for i, r in enumerate(r for r in range(nrows) if r not in unit)}
-    relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
-                                      for j in kept], fld, kernel=True)[1]
-    relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
-    if k is not None:
-        scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
-        for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
-            for m, c in dot(polys, gens).terms.items():
-                rel[unit[monomial_index(m)]] = fld.mul(c, scale)
-    return relations
-
-
 def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
     """The degree-t kernel of the Macaulay map of ``gens`` = (Fx, Fy, Fz, F),
     from `jacobian_generators`: the RREF kernel basis that `linalg.eliminate`
@@ -177,20 +177,19 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
     basis by `linalg.canonical_kernel`.  Without ``with_f`` the F block is
     left out, and every vector has e = 0.
 
-    The cheaper basis is AR(F)_t from `_covered_kernel`.  When d is nonzero
-    in the field, Euler's d*F = x*Fx + y*Fy + z*Fz completes it to the whole
-    kernel with the vectors (-x*e/d, -y*e/d, -z*e/d, e), e over the
-    monomials of degree t - 1: a kernel vector less the Euler vectors of its
-    e-entry has e = 0.  When p | d the F block is eliminated with the
-    partials instead."""
-    *grad, f = gens
+    The cheaper basis is the kernel `_echelon` gives for the blocks
+    `_eliminated_blocks` keeps.  Without F's block that is AR(F)_t, and
+    Euler's d*F = x*Fx + y*Fy + z*Fz completes it to the whole kernel with
+    the vectors (-x*e/d, -y*e/d, -z*e/d, e), e over the monomials of degree
+    t - 1: a kernel vector less the Euler vectors of its e-entry has e = 0.
+    Each partial keeps its block, a zero one as free columns."""
+    f = gens[3]
     fld = f.field
     d = f.degree()
-    euler = with_f and (fld.char == 0 or d % fld.char != 0)
     shifts = (t, t, t, t - 1)
-    blocks = grad + [f] if with_f and not euler else grad
-    basis = _covered_kernel(blocks, shifts[:len(blocks)], t + d - 1)
-    if euler:
+    blocks = _eliminated_blocks(gens) if with_f else gens[:3]
+    basis = _echelon(blocks, t + d - 1, (d - 1,) * 3 + (d,), kernel=True)[2]
+    if with_f and len(blocks) == 3:
         s = space_dim(t)
         # d times the Euler vector of e, integral in both fields
         basis += [{monomial_index((i + 1, j, k)): -1, s + monomial_index((i, j + 1, k)): -1,
@@ -212,14 +211,10 @@ def syzygy_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
 
 def gradient_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
     """Basis of AR(F) = {(a, b, c) : a F_x + b F_y + c F_z = 0} in degree t,
-    as vectors with e = 0: the kernel of the three gradient blocks alone.
+    as vectors with e = 0: the RREF kernel of the three gradient blocks.
     `linalg.eliminate` reduces columns left to right, so it is exactly the
-    leading e = 0 part of `syzygy_kernel` (see `saito._build_oracle`)."""
+    leading e = 0 part of `syzygy_kernel`."""
     return _syzygy_kernel_raw(jacobian_generators(inst), t, with_f=False)
-
-
-def syzygy_residual(inst: DivisorInstance, vec: SyzygyVector) -> Poly:
-    return vec.a * inst.fx + vec.b * inst.fy + vec.c * inst.fz + vec.e * inst.f
 
 
 def _syzygy_columns(vectors, t: int) -> tuple[int, list[dict]]:
@@ -292,24 +287,22 @@ class JacobianLadder:
     Degree t is one elimination of [M_t | x^t | y^t]: the Macaulay matrix of
     J(F) with the two point-support candidates as its last columns.  It
     gives both hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F); only
-    those answers are kept, never the matrix.  F is kept only when p | d, as
-    otherwise Euler's identity puts its shifts in the partials' span, and
-    `_echelon` takes out the rows a single-term partial covers.  Takes a
-    DivisorInstance, whose stored gradient it reads, or a bare F.
+    those answers are kept, never the matrix.  F's block is kept only when
+    p | d (see `_eliminated_blocks`).  Takes a DivisorInstance, whose stored
+    gradient it reads, or a bare F.
     """
 
     def __init__(self, f):
         gens = jacobian_generators(f)
-        self.f = f = gens[3]
-        char = f.field.char
-        self._gens = gens[:4 if char and f.degree() % char == 0 else 3]
+        self.f = gens[3]
+        self._gens = _eliminated_blocks(gens)
         self._steps: dict = {}
 
     def _step(self, t: int) -> tuple:
         if t not in self._steps:
             fld = self.f.field
-            rank, members = _echelon(self._gens, t, (Poly.monomial(fld, (t, 0, 0)),
-                                                     Poly.monomial(fld, (0, t, 0))))
+            rank, members, _ = _echelon(self._gens, t, candidates=(Poly.monomial(fld, (t, 0, 0)),
+                                                                    Poly.monomial(fld, (0, t, 0))))
             self._steps[t] = (space_dim(t) - rank, all(members))
         return self._steps[t]
 

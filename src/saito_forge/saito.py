@@ -11,12 +11,13 @@ column modulo F and det equals F up to a nonzero scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .column_system import (base_pair, build_column_system, column_syzygy_generator,
                             solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import gradient_kernel, jacobian_generators, syzygy_kernel
+from .oracle import _as_divisor_poly, gradient_kernel, gradient_pairing
 # det3 is re-exported: callers take the determinant from this module
 from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
                    split_pure_power)
@@ -90,23 +91,16 @@ def verify_saito(f, matrix) -> VerifyReport:
     """Saito's criterion for a candidate 3x3 matrix: (grad F) . col = q_k * F
     exactly for every column and det = c * F with c a nonzero scalar.
     Accepts a DivisorInstance, whose stored gradient it reads, or a bare F."""
-    gens = jacobian_generators(f)
-    return _verify(gens, matrix, *det_unit(gens[3], matrix))
+    return _verify(f, matrix, *det_unit(_as_divisor_poly(f), matrix))
 
 
-def _verify(gens: tuple, matrix, det: Poly, unit) -> VerifyReport:
-    """`verify_saito` given ``gens`` = `jacobian_generators` (F) and
-    ``(det, unit)`` = ``det_unit(F, matrix)``."""
-    *grad, f = gens
-    fld = f.field
+def _verify(f, matrix, det: Poly, unit) -> VerifyReport:
+    """`verify_saito` given ``(det, unit)`` = ``det_unit(F, matrix)``."""
     quotients = []
     failures = []
     for j in range(3):
-        dot = grad[0] * matrix[0][j] + grad[1] * matrix[1][j] + grad[2] * matrix[2][j]
-        if dot.is_zero():
-            quotients.append(Poly.zero(fld))
-            continue
-        ok, q = divides(f, dot)
+        dot = gradient_pairing(f, [row[j] for row in matrix])
+        ok, q = divides(_as_divisor_poly(f), dot) if dot.terms else (True, dot)
         if ok:
             quotients.append(q)
         else:
@@ -143,8 +137,7 @@ def middle_column(params, ing) -> tuple:
 
 def middle_column_residual(inst: DivisorInstance, ing: dict) -> Poly:
     """Gradient pairing of the middle column; identically zero on the family."""
-    col = middle_column(inst.params, ing)
-    return col[0] * inst.fx + col[1] * inst.fy + col[2] * inst.fz
+    return gradient_pairing(inst, middle_column(inst.params, ing))
 
 
 def compute_constants(params) -> dict:
@@ -220,8 +213,7 @@ def last_column(params, ing) -> tuple:
 
 
 def last_column_residual(inst: DivisorInstance, ing: dict) -> Poly:
-    col = last_column(inst.params, ing)
-    return col[0] * inst.fx + col[1] * inst.fy + col[2] * inst.fz
+    return gradient_pairing(inst, last_column(inst.params, ing))
 
 
 def last_column_strata(inst: DivisorInstance, ing: dict) -> dict:
@@ -281,8 +273,7 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     g1, g2 = ing["g1"], ing["g2"]
     sol = solve_column_system(build_column_system(params, mu))
     h1, h3, h5 = sol.h1, sol.h3, sol.h5
-    base = (h1.as_trivariate() * inst.fx + h3.as_trivariate() * inst.fy
-            + h5.as_trivariate() * inst.fz)
+    base = gradient_pairing(inst, [h.as_trivariate() for h in (h1, h3, h5)])
     lam_vec = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1.as_trivariate()) * inst.fx
                - (Poly.monomial(fld, (0, v - al - 1, 1)) * g2.as_trivariate()) * inst.fy
                + (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2.as_trivariate()) * inst.fz)
@@ -308,49 +299,39 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
-def _kernel_pairs(inst: DivisorInstance, t2: int, t3: int, kernel, first_only: bool):
-    """The pairs (s2, s3) of degree-t2 and degree-t3 ``kernel`` vectors in
-    search order, (i, j) with j > i when t2 == t3; only i = 0 with
-    ``first_only``."""
-    basis2 = kernel(inst, t2).vectors
-    if not basis2:
-        return
-    basis3 = basis2 if t3 == t2 else kernel(inst, t3).vectors
-    for i, s2 in enumerate(basis2[:1] if first_only else basis2):
-        for j, s3 in enumerate(basis3):
-            if t2 != t3 or j > i:
-                yield s2, s3
-
-
 def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
-    """Euler's column next to two syzygy columns with det = c*F, c a
-    nonzero scalar, of degrees (t2, t3) = (v - 1, v) for even d, (v, v) for
-    odd d.
+    """Euler's column next to two AR(F) columns with det = c*F, c a nonzero
+    scalar, of degrees (t2, t3) = (v - 1, v) for even d, (v, v) for odd d:
+    the first `gradient_kernel` vector of degree t2 paired with each later
+    one of degree t3, in order.
 
-    The full search tries pairs (i, j) of `syzygy_kernel` vectors in order.
-    `linalg.eliminate` reduces columns left to right, so the relations of
-    the gradient blocks' columns do not depend on the F block after them,
-    and each has e = 0; a relation whose free column lies in the F block
-    has e = 1 there.  The full basis is sorted by e's support, stably, so
-    `gradient_kernel` is exactly its leading e = 0 part, and the pairs
-    (0, j) over it are the first pairs the full search tries.  Those are
-    tried first, without the F block, whose columns all depend on the
-    partials' when p does not divide d; if none works, the full search runs
-    unchanged.
+    A search over the whole kernel of (Fx, Fy, Fz, F) finds nothing more:
+    its basis starts with the gradient kernel's, so it tries these pairs
+    first, and
+    - a kernel pair with det = c*F keeps that determinant when Euler
+      multiples are removed from it;
+    - so, by Saito's criterion (Saito 1980, J. Fac. Sci. Univ. Tokyo 27),
+      Euler and the pair's AR(F) parts are a basis of Der(-log F).  The
+      criterion applies as F = A + B*z is irreducible for every family
+      member (B = x^beta y^(d-beta-1), and neither x nor y divides
+      A = F(x, y, 0)), and p > 3d makes d a unit;
+    - AR(F) is then free on those two parts, so the first vector of any
+      basis of AR(F)_t2 pairs with some vector of any basis of AR(F)_t3.
     """
     params = inst.params
     d = params.d
     v = params.v
     fld = params.field
     t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
-    for kernel, first_only in ((gradient_kernel, True), (syzygy_kernel, False)):
-        for s2, s3 in _kernel_pairs(inst, t2, t3, kernel, first_only):
-            matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
-            if (det := det_unit(inst.f, matrix))[1] is not None:
-                ing = {"f": inst.f, "syz2": s2, "syz3": s3}
-                return _finish(inst, matrix, ROUTE_ORACLE, ing,
-                               {"a": None, "b": None, "mu": None, "lambda": None},
-                               {"eq2": None, "eq3": None, "eq4": None}, None, det)
+    basis2 = gradient_kernel(inst, t2).vectors
+    basis3 = basis2[1:] if t3 == t2 else gradient_kernel(inst, t3).vectors
+    for s2, s3 in product(basis2[:1], basis3):
+        matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+        if (det := det_unit(inst.f, matrix))[1] is not None:
+            ing = {"f": inst.f, "syz2": s2, "syz3": s3}
+            return _finish(inst, matrix, ROUTE_ORACLE, ing,
+                           {"a": None, "b": None, "mu": None, "lambda": None},
+                           {"eq2": None, "eq3": None, "eq4": None}, None, det)
     raise SaitoConstructionFailed(
         f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
 
@@ -366,7 +347,7 @@ def _assemble(fld, col2, col3):
 def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix:
     """Both closed-form columns must pair with the gradient to zero exactly."""
     col2 = middle_column(inst.params, ing)
-    eq3, eq4 = (c[0] * inst.fx + c[1] * inst.fy + c[2] * inst.fz for c in (col2, col3))
+    eq3, eq4 = (gradient_pairing(inst, c) for c in (col2, col3))
     if not eq3.is_zero():
         raise SaitoConstructionFailed("middle column (eq3) is not a syzygy", eq3)
     if not eq4.is_zero():
@@ -378,7 +359,7 @@ def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix
 def _finish(inst, matrix, route, ing, constants, residuals, sol, det=None) -> SaitoMatrix:
     """Verify and wrap a built matrix, reusing ``det`` = ``det_unit(F, matrix)`` if given."""
     report = (verify_saito(inst, matrix) if det is None
-              else _verify(jacobian_generators(inst), matrix, *det))
+              else _verify(inst, matrix, *det))
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
     if sol is not None:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from saito_forge.field import (DivisionByZero, FieldError, PrimeField, QQ,
-                               ScalarSyntaxError, _is_prime, check_char_policy,
-                               field_from_spec)
+from saito_forge.field import (DivisionByZero, FieldError, PrimeField, QQ, _is_prime,
+                               check_char_policy, field_from_spec)
+from saito_forge.poly import Poly, PolySyntaxError, parse
 
 F101 = PrimeField(101)
 
@@ -68,21 +68,22 @@ def test_scalar_roundtrip(fld):
     rng = random.Random(7)
     for _ in range(1000):
         s = fld.random(rng)
-        assert fld.parse(fld.render(s)) == s
+        # `poly.parse` reads every scalar the program reads
+        assert parse(fld.render(s), fld) == Poly.constant(fld, s)
 
 
 def test_rational_text_forms():
-    assert QQ.parse("-3/7") == Fraction(-3, 7)
-    assert QQ.parse("12") == Fraction(12)
+    assert parse("-3/7") == Poly.constant(QQ, Fraction(-3, 7))
+    assert parse("12") == Poly.constant(QQ, Fraction(12))
     assert QQ.render(Fraction(-3, 7)) == "-3/7"
-    with pytest.raises(ScalarSyntaxError):
-        QQ.parse("3/")
-    with pytest.raises(ScalarSyntaxError):
-        QQ.parse("x")
+    with pytest.raises(PolySyntaxError):
+        parse("3/")
+    with pytest.raises(PolySyntaxError):
+        parse("3/0")
 
 
 def test_prime_field_residue_text():
-    assert F101.parse("100") == 100
+    assert parse("100", F101) == Poly.constant(F101, 100)
     assert F101.render(F101.from_int(-1)) == "100"
 
 

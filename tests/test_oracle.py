@@ -5,14 +5,15 @@ from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
 from saito_forge.linalg import eliminate, pivot_columns, rref
-from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _macaulay_columns,
+from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon,
                                 _syzygy_columns, _syzygy_kernel_raw,
                                 expected_multiplicity,
-                                freeness_probe, gradient_kernel, in_kernel_span,
+                                freeness_probe, gradient_kernel, gradient_pairing,
+                                in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
-                                space_dim, syzygy_kernel, syzygy_residual)
+                                space_dim, syzygy_kernel)
 from saito_forge.poly import Poly, column_polys, grlex_key, monomials, parse, shifted_columns
 
 F1009 = PrimeField(1009)
@@ -70,7 +71,7 @@ def test_euler_vector_at_degree_one():
     euler = SyzygyVector(parse("x"), parse("y"), parse("z"),
                          Poly.constant(fld, fld.from_int(-5)))
     assert in_kernel_span(basis, euler, fld)
-    assert syzygy_residual(inst, euler).is_zero()
+    assert gradient_pairing(inst, euler.as_polys()).is_zero()
     zero = Poly.zero(fld)
     assert not in_kernel_span(basis, SyzygyVector(parse("x"), zero, zero, zero), fld)
 
@@ -80,7 +81,7 @@ def test_kernel_vectors_satisfy_relation():
     for t in (1, 2, 3):
         basis = syzygy_kernel(inst, t)
         for vec in basis.vectors:
-            assert syzygy_residual(inst, vec).is_zero()
+            assert gradient_pairing(inst, vec.as_polys()).is_zero()
 
 
 def test_fresh_syzygy_beyond_euler_at_v():
@@ -112,7 +113,7 @@ def test_gradient_kernel_is_the_leading_e_zero_part(d, fld):
         assert full[:len(grad)] == grad
         assert all(s.e.is_zero() for s in grad)
         assert not any(s.e.is_zero() for s in full[len(grad):])
-        assert all(syzygy_residual(inst, s).is_zero() for s in grad)
+        assert all(gradient_pairing(inst, s.as_polys()).is_zero() for s in grad)
 
 
 # ----- reduced syzygy kernels against the whole elimination ----------------------
@@ -236,7 +237,7 @@ def test_membership_is_exact_for_every_candidate():
     f = parse("x^5 + x^2*y^3 + x*y^4 + y^5 + y^4*z")
     x4 = Poly.monomial(QQ, (4, 0, 0))
     assert monomial_membership(jacobian_generators(f), [x4, x4], 4) == [False, False]
-    assert _echelon(jacobian_generators(f), 4, (x4, x4)) == \
+    assert _echelon(jacobian_generators(f), 4, candidates=(x4, x4))[:2] == \
         dense_echelon(jacobian_generators(f), 4, (x4, x4), QQ)
 
 
@@ -300,7 +301,9 @@ def assembly_cases():
 def test_direct_assembly_matches_macaulay_matrix():
     for gens, t, degrees in assembly_cases():
         mat = macaulay_matrix(gens, t, degrees)
-        columns = _macaulay_columns(gens, t, degrees or [g.degree() for g in gens])
+        degrees = degrees or [g.degree() for g in gens]
+        columns = shifted_columns([(t - dg, (g,)) for g, dg in zip(gens, degrees) if 0 <= dg <= t],
+                                  (t,))[1]
         assert len(columns) == len(mat.columns)
         assert sum(map(len, columns)) == sum(1 for r in mat.entries for e in r if e)
         assert dense(len(mat.rows), columns, gens[0].field) == mat.entries
@@ -433,7 +436,8 @@ def test_echelon_matches_dense_reference(f, t_max):
     for t in range(t_max + 1):
         cands = (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0)))
         for sub in (gens, gens[:3]):
-            assert _echelon(sub, t, cands) == dense_echelon(sub, t, cands, fld), (t, len(sub))
+            assert _echelon(sub, t, candidates=cands)[:2] == dense_echelon(sub, t, cands, fld), \
+                (t, len(sub))
     ladder = JacobianLadder(f)
     hf, n = ladder_reference(f, t_max, t_max, generic=fld is not QQ)
     assert [ladder.hf(t) for t in range(t_max + 1)] == hf
@@ -455,22 +459,30 @@ def test_echelon_candidates_in_covered_rows():
                "x^2 + x*y": False, "x*y": False, "0": True}
     for text, member in members.items():
         cand = (parse(text),)
-        assert _echelon(gens, 2, cand) == dense_echelon(gens, 2, cand, QQ) == (2, [member])
+        assert _echelon(gens, 2, candidates=cand)[:2] == dense_echelon(gens, 2, cand, QQ) == \
+            (2, [member])
     cands = (parse("x^2*y + y^3 + y*z^2"), parse("x^2*z"), parse("x*y*z"))
-    assert _echelon(gens, 3, cands) == dense_echelon(gens, 3, cands, QQ) == (6, [True, True, False])
+    assert _echelon(gens, 3, candidates=cands)[:2] == dense_echelon(gens, 3, cands, QQ) == \
+        (6, [True, True, False])
 
 
 def test_verify_eliminates_each_degree_once(monkeypatch, capsys):
+    # one engine serves both: the ladder eliminates each degree 0..bound once,
+    # and at even d the oracle route's kernels run at t2 + d - 1 and t3 + d - 1
     from saito_forge.cli import main
 
-    degrees = []
+    calls = []
     real = oracle._echelon
 
-    def recording(gens, t, candidates=()):
-        degrees.append(t)
-        return real(gens, t, candidates)
+    def recording(gens, t, degrees=None, candidates=(), kernel=False):
+        calls.append((t, kernel))
+        return real(gens, t, degrees, candidates, kernel)
 
     monkeypatch.setattr(oracle, "_echelon", recording)
-    assert main(["verify", "--d", "9", "--alpha", "1", "--beta", "0", "--seed", "2",
-                 "--field", "fp:1009"]) == 0
-    assert degrees == list(range(3 * 4 + 4))  # 0..bound, each once
+    for d, alpha, beta in ((9, 1, 0), (10, 1, 1)):
+        calls.clear()
+        assert main(["verify", "--d", str(d), "--alpha", str(alpha), "--beta", str(beta),
+                     "--seed", "2", "--field", "fp:1009"]) == 0
+        v = d // 2
+        assert [t for t, kernel in calls if not kernel] == list(range(3 * v + 4))
+        assert [t for t, kernel in calls if kernel] == ([] if d % 2 else [v - 1 + d - 1, v + d - 1])

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from saito_forge.column_system import NoSolution
-from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
-from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import SyzygyBasis, SyzygyVector, in_kernel_span, syzygy_kernel
+from saito_forge.family import (DivisorInstance, FamilyParams, build_divisor, legal_pairs,
+                                random_instance)
+from saito_forge.field import PrimeField, QQ, _is_prime
+from saito_forge.oracle import (SyzygyBasis, SyzygyVector, gradient_kernel, in_kernel_span,
+                                syzygy_kernel)
 from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
@@ -216,26 +218,42 @@ def test_unknown_route():
         build_saito_matrix(worked_instance(), route="nonsense")
 
 
-def full_oracle_search(inst):
-    """The oracle route's search over the full `syzygy_kernel` alone: the
-    reference the gradient-first search must reproduce byte for byte."""
+def reference_oracle_search(inst, phases):
+    """The oracle route's search as it stood before it was reduced to one:
+    for each ``(kernel, first_only)`` phase in turn, every pair (i, j) of
+    degree-t2 and degree-t3 ``kernel`` vectors in order (j > i when
+    t2 == t3), only i = 0 with ``first_only``; the first pair with a unit
+    determinant is taken.  Raises the route's failure message when none is."""
     import saito_forge.saito as saito
     fld = inst.params.field
     d, v = inst.params.d, inst.params.v
     t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
-    basis2 = syzygy_kernel(inst, t2).vectors
-    basis3 = basis2 if t3 == t2 else syzygy_kernel(inst, t3).vectors
-    for i, s2 in enumerate(basis2):
-        for j, s3 in enumerate(basis3):
-            if t2 == t3 and j <= i:
-                continue
-            matrix = saito._assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
-            if det_unit(inst.f, matrix)[1] is not None:
-                ing = {"f": inst.f, "syz2": s2, "syz3": s3}
-                return saito._finish(inst, matrix, ROUTE_ORACLE, ing,
-                                     {"a": None, "b": None, "mu": None, "lambda": None},
-                                     {"eq2": None, "eq3": None, "eq4": None}, None)
-    raise AssertionError("the full search found no pair")
+    for kernel, first_only in phases:
+        basis2 = kernel(inst, t2).vectors
+        basis3 = basis2 if t3 == t2 else kernel(inst, t3).vectors
+        for i, s2 in enumerate(basis2[:1] if first_only else basis2):
+            for j, s3 in enumerate(basis3):
+                if t2 == t3 and j <= i:
+                    continue
+                matrix = saito._assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+                if det_unit(inst.f, matrix)[1] is not None:
+                    ing = {"f": inst.f, "syz2": s2, "syz3": s3}
+                    return saito._finish(inst, matrix, ROUTE_ORACLE, ing,
+                                         {"a": None, "b": None, "mu": None, "lambda": None},
+                                         {"eq2": None, "eq3": None, "eq4": None}, None)
+    raise SaitoConstructionFailed(
+        f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
+
+
+def full_oracle_search(inst):
+    """Every pair of the full `syzygy_kernel`."""
+    return reference_oracle_search(inst, [(syzygy_kernel, False)])
+
+
+def two_phase_oracle_search(inst):
+    """The first `gradient_kernel` vector against each later one, then, when
+    none gives a unit determinant, the full search from the start."""
+    return reference_oracle_search(inst, [(gradient_kernel, True), (syzygy_kernel, False)])
 
 
 ORACLE_CASES = ([(d, a, b) for d in (6, 8, 10, 12) for a, b in legal_pairs(d)]
@@ -251,17 +269,52 @@ def test_oracle_matches_full_search(d, a, b):
     assert sm.ingredients == ref.ingredients
 
 
-@pytest.mark.parametrize("d,a,b,fld", [(6, 0, 0, QQ), (10, 1, 1, F1009), (7, 0, 1, QQ), (9, 2, 0, F1009)])
-def test_oracle_needs_no_full_kernel(monkeypatch, d, a, b, fld):
-    # on family members a gradient-kernel pair always works: no fallback
-    import saito_forge.saito as saito
+def search_outcome(search, inst):
+    """The report and ingredients a search builds, or its failure message."""
+    try:
+        sm = search(inst)
+    except SaitoConstructionFailed as exc:
+        return str(exc)
+    return sm.to_json(), sm.ingredients
 
-    def refuse(inst, t):
-        raise AssertionError("the full kernel was searched")
 
-    monkeypatch.setattr(saito, "syzygy_kernel", refuse)
-    inst = build_divisor(random_instance(d, a, b, seed=55, field=fld))
-    assert build_saito_matrix(inst, route="oracle").verify.passed
+def prime_above(n):
+    return next(p for p in range(n + 1, 2 * n + 2) if _is_prime(p))
+
+
+def family_search_cases():
+    for d in (6, 7, 8, 9, 12, 13):
+        pairs = legal_pairs(d)
+        for fld in (QQ, F1009, PrimeField(prime_above(3 * d))):
+            for a, b in sorted({pairs[0], pairs[-1]}):
+                yield pytest.param(lambda d=d, a=a, b=b, fld=fld: build_divisor(
+                    random_instance(d, a, b, seed=d + b, field=fld)), id=f"d{d}-{a}-{b}-{fld!r}")
+
+
+def hand_built(factors, fld):
+    """A DivisorInstance for F = the product of ``factors``, bypassing the
+    family's validation: the oracle route reads only d and the field from
+    its parameters."""
+    f = parse(factors[0], fld)
+    for text in factors[1:]:
+        f = f * parse(text, fld)
+    one = Poly.constant(fld, fld.one, 2)
+    return DivisorInstance(FamilyParams(f.degree(), 0, 0, one, one), f,
+                           *(f.partial(var) for var in "xyz"))
+
+
+HAND_BUILT = [
+    ("x^5 + y^5 + z^5",),                               # Fermat quintic: not free
+    ("x^6 + y^6 + z^6",),                               # Fermat sextic: not free
+    ("x^5 + y^4*z",),                                   # a degree-1 syzygy: no (2, 2) pair
+    ("x", "y", "z", "x - y", "x - z", "y - z"),         # A3 arrangement: free, (2, 3)
+    ("x", "y", "z", "x - y", "x - z"),                  # A3 less a line: free, (2, 2)
+    ("x", "y", "z", "x + y", "x + z", "y + z"),         # not free
+    ("y^2*z - x^3", "y"),                               # cusp and its tangent: free, (1, 2)
+    ("x", "x*y^2 + y^3 + x^2*y + y^2*z"),               # x | F(x, y, 0): free, (1, 2)
+    ("x^5 + x^2*y^3 + x*y^4 + y^5 + y^4*z",),           # the d = 5 family shape
+    ("x^2 + y*z", "x^2 + y*z", "x"),                    # not reduced
+]
 
 
 def empty_gradient_kernel(inst, t):
@@ -273,13 +326,16 @@ def useless_gradient_kernel(inst, t):
     return SyzygyBasis(t, (SyzygyVector(zero, zero, zero, zero),) * 3)
 
 
-@pytest.mark.parametrize("stand_in", [empty_gradient_kernel, useless_gradient_kernel])
-@pytest.mark.parametrize("d,a,b,fld", [(8, 1, 0, F1009), (10, 1, 1, QQ), (9, 1, 1, QQ)])
-def test_oracle_falls_back_to_the_full_search(monkeypatch, stand_in, d, a, b, fld):
-    import saito_forge.saito as saito
-    inst = build_divisor(random_instance(d, a, b, seed=55, field=fld))
-    monkeypatch.setattr(saito, "gradient_kernel", stand_in)
-    assert build_saito_matrix(inst, route="oracle").to_json() == full_oracle_search(inst).to_json()
+@pytest.mark.parametrize("build", list(family_search_cases())
+                         + [pytest.param(lambda fs=fs, fld=fld: hand_built(fs, fld),
+                                         id=f"{'*'.join(fs)}-{fld!r}")
+                            for fs in HAND_BUILT for fld in (QQ, F1009)])
+def test_single_search_matches_two_phase_search(build):
+    # by Saito's criterion (F reduced, d a unit) the full-kernel phase finds
+    # no pair the first phase misses; the hand-built curves go beyond the family
+    inst = build()
+    assert search_outcome(lambda i: build_saito_matrix(i, route="oracle"), inst) == \
+        search_outcome(two_phase_oracle_search, inst)
 
 
 @pytest.mark.parametrize("stand_in", [None, empty_gradient_kernel, useless_gradient_kernel])
@@ -295,16 +351,6 @@ def test_oracle_failure_message(monkeypatch, stand_in):
 
 
 def test_oracle_takes_the_accepted_det_once(monkeypatch):
-    assert_accepted_det_once(monkeypatch)
-
-
-def test_oracle_fallback_takes_the_accepted_det_once(monkeypatch):
-    import saito_forge.saito as saito
-    monkeypatch.setattr(saito, "gradient_kernel", empty_gradient_kernel)
-    assert_accepted_det_once(monkeypatch)
-
-
-def assert_accepted_det_once(monkeypatch):
     import saito_forge.saito as saito
     calls = []
 
