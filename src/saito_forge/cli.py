@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .column_system import NoSolution
+from .column_system import RouteFailure
 from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
                      InvalidParams, FamilyParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
@@ -26,11 +26,7 @@ from .oracle import (JacobianLadder, expected_multiplicity, freeness_probe,
                      point_support_check, predicted_quotient_hilbert,
                      resolution_check, syzygy_kernel)
 from .poly import Poly, PolyError, parse, render
-from .saito import (DegenerateConstant, SaitoConstructionFailed,
-                    build_saito_matrix)
-
-# what a route that cannot build raises; verify and sweep report it, export refuses
-ROUTE_FAILURES = (SaitoConstructionFailed, DegenerateConstant, NoSolution)
+from .saito import build_saito_matrix
 
 
 class CliError(Exception):
@@ -161,7 +157,7 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
         try:
             sm = build_saito_matrix(inst, route=args.route)
             stage = ("saito", sm.to_json(), sm.verify.passed)
-        except ROUTE_FAILURES as exc:
+        except RouteFailure as exc:
             stage = ("saito", {"pass": False, "error": str(exc)}, False)
     timings["saito"] = time.perf_counter() - t0
 
@@ -266,7 +262,7 @@ def _sweep_task(task) -> dict:
         entry["route"] = sm.route
         entry["unit_c"] = str(sm.unit)
         entry["pass"] = sm.verify.passed
-    except ROUTE_FAILURES as exc:
+    except RouteFailure as exc:
         _failed(entry, exc)
     entry["irreducible"] = is_irreducible(inst.f)
     return entry
@@ -398,7 +394,7 @@ def cmd_export(args) -> int:
         inst = _instance_from_args(args)
     try:
         sm = build_saito_matrix(inst, route=args.route)
-    except ROUTE_FAILURES as exc:
+    except RouteFailure as exc:
         sys.stderr.write(f"export: route {args.route!r} cannot build a Saito matrix: {exc}\n")
         return 1
     if args.cas == "macaulay2":

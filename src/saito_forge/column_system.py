@@ -17,7 +17,12 @@ from .linalg import eliminate, solve_affine
 from .poly import Poly, column_polys, shifted_columns
 
 
-class NoSolution(Exception):
+class RouteFailure(Exception):
+    """A Saito route cannot build its matrix: verify and sweep report it as a
+    failed check, export refuses.  Any other exception in a route is a bug."""
+
+
+class NoSolution(RouteFailure):
     """The graded system has no solution: F2 does not have the degree its
     row grading needs (an even-degree member), or, with validated odd-degree
     parameters, it is inconsistent, which signals an implementation bug."""

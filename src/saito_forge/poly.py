@@ -5,11 +5,11 @@ field scalars; bivariate polynomials keep ``ez = 0`` and are tagged with
 ``nvars = 2``.  Polynomials are immutable after construction: every operation
 allocates a fresh result, so values can be shared freely across threads.
 
-The canonical text form prints terms in descending graded-lexicographic order
-(x > y > z) with explicit ``*`` between coefficient and variables and no
-``^1``; ``parse`` inverts it exactly.  ``monomials`` lists each degree's basis
-in that order, and ``shifted_columns`` builds every linear system the package
-solves from shifted forms, as sparse columns indexed in that order.
+The canonical text form prints terms in descending graded-lex order, x > y > z,
+with ``*`` between coefficient and variables, no ``^1`` and ASCII digits;
+``parse`` inverts it exactly.  ``monomials`` lists each degree's basis in that
+order, and ``shifted_columns`` builds every linear system the package solves
+from shifted forms, as sparse columns indexed in that order.
 
 Sums, products, negation, scaling and ``det3`` run on maps of Python ints,
 as ``linalg.eliminate`` does: a rational operand (a row, in ``det3``) is
@@ -24,6 +24,7 @@ square-freeness here and irreducibility in ``family``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -459,121 +460,80 @@ def render(p: "Poly") -> str:
     return "".join(parts)
 
 
-class _Parser:
-    """Recursive-descent parser for the canonical polynomial grammar:
+def parse(text: str, field: Field = QQ, nvars: int = 3) -> Poly:
+    """Parse the canonical text form into a polynomial over the given field.
+
+    The grammar, over tokens that are runs of ASCII digits or single
+    non-space characters:
 
         expr   := ['+'|'-'] term (('+'|'-') term)*
         term   := coeff ('*' factor)* | factor ('*' factor)*
         factor := var ('^' uint)?
-        coeff  := int | int '/' uint
+        coeff  := uint | uint '/' uint
+
+    A PolySyntaxError's ``pos`` is where the offending token starts (where a
+    zero denominator ends), or ``len(text)`` when the text ends too early.
     """
+    toks = [(m[1], m.start(1)) for m in re.finditer(r"\s*([0-9]+|\S)", text)] + [("", len(text))]
+    if len(toks) == 1:
+        raise PolySyntaxError("empty input", len(text))
+    op, i = (toks[0][0], 1) if toks[0][0] in ("+", "-") else ("+", 0)
 
-    def __init__(self, text: str, field: Field, nvars: int):
-        self.text = text
-        self.field = field
-        self.nvars = nvars
-        self.pos = 0
+    def uint() -> int:
+        nonlocal i
+        tok, pos = toks[i]
+        i += 1
+        if not (tok.isascii() and tok.isdigit()):
+            raise PolySyntaxError("expected an integer", pos)
+        try:
+            return int(tok)
+        except ValueError:  # longer than Python's int-string limit
+            raise PolySyntaxError("integer has too many digits", pos) from None
 
-    def error(self, msg: str):
-        raise PolySyntaxError(msg, self.pos)
+    def factor(m: list):
+        nonlocal i
+        tok, pos = toks[i]
+        if tok not in VAR_INDEX:
+            if tok.isalpha():
+                raise UnknownVariable(f"unknown variable {tok!r} at position {pos}")
+            raise PolySyntaxError("expected a variable", pos)
+        if VAR_INDEX[tok] >= nvars:
+            raise UnknownVariable(f"variable {tok!r} not allowed here (nvars={nvars})")
+        i += 1
+        e = 1
+        if toks[i][0] == "^":
+            i += 1
+            e = uint()
+        m[VAR_INDEX[tok]] += e
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def coeff(self):
-        n = self.uint()
-        if self.peek() == "/":
-            self.take("/")
-            d = self.uint()
-            if d == 0:
-                self.error("zero denominator")
-            return self.field.div(self.field.from_int(n), self.field.from_int(d))
-        return self.field.from_int(n)
-
-    def factor(self):
-        ch = self.peek()
-        if ch in VAR_INDEX:
-            if VAR_INDEX[ch] >= self.nvars:
-                raise UnknownVariable(f"variable {ch!r} not allowed here (nvars={self.nvars})")
-            self.pos += 1
-            e = 1
-            if self.peek() == "^":
-                self.take("^")
-                e = self.uint()
-            m = [0, 0, 0]
-            m[VAR_INDEX[ch]] = e
-            return tuple(m)
-        if ch.isalpha():
-            raise UnknownVariable(f"unknown variable {ch!r} at position {self.pos}")
-        self.error("expected a variable")
-
-    def term(self):
-        f = self.field
-        ch = self.peek()
-        if ch.isdigit():
-            c = self.coeff()
-            m = (0, 0, 0)
-        elif ch in VAR_INDEX or ch.isalpha():
+    f, terms = field, {}
+    while True:
+        tok, pos = toks[i]
+        m = [0, 0, 0]
+        if tok.isdigit():
+            c = f.from_int(uint())
+            if toks[i][0] == "/":
+                i += 1
+                tok, pos = toks[i]
+                if not (d := uint()):
+                    raise PolySyntaxError("zero denominator", pos + len(tok))
+                c = f.div(c, f.from_int(d))
+        elif tok in VAR_INDEX or tok.isalpha():
             c = f.one
-            e = self.factor()
-            m = e
+            factor(m)
         else:
-            self.error("expected a term")
-        while self.peek() == "*":
-            self.take("*")
-            e = self.factor()
-            m = (m[0] + e[0], m[1] + e[1], m[2] + e[2])
-        return m, c
-
-    def expr(self):
-        f = self.field
-        terms: dict = {}
-        sign = 1
-        ch = self.peek()
-        if ch in "+-":
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        while True:
-            m, c = self.term()
-            if sign < 0:
-                c = f.neg(c)
-            terms[m] = f.add(terms.get(m, f.zero), c)  # `parse` drops cancelled terms
-            ch = self.peek()
-            if ch == "":
-                break
-            if ch not in "+-":
-                self.error(f"unexpected {ch!r}")
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        return terms
-
-
-def parse(text: str, field: Field = QQ, nvars: int = 3) -> Poly:
-    """Parse the canonical text form into a polynomial over the given field."""
-    parser = _Parser(text, field, nvars)
-    if parser.peek() == "":
-        parser.error("empty input")
-    terms = parser.expr()
-    return Poly(field, nvars, terms)
+            raise PolySyntaxError("expected a term", pos)
+        while toks[i][0] == "*":
+            i += 1
+            factor(m)
+        m = tuple(m)
+        terms[m] = f.add(terms.get(m, f.zero), f.neg(c) if op == "-" else c)  # Poly drops zeros
+        op, pos = toks[i]
+        if not op:
+            return Poly(field, nvars, terms)
+        if op not in ("+", "-"):
+            raise PolySyntaxError(f"unexpected {op[0]!r}", pos)
+        i += 1
 
 
 def monomials(degree: int, nvars: int = 3):

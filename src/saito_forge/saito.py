@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .column_system import (base_pair, build_column_system, column_syzygy_generator,
-                            solve_column_system, y_bracket)
+from .column_system import (RouteFailure, base_pair, build_column_system,
+                            column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
 from .oracle import _as_divisor_poly, gradient_kernel, gradient_pairing
@@ -27,11 +27,11 @@ ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
 ROUTE_ORACLE = "oracle"
 
 
-class DegenerateConstant(Exception):
+class DegenerateConstant(RouteFailure):
     """A closed-form denominator vanished; impossible for validated params."""
 
 
-class SaitoConstructionFailed(Exception):
+class SaitoConstructionFailed(RouteFailure):
     def __init__(self, message: str, residual: Poly | None = None):
         super().__init__(message)
         self.residual = residual
@@ -273,10 +273,13 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     g1, g2 = ing["g1"], ing["g2"]
     sol = solve_column_system(build_column_system(params, mu))
     h1, h3, h5 = sol.h1, sol.h3, sol.h5
-    base = gradient_pairing(inst, [h.as_trivariate() for h in (h1, h3, h5)])
-    lam_vec = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1.as_trivariate()) * inst.fx
-               - (Poly.monomial(fld, (0, v - al - 1, 1)) * g2.as_trivariate()) * inst.fy
-               + (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2.as_trivariate()) * inst.fz)
+    hs = [h.as_trivariate() for h in (h1, h3, h5)]
+    base = gradient_pairing(inst, hs)
+    # the last column is (h1, h3, h5 + z*u) + lambda * lam_col
+    lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1.as_trivariate()),
+               -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2.as_trivariate()),
+               (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2.as_trivariate()))
+    lam_vec = gradient_pairing(inst, lam_col)
     # unknowns: the tail u of degree v - 1, entering as u * z * Fz, and lambda
     tail = Poly.variable(fld, "z") * inst.fz
     nrows, cols = shifted_columns([(v - 1, (tail,)), (0, (lam_vec,)), (0, (-base,))],
@@ -287,12 +290,8 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     (u_poly, lam_poly), *kernel = column_polys([particular, *kernel], (v - 1, 0), fld, zfree=True)
     lam = lam_poly.coeff_of((0, 0, 0))
     lam_unique = all(k[1].is_zero() for k in kernel)
-    col3 = (
-        h1.as_trivariate() - Poly.monomial(fld, (1, v - al - 1, 1), lam) * g1.as_trivariate(),
-        h3.as_trivariate() - Poly.monomial(fld, (0, v - al - 1, 1), lam) * g2.as_trivariate(),
-        h5.as_trivariate() + Poly.variable(fld, "z") * u_poly.as_trivariate()
-        + (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2), lam) * g2.as_trivariate()),
-    )
+    hs[2] = hs[2] + Poly.variable(fld, "z") * u_poly.as_trivariate()
+    col3 = tuple(h + c.scale(lam) for h, c in zip(hs, lam_col))
     ing.update({"h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
                 "lambda_unique": lam_unique})
     return _finish_explicit(inst, ing, col3, ROUTE_EXPLICIT_BETA0,

@@ -328,12 +328,21 @@ def test_import_leaves_numpy_out():
     (["sweep", "--d", "5", "--trials", "0"], {}, {}),
     (["sweep", "--d", "5", "--trials", "-1"], {}, {}),
     (["sweep", "--d", "5", "--alpha", "7"], {}, {}),
+    # a digit that is not ASCII, and an integer over Python's int-string limit
+    (["construct", "--d", "7", "--f1", "1", "--f2", "²"], {}, {}),
+    (["construct", "--d", "7", "--f1", "1", "--f2", "x^²"], {}, {}),
+    (["construct", "--d", "7", "--f1", "1", "--f2", "x^" + "9" * 5000],
+     {"PYTHONINTMAXSTRDIGITS": "4300"}, {}),
+    (["verify", "--in", "{tmp}/digit.json"], {},
+     {"digit.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
+                    '"F2": "x^2 + x*y + y^2", "F": "x^²"}'}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
         "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
         "point-support-bound-raw-f", "raw-f-not-a-form",
         "char-policy-verify", "char-policy-sweep",
         "unwritable-out", "unwritable-csv", "unwritable-export", "range-not-a-number",
-        "range-open", "range-reversed", "no-trials", "negative-trials", "alpha-out-of-range"])
+        "range-open", "range-reversed", "no-trials", "negative-trials", "alpha-out-of-range",
+        "superscript-form", "superscript-exponent", "over-long-exponent", "superscript-stored-f"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -341,6 +350,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_over_long_exponent_without_int_string_limit_fails_validation():
+    # with no int-string limit the exponent parses, and F2 has the wrong degree
+    proc = run_subprocess(["construct", "--d", "7", "--f1", "1", "--f2", "x^" + "9" * 5000],
+                          {"PYTHONINTMAXSTRDIGITS": "0"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "f2_degree" in proc.stderr
 
 
 def test_point_support_bound_below_n_is_inconclusive(capsys):

@@ -13,7 +13,8 @@ st = hypothesis.strategies
 
 FIELDS = st.sampled_from(["q", "fp:1009", "fp:32003"]) | st.sampled_from(
     ["fp:7", "fp:4", "fp:0", "fp:-5", "fp:", "fp:x", "gf", ""])
-MALFORMED = ["", "+", "x^", "x**2", "x y", "1/0", "3/", "x^-1", "z", "w", "2*", "(x+y)", "x/2", "1e3"]
+MALFORMED = ["", "+", "x^", "x**2", "x y", "1/0", "3/", "x^-1", "z", "w", "2*", "(x+y)", "x/2", "1e3",
+             "²", "x^²", "x^٣"]
 
 
 @st.composite
