@@ -12,11 +12,11 @@ from .column_system import (ColumnSystem, build_column_system,
                             column_cokernel_hilbert, column_syzygy_generator,
                             cokernel_series_coefficient, solve_column_system)
 from .saito import (SaitoConstructionFailed, SaitoMatrix, build_saito_matrix,
-                    compute_constants, coupling_residual,
+                    compute_constants, coupling_residual, freeness_probe,
                     last_column_residual, last_column_strata,
                     middle_column_residual, verify_saito)
 from .oracle import (MacaulayMatrix, SyzygyBasis, expected_multiplicity,
-                     freeness_probe, in_kernel_span, jacobian_generators, point_support_check,
+                     in_kernel_span, jacobian_generators, point_support_check,
                      predicted_quotient_hilbert, resolution_check,
                      syzygy_kernel)
 

@@ -22,11 +22,10 @@ from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, random_non_squarefree_instance)
 from .field import FieldError, field_from_spec
-from .oracle import (JacobianLadder, expected_multiplicity, freeness_probe,
-                     point_support_check, predicted_quotient_hilbert,
-                     resolution_check, syzygy_kernel)
+from .oracle import (JacobianLadder, expected_multiplicity, point_support_check,
+                     predicted_quotient_hilbert, resolution_check, syzygy_kernel)
 from .poly import Poly, PolyError, parse, render
-from .saito import build_saito_matrix
+from .saito import build_saito_matrix, freeness_probe
 
 
 class CliError(Exception):
@@ -152,7 +151,7 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.terms) else None
     if inst is None:
         probe = freeness_probe(f, bound)
-        stage = ("freeness_probe", probe.to_json(), probe.succeeded)
+        stage = ("freeness_probe", probe.to_json(), probe.success)
     else:
         try:
             sm = build_saito_matrix(inst, route=args.route)
@@ -178,8 +177,6 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     checks = [("irreducible", irreducible, irreducible is not False), stage,
               ("resolution", res.to_json(), res.passed),
               ("point_support", ps.to_json(), ps.certified)]
-    if inst is None:
-        checks.append(checks.pop(1))  # the raw report lists the probe last
     report.update((key, section) for key, section, _ in checks)
     failures = [key for key, _, ok in checks if not ok]
     if inst is None:
@@ -200,6 +197,8 @@ def cmd_verify(args) -> int:
             f = parse(data["F"], field_from_spec(data["field"]))
             if f.is_zero() or not f.is_homogeneous():
                 raise CliError(f"stored F in {args.infile} is not a nonzero form")
+            if f.degree() != data["d"]:
+                raise CliError(f"stored F in {args.infile} has degree {f.degree()}, not d = {data['d']}")
             return _verify(args, f, {"instance": data, "raw_f_mode": True}, None)
     else:
         inst = _instance_from_args(args)
@@ -255,7 +254,7 @@ def _sweep_task(task) -> dict:
         entry["square_free_F1"] = not forced
         probe = freeness_probe(inst.f, 3 * params.v + 3)
         entry["probe"] = probe.to_json()
-        entry["pass"] = probe.succeeded
+        entry["pass"] = probe.success
         return entry
     try:
         sm = build_saito_matrix(inst)

@@ -36,13 +36,13 @@ monomial e completes it to the kernel of (Fx, Fy, Fz, F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .family import DivisorInstance
 from .field import Field
 from .linalg import canonical_kernel, eliminate
-from .poly import (Poly, column_polys, det_unit, dot, grlex_key, monomial_index, monomials,
+from .poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
                    shifted_columns, space_dim)
 
 
@@ -361,64 +361,3 @@ def point_support_check(inst, t_bound: int | None = None,
     ladder = ladder or JacobianLadder(inst)
     n = next((n for n in range(d - 1, t_bound + 1) if ladder.powers_in(n)), None)
     return PointSupportResult(n is not None, n, t_bound)
-
-
-# ----- exploratory freeness probe -------------------------------------------
-
-
-@dataclass
-class ProbeReport:
-    degree_bound: int
-    fresh_degrees: dict = dc_field(default_factory=dict)
-    assembled: dict | None = None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.assembled is not None
-
-    def to_json(self) -> dict:
-        return {
-            "success": self.succeeded,
-            "degree_bound": self.degree_bound,
-            "fresh_degrees": {str(k): v for k, v in sorted(self.fresh_degrees.items())},
-            "assembly": self.assembled,
-        }
-
-
-def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
-    """Search for a Saito matrix of a reduced homogeneous f by brute force.
-
-    Walks the syzygy kernels degree by degree, keeps generators that are not
-    multiples of earlier ones (the Euler vector starts the list), and tries to
-    assemble Euler plus two generators whose degrees sum to deg(f) - 1 into a
-    matrix with det = c*f.  Exploratory: exhaustion proves nothing.
-    """
-    fld = f.field
-    d = f.degree()
-    report = ProbeReport(degree_bound)
-    found: list[tuple[int, SyzygyVector]] = []
-    x = Poly.variable(fld, "x")
-    y = Poly.variable(fld, "y")
-    z = Poly.variable(fld, "z")
-    gens = jacobian_generators(f)
-    for t in range(1, degree_bound + 1):
-        basis = _syzygy_kernel_raw(gens, t)
-        nrows, cols = _syzygy_columns(found + [(t, v) for v in basis.vectors], t)
-        if not cols:
-            continue
-        pivots = set(eliminate(nrows, cols, fld)[0])
-        # a kernel column that survives as a pivot is independent of the span
-        fresh = [v for i, v in enumerate(basis.vectors, len(cols) - len(basis.vectors)) if i in pivots]
-        if fresh:
-            report.fresh_degrees[t] = len(fresh)
-            found.extend((t, g) for g in fresh)
-        for i, (ti, gi) in enumerate(found):
-            for j, (tj, gj) in enumerate(found):
-                if j <= i or ti + tj != d - 1 or tj > t:
-                    continue
-                b = [[x, gi.a, gj.a], [y, gi.b, gj.b], [z, gi.c, gj.c]]
-                unit = det_unit(f, b)[1]
-                if unit is not None:
-                    report.assembled = {"degrees": [1, ti, tj], "unit": fld.render(unit)}
-                    return report
-    return report

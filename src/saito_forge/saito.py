@@ -10,7 +10,7 @@ column modulo F and det equals F up to a nonzero scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .column_system import (RouteFailure, base_pair, build_column_system,
@@ -298,41 +298,50 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
-def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
-    """Euler's column next to two AR(F) columns with det = c*F, c a nonzero
-    scalar, of degrees (t2, t3) = (v - 1, v) for even d, (v, v) for odd d:
-    the first `gradient_kernel` vector of degree t2 paired with each later
-    one of degree t3, in order.
+def _saito_pair(f, t2: int, t3: int):
+    """Euler's column next to two AR(F) columns of degrees (t2, t3) with
+    det = c*F, c a nonzero scalar: the first `gradient_kernel` vector of
+    degree t2 paired with each later one of degree t3, in order.  Returns
+    (matrix, report, s2, s3) for the first such pair, the report from the
+    `_verify` every route passes, or None.  Takes a DivisorInstance, whose
+    stored gradient it reads, or a bare F.
 
-    A search over the whole kernel of (Fx, Fy, Fz, F) finds nothing more:
-    its basis starts with the gradient kernel's, so it tries these pairs
-    first, and
-    - a kernel pair with det = c*F keeps that determinant when Euler
-      multiples are removed from it;
-    - so, by Saito's criterion (Saito 1980, J. Fac. Sci. Univ. Tokyo 27),
-      Euler and the pair's AR(F) parts are a basis of Der(-log F).  The
-      criterion applies as F = A + B*z is irreducible for every family
-      member (B = x^beta y^(d-beta-1), and neither x nor y divides
-      A = F(x, y, 0)), and p > 3d makes d a unit;
-    - AR(F) is then free on those two parts, so the first vector of any
-      basis of AR(F)_t2 pairs with some vector of any basis of AR(F)_t3.
+    For a reduced F over a field where d is a unit, it succeeds exactly
+    when F is free of exponents (t2, t3), t2 <= t3:
+    - a pair from the whole kernel of (Fx, Fy, Fz, F) with det = c*F keeps
+      that determinant when Euler multiples are removed from it, so a
+      search over that kernel finds nothing more;
+    - by Saito's criterion (Saito 1980, J. Fac. Sci. Univ. Tokyo 27), Euler
+      and such a pair are a basis of Der(-log F): F is free;
+    - conversely, AR(F) of a free F is free on two vectors of degrees
+      (t2, t3), so the first vector of any basis of AR(F)_t2 pairs with
+      some vector of any basis of AR(F)_t3.
     """
-    params = inst.params
-    d = params.d
-    v = params.v
-    fld = params.field
-    t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
-    basis2 = gradient_kernel(inst, t2).vectors
-    basis3 = basis2[1:] if t3 == t2 else gradient_kernel(inst, t3).vectors
+    poly = _as_divisor_poly(f)
+    basis2 = gradient_kernel(f, t2).vectors
+    basis3 = basis2[1:] if t3 == t2 else gradient_kernel(f, t3).vectors
     for s2, s3 in product(basis2[:1], basis3):
-        matrix = _assemble(fld, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
-        if (det := det_unit(inst.f, matrix))[1] is not None:
-            ing = {"f": inst.f, "syz2": s2, "syz3": s3}
-            return _finish(inst, matrix, ROUTE_ORACLE, ing,
-                           {"a": None, "b": None, "mu": None, "lambda": None},
-                           {"eq2": None, "eq3": None, "eq4": None}, None, det)
-    raise SaitoConstructionFailed(
-        f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
+        matrix = _assemble(poly.field, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+        if (det := det_unit(poly, matrix))[1] is not None:
+            return matrix, _verify(f, matrix, *det), s2, s3
+    return None
+
+
+def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
+    """The `_saito_pair` of degrees (t2, t3) = (v - 1, v) for even d, (v, v)
+    for odd d.  It applies as F = A + B*z is irreducible for every family
+    member (B = x^beta y^(d-beta-1), and neither x nor y divides
+    A = F(x, y, 0)), and p > 3d makes d a unit."""
+    v = inst.params.v
+    t2, t3 = (v, v) if inst.params.d % 2 == 1 else (v - 1, v)
+    pair = _saito_pair(inst, t2, t3)
+    if pair is None:
+        raise SaitoConstructionFailed(
+            f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
+    matrix, report, s2, s3 = pair
+    return _finish(inst, matrix, ROUTE_ORACLE, {"f": inst.f, "syz2": s2, "syz3": s3},
+                   {"a": None, "b": None, "mu": None, "lambda": None},
+                   {"eq2": None, "eq3": None, "eq4": None}, None, report)
 
 
 def _assemble(fld, col2, col3):
@@ -355,10 +364,9 @@ def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix
                    {"eq2": eq2, "eq3": eq3, "eq4": eq4}, sol)
 
 
-def _finish(inst, matrix, route, ing, constants, residuals, sol, det=None) -> SaitoMatrix:
-    """Verify and wrap a built matrix, reusing ``det`` = ``det_unit(F, matrix)`` if given."""
-    report = (verify_saito(inst, matrix) if det is None
-              else _verify(inst, matrix, *det))
+def _finish(inst, matrix, route, ing, constants, residuals, sol, report=None) -> SaitoMatrix:
+    """Verify and wrap a built matrix, reusing its `_verify` ``report`` if given."""
+    report = report or verify_saito(inst, matrix)
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
     if sol is not None:
@@ -385,3 +393,36 @@ def build_saito_matrix(inst: DivisorInstance, route: str = "auto") -> SaitoMatri
     if route == ROUTE_ORACLE:
         return _build_oracle(inst)
     raise ValueError(f"unknown route {route!r}")
+
+
+# ----- freeness of a bare F ----------------------------------------------------
+
+
+@dataclass
+class ProbeReport:
+    success: bool
+    degree_bound: int
+    min_degree: int | None       # r, the least t >= 1 with AR(F)_t != 0
+    assembly: dict | None        # column degrees (1, r, d - 1 - r) and the unit c
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
+    """Saito's criterion for a bare F, with no closed form to follow: r is
+    the least t in 1..degree_bound with AR(F)_t != 0, and a free reduced F
+    has exponents (r, d - 1 - r), so `_saito_pair` of those degrees decides
+    it whenever r <= d - 1 - r <= degree_bound.
+
+    A success is an exact det = c*F certificate.  Over the rationals, with
+    degree_bound >= d - 1, a failure on a reduced F proves F is not free,
+    unless F is a cone: its constant syzygy (r = 0) lies below the search.
+    On a non-reduced F a failure proves nothing."""
+    d = f.degree()
+    r = next((t for t in range(1, degree_bound + 1) if gradient_kernel(f, t).vectors), None)
+    pair = _saito_pair(f, r, d - 1 - r) if r is not None and r <= d - 1 - r <= degree_bound else None
+    if pair is None or not pair[1].passed:
+        return ProbeReport(False, degree_bound, r, None)
+    return ProbeReport(True, degree_bound, r,
+                       {"degrees": [1, r, d - 1 - r], "unit": f.field.render(pair[1].unit)})

@@ -20,12 +20,11 @@ from saito_forge.family import (FamilyParams, build_divisor, is_irreducible,
                                 legal_pairs, random_instance, validate)
 from saito_forge.family import _random_form
 from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import (SyzygyVector, expected_multiplicity,
-                                freeness_probe, in_kernel_span,
+from saito_forge.oracle import (SyzygyVector, expected_multiplicity, in_kernel_span,
                                 point_support_check, resolution_check,
                                 syzygy_kernel)
 from saito_forge.poly import Poly, monomials, parse, render, split_pure_power
-from saito_forge.saito import (build_saito_matrix, last_column_residual,
+from saito_forge.saito import (build_saito_matrix, freeness_probe, last_column_residual,
                                last_column_strata, middle_column_residual)
 
 F1009 = PrimeField(1009)
@@ -206,7 +205,7 @@ def test_criterion_7_negative_controls(tmp_path):
     assert report["pass"] is False and report["failures"]
     # the Fermat quintic admits no Saito assembly up to 3v + 3 = 9
     probe = freeness_probe(parse("x^5 + y^5 + z^5"), 9)
-    assert not probe.succeeded
+    assert not probe.success
     _verdict(7, "negative controls all rejected")
 
 

@@ -336,13 +336,18 @@ def test_import_leaves_numpy_out():
     (["verify", "--in", "{tmp}/digit.json"], {},
      {"digit.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
                     '"F2": "x^2 + x*y + y^2", "F": "x^²"}'}),
+    # a stored F whose degree is not d: without the check it ran without end
+    (["verify", "--in", "{tmp}/high.json"], {},
+     {"high.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
+                   '"F2": "x^2 + x*y + y^2", "F": "x^1000"}'}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
         "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
         "point-support-bound-raw-f", "raw-f-not-a-form",
         "char-policy-verify", "char-policy-sweep",
         "unwritable-out", "unwritable-csv", "unwritable-export", "range-not-a-number",
         "range-open", "range-reversed", "no-trials", "negative-trials", "alpha-out-of-range",
-        "superscript-form", "superscript-exponent", "over-long-exponent", "superscript-stored-f"])
+        "superscript-form", "superscript-exponent", "over-long-exponent", "superscript-stored-f",
+        "raw-f-wrong-degree"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

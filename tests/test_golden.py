@@ -49,18 +49,18 @@ GOLDEN = {
         "3d409a7683fd647ccbbb75d1db6ec2606ecc63f727fe374f5a93dc5cab0cb498"),
     "syzygies": (["syzygies", "--d", "6", "--seed", "1", "--field", "q", "--degree", "3"],
         "fe55fe30bc724cc6b700bb3251236dacfb2110d37522d8f8fae20f2df2aad735"),
-    # the freeness probe's kernels, and a basis holding both AR(F) and Euler vectors
+    # the freeness probe: the least AR(F) degree r and the Saito pair at (r, d - 1 - r)
     "sweep-drop-squarefree-q": (["sweep", "--d", "9..11", "--alpha", "2", "--trials", "1",
                                  "--drop-squarefree", "--field", "q"],
-        "6eab89b1fceae05fc88f3aeb80d0516187d30987f82818818df18ebeacaf6458"),
+        "34dffdc616c9a54b4604bb1fb2fb23751fcdf074400e9047fcbe86f56dc3e82f"),
     "syzygies-fp": (["syzygies", "--d", "8", "--seed", "1", "--field", "fp:1009", "--degree", "4"],
         "151553ef63bf437704cd66efeead2ed5d3168958b9327f25c8954807fa0fb27c"),
     "hilbert": (["hilbert", *WORKED, "--degree-bound", "9"],
         "f3fb96d7272cecc2b774ef3519d8496e3a72cb0dbfaabd653d95bad92832738e"),
     "verify-tampered-x5": (["verify", "--in", "{tampered-x5}"],
-        "92f8c291cc63438c3cba3bd3e67ef0f4871127c25b525c997df75ec171980c17"),
+        "cbf595c5e1e404edc92c67cbcb23014d9e8732c2aeb336c1f0c7e648c4f4b644"),
     "verify-tampered-zfree": (["verify", "--in", "{tampered-zfree}"],
-        "d828477552bbcdc57033546c4a8440e594cd0fc749b158daf74173073b7e426c"),
+        "9bcd3296ca830981c23f1ac8ecb9d7b834320f6962bf16e1d9fbc88686896714"),
 }
 
 

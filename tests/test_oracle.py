@@ -7,14 +7,14 @@ from saito_forge import oracle
 from saito_forge.linalg import eliminate, pivot_columns, rref
 from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon,
                                 _syzygy_columns, _syzygy_kernel_raw,
-                                expected_multiplicity,
-                                freeness_probe, gradient_kernel, gradient_pairing,
+                                expected_multiplicity, gradient_kernel, gradient_pairing,
                                 in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
                                 space_dim, syzygy_kernel)
 from saito_forge.poly import Poly, column_polys, grlex_key, monomials, parse, shifted_columns
+from saito_forge.saito import freeness_probe
 
 F1009 = PrimeField(1009)
 
@@ -252,24 +252,24 @@ def test_membership_of_zero_is_trivial():
 
 def test_probe_family_instance():
     rep = freeness_probe(worked_instance().f, 9)
-    assert rep.succeeded
-    assert rep.assembled["degrees"] == [1, 2, 2]
-    assert rep.fresh_degrees[2] == 2
+    assert rep.success
+    assert rep.assembly["degrees"] == [1, 2, 2]
+    assert rep.min_degree == 2
 
 
 def test_probe_even_degree_split_degrees():
     inst = build_divisor(random_instance(6, 0, 0, seed=2, field=F1009))
     rep = freeness_probe(inst.f, 6)
-    assert rep.succeeded
-    assert rep.assembled["degrees"] == [1, 2, 3]
-    assert rep.fresh_degrees[2] == 1 and rep.fresh_degrees[3] == 1
+    assert rep.success
+    assert rep.assembly["degrees"] == [1, 2, 3]
+    assert rep.min_degree == 2
 
 
 def test_probe_fermat_quintic_exhausts():
     rep = freeness_probe(parse("x^5 + y^5 + z^5"), 9)
-    assert not rep.succeeded
-    # only the Euler vector and the Koszul relations of the partials show up
-    assert rep.fresh_degrees == {1: 1, 4: 3}
+    assert not rep.success
+    # the first syzygies are the Koszul relations of the partials, at degree 4
+    assert rep.min_degree == 4
 
 
 # ----- direct assembly against the dense Macaulay matrix --------------------------
