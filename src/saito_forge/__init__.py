@@ -16,7 +16,7 @@ from .saito import (SaitoConstructionFailed, SaitoMatrix, build_saito_matrix,
                     last_column_residual, last_column_strata,
                     middle_column_residual, verify_saito)
 from .oracle import (MacaulayMatrix, SyzygyBasis, expected_multiplicity,
-                     in_kernel_span, jacobian_generators, point_support_check,
+                     jacobian_generators, point_support_check,
                      predicted_quotient_hilbert, resolution_check,
                      syzygy_kernel)
 

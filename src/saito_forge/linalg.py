@@ -4,21 +4,24 @@ Everything is deterministic: pivots are chosen leftmost-column first, never by
 magnitude, so identical inputs give identical echelon forms, kernels and ranks
 on every run.
 
-Every elimination goes through `eliminate`, one sparse column-echelon engine
-for every field.  It takes a matrix as sparse ``{row: value}`` columns and
-reduces them left to right against an echelon basis keyed by each basis
-vector's leading (smallest) row.  A column is a pivot exactly when it does not
-reduce to zero, so the pivot set is the greedy left-to-right column basis that
-RREF finds.  A column that does reduce to zero yields a relation with the
-independent columns to its left; its coordinates in those columns are unique,
-so scaled to 1 at the column itself it is exactly the RREF kernel vector.
-Nothing is probabilistic and no certificate is needed.  Only the reduction
-step depends on the field:
+Every elimination runs on one sparse column-echelon engine for every field,
+`Echelon`: a basis keyed by each basis vector's leading (smallest) row, which
+sparse ``{row: value}`` columns join one at a time and which may gain rows
+between them.  A column can also be reduced against the basis without
+joining it, which answers whether it lies in the span.  `eliminate` joins a
+whole matrix's columns to a fresh `Echelon`, left to right.  A column is a
+pivot exactly when it does not reduce to zero, so the pivot set is the greedy
+left-to-right column basis that RREF finds.  A column that does reduce to
+zero yields a relation with the independent columns to its left; its
+coordinates in those columns are unique, so scaled to 1 at the column itself
+it is exactly the RREF kernel vector.  Nothing is probabilistic and no
+certificate is needed.  Only the reduction step depends on the field:
 
-* rationals: each row is first scaled by the lcm of its denominators, which
-  changes neither the column dependencies nor the right kernel; columns are
-  then reduced with two-term fraction-free integer combinations, dividing out
-  the content after each step;
+* rationals: columns hold Python ints, after `eliminate` scales each row by
+  the lcm of its denominators (which changes neither the column
+  dependencies nor the right kernel); they are reduced with two-term
+  fraction-free integer combinations, dividing out the content after each
+  step;
 * prime fields: each basis vector is scaled to 1 at its leading row, and a
   column is reduced in one reused dense accumulator of Python ints, taken
   ``% p`` when read (so any p works), visiting its nonzero rows smallest
@@ -28,9 +31,10 @@ step depends on the field:
 so a caller that knows a cheaper basis never eliminates the whole matrix.
 
 The generic ``rref`` on lists is the reference the engine is tested against.
-Every program path builds its columns sparse with `poly.shifted_columns`;
-the dense-list front ends ``pivot_columns`` and ``kernel_basis`` serve the
-tests and the benchmark's layer tracing.
+Every program path builds its columns sparse, with `poly.shifted_columns` or,
+for the Jacobian ladder, from the generators' terms; the dense-list front
+ends ``pivot_columns`` and ``kernel_basis`` serve the tests and the
+benchmark's layer tracing.
 """
 
 from __future__ import annotations
@@ -123,12 +127,48 @@ def _qq_reduce(v: dict, rel, basis: dict):
     return None, None, rel
 
 
-def _fp_reducer(p: int, nrows: int):
-    """The mod-p counterpart of `_qq_reduce`, with its own dense accumulator;
-    every basis vector and relation it returns is scaled to 1 at ``lead``."""
-    acc = [0] * nrows
+class Echelon:
+    """A column echelon basis that persists: columns join it one at a time,
+    rows may be added between them, and a column may be reduced against it
+    without joining it.  ``basis`` maps each basis vector's leading
+    (smallest) row to ``(vector, relation)``; a relation, tracked only when
+    one is passed in, expresses the vector in the columns that made it.
 
-    def reduce(v: dict, rel, basis: dict):
+    Columns are sparse ``{row: int}`` maps.  Over the rationals the caller
+    clears denominators first, by any row or column scaling, which changes
+    neither ranks nor memberships.  Over a prime field the accumulator holds
+    one slot per row, so rows must be made room for with `grow` before a
+    column that reaches them is reduced.
+    """
+
+    def __init__(self, field: Field, nrows: int = 0):
+        self.basis: dict = {}
+        self._p = None if isinstance(field, Rationals) else field.p
+        self._acc: list = []
+        self.grow(nrows)
+
+    def grow(self, nrows: int) -> None:
+        """Make room for the rows below ``nrows``."""
+        if self._p and nrows > len(self._acc):
+            self._acc.extend([0] * (nrows - len(self._acc)))
+
+    def reduce(self, v: dict, rel=None):
+        """``(lead, vector, relation)`` of ``v`` reduced against the basis,
+        which it leaves as it is; ``lead`` is None when ``v`` reduces to zero."""
+        return self._fp_reduce(v, rel) if self._p else _qq_reduce(v, rel, self.basis)
+
+    def add(self, v: dict, rel=None):
+        """Reduce ``v`` and let it join the basis unless it reduced to zero:
+        ``(lead, relation)``, with ``lead`` None for a dependent column."""
+        lead, vec, rel = self.reduce(v, rel)
+        if lead is not None:
+            self.basis[lead] = (vec, rel)
+        return lead, rel
+
+    def _fp_reduce(self, v: dict, rel):
+        """The mod-p counterpart of `_qq_reduce`, in the dense accumulator;
+        every vector and relation it returns is scaled to 1 at ``lead``."""
+        basis, acc, p = self.basis, self._acc, self._p
         # entries are reduced mod p only when read; every row whose entry is
         # a nonzero int is on the heap
         for r, x in v.items():
@@ -164,44 +204,34 @@ def _fp_reducer(p: int, nrows: int):
                     rel[k] = (rel.get(k, 0) - c * y) % p
         return None, None, rel
 
-    return reduce
 
-
-def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False,
-              probe_from: int | None = None):
+def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False):
     """``(pivots, relations)`` of the ``nrows``-row matrix with the sparse
-    ``{row: value}`` ``columns``.
+    ``{row: value}`` ``columns``, joined to one `Echelon` left to right.
 
     ``pivots`` are the columns not in the span of the columns to their left,
-    which is what rank and ideal-membership queries need.  Columns from
-    ``probe_from`` on are probes: each is reduced against the columns before
-    ``probe_from`` only and never joins the basis, so it is listed as a pivot
-    exactly when it is not in their span.  With ``kernel``, ``relations``
-    holds, for each non-pivot column j in order, its RREF kernel vector as a
+    which is what rank queries need.  With ``kernel``, ``relations`` holds,
+    for each non-pivot column j in order, its RREF kernel vector as a
     ``{col: value}`` map in column order, with value 1 at j; otherwise it is
-    None.
+    None.  Over the rationals each row is first scaled by the lcm of its
+    denominators, which changes neither the column dependencies nor the
+    right kernel.
     """
     qq = isinstance(field, Rationals)
-    reduce = _qq_reduce if qq else _fp_reducer(field.p, nrows)
     if qq:
         columns = _int_columns(columns)
-    if probe_from is None:
-        probe_from = len(columns)
-    basis: dict = {}  # leading row -> (vector, relation)
+    echelon = Echelon(field, nrows)
     pivots: list[int] = []
     relations = [] if kernel else None
     for j, v in enumerate(columns):
-        if not kernel and len(basis) == nrows:
+        if not kernel and len(echelon.basis) == nrows:
             break  # full row rank: every later column is dependent
-        lead, vec, rel = reduce(v, {j: 1} if kernel else None, basis)
-        if lead is None:
-            if kernel:
-                relations.append({k: Fraction(x, rel[j]) if qq else x
-                                  for k, x in sorted(rel.items()) if x})
-            continue
-        pivots.append(j)
-        if j < probe_from:
-            basis[lead] = (vec, rel)
+        lead, rel = echelon.add(v, {j: 1} if kernel else None)
+        if lead is not None:
+            pivots.append(j)
+        elif kernel:
+            relations.append({k: Fraction(x, rel[j]) if qq else x
+                              for k, x in sorted(rel.items()) if x})
     return pivots, relations
 
 

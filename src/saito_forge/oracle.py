@@ -4,23 +4,28 @@ Everything here is exact linear algebra on Macaulay matrices: the degree-t
 piece of an ideal is the column space of the multiplication map from shifted
 generators into the monomial basis of degree t.  No Groebner bases anywhere;
 ranks and kernels answer every question asked in bounded degree (Lazard's
-degree-by-degree elimination).  A `JacobianLadder` eliminates each degree of
-J(F) once and keeps only the answers, so the resolution and point-support
-checks of one F share it; nothing else is cached, and distinct degrees stay
-independent.  Matrices are assembled in pure Python as sparse ``{row: value}``
-columns straight from the generators' terms by `poly.shifted_columns`, and
-every elimination, over any field, is one `linalg.eliminate`.
+degree-by-degree elimination).  Every elimination, over any field, runs on
+one `linalg.Echelon`, with sparse ``{row: value}`` columns built in pure
+Python straight from the generators' terms.
 
-Every Macaulay matrix, of the ladder and of the syzygy kernels alike, is
-eliminated by `_echelon`, shrunk first by two exact identities:
+An `IdealLadder` climbs the degrees of an ideal on one persistent echelon
+basis: since I_(t+1) = z*I_t + (the z-free shifts of degree t + 1), each
+degree reduces only those shifts.  A `JacobianLadder` climbs J(F) once and
+keeps only the answers, so the resolution and point-support checks of one F
+share it; `monomial_membership` reads an `IdealLadder` too.  The syzygy
+kernels eliminate one whole Macaulay matrix per degree with `_echelon`,
+its columns from `poly.shifted_columns`.  Both shrink their matrices first
+by two exact identities:
 
-* covered rows: the first single-term generator c*m (the family's
+* covered rows: a single-term generator c*m (the family's
   Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit column at row
   m*s.  Those rows count once each toward the rank and are deleted from
   every other column, since the column space is their span plus the rest
-  projected off them, so rank and memberships are unchanged.  A kernel
-  relation's entry in that block is -(sum of entry * generator) / (c*m),
-  an exact monomial division: each term lands on one covered row.
+  projected off them, so rank and memberships are unchanged.  `_echelon`
+  takes the first single-term generator; a kernel relation's entry in its
+  block is -(sum of entry * generator) / (c*m), an exact monomial division:
+  each term lands on one covered row.  A ladder takes the first one free of
+  z, whose covered rows are the same at every degree.
 * Euler: d*F = x*Fx + y*Fy + z*Fz puts every shift of F in the partials'
   span when d is nonzero in the field.  `_eliminated_blocks` decides, for
   the ladder and the kernels both, that F's block is eliminated exactly
@@ -40,10 +45,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .family import DivisorInstance
-from .field import Field
-from .linalg import canonical_kernel, eliminate
-from .poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
-                   shifted_columns, space_dim)
+from .linalg import Echelon, canonical_kernel, eliminate
+from .poly import (Poly, _int_terms, column_polys, dot, grlex_key, monomial_index,
+                   monomials, shifted_columns, space_dim)
 
 
 @dataclass(frozen=True)
@@ -79,45 +83,99 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
-def _echelon(gens, t: int, degrees=None, candidates=(), kernel: bool = False) -> tuple:
-    """(rank, memberships, relations) of the degree-t Macaulay matrix whose
-    block k holds ``gens[k]`` shifted by the monomials of degree t -
-    ``degrees[k]``: by default each generator's own degree, a zero generator
-    then owning no block, while an explicit degree keeps a zero generator's
-    block of zero (free) columns.
-
-    The rank is that of the generator columns.  Each degree-t candidate is
-    reduced against the generator columns only, and its membership says
-    whether it lies in their span, that is in the degree-t piece of (gens).
-    With ``kernel`` and no candidates, relations is a basis of the kernel
-    of the generator columns as sparse ``{col: value}`` maps (not the RREF
-    one); otherwise it is None.  The first single-term generator covers
-    rows (see the module docstring): only the other columns, on the rows
-    left, are eliminated."""
+def _echelon(gens, t: int, degrees=None) -> tuple:
+    """(rank, relations) of the degree-t Macaulay matrix whose block k holds
+    ``gens[k]`` shifted by the monomials of degree t - ``degrees[k]``: by
+    default each generator's own degree, a zero generator then owning no
+    block, while an explicit degree keeps a zero generator's block of zero
+    (free) columns.  relations is a basis of the kernel of the matrix as
+    sparse ``{col: value}`` maps (not the RREF one).  The first single-term
+    generator covers rows (see the module docstring): only the other
+    columns, on the rows left, are eliminated."""
     fld = gens[0].field
     if degrees is None:
         degrees = [g.degree() for g in gens]
     shifts = [t - dg if dg >= 0 else -1 for _, dg in zip(gens, degrees)]
-    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)]
-                                  + [(0, (c,)) for c in candidates], (t,))
+    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)], (t,))
     offsets = list(accumulate(map(space_dim, shifts), initial=0))
     k = next((k for k, g in enumerate(gens) if len(g.terms) == 1), None)
     cover = range(offsets[k], offsets[k + 1]) if k is not None else range(0)
     unit = {r: j for j in cover for r in cols[j]}  # covered row -> its unit column
     kept = [j for j in range(len(cols)) if j not in cover]
     rows = dict(zip([r for r in range(nrows) if r not in unit], range(nrows)))
-    ngen = offsets[-1] - len(cover)
     pivots, relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
-                                              for j in kept], fld, kernel, probe_from=ngen)
-    members = [ngen + i not in pivots for i in range(len(candidates))]
-    if kernel:
-        relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
-        if k is not None:
-            scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
-            for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
-                for m, c in dot(polys, gens).terms.items():
-                    rel[unit[monomial_index(m)]] = fld.mul(c, scale)
-    return len(cover) + sum(1 for c in pivots if c < ngen), members, relations
+                                              for j in kept], fld, kernel=True)
+    relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
+    if k is not None:
+        scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
+        for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
+            for m, c in dot(polys, gens).terms.items():
+                rel[unit[monomial_index(m)]] = fld.mul(c, scale)
+    return len(cover) + len(pivots), relations
+
+
+def _xy_terms(p: Poly) -> list:
+    """The terms of p as (x exponent, y exponent, coefficient), scaled to
+    integers over the rationals."""
+    return [(i, j, c) for (i, j, _), c in _int_terms(p)[0].items()]
+
+
+class IdealLadder:
+    """The degree-t pieces of the ideal (gens), t = 0, 1, 2, ..., on one
+    `linalg.Echelon` carried up from each degree to the next.
+
+    Every shift m*g with z | m is z*((m/z)*g), so I_(t+1) = z*I_t plus the
+    z-free shifts x^a y^b * g of degree t + 1, exactly, for any generators.
+    The row of x^i y^j z^k is keyed by (i, j) alone, as (i+j)(i+j+1)/2 + j
+    (below space_dim(t) at degree t), so z*v has the same sparse map as v
+    and the echelon basis of I_t is already one of z*I_t.  Each degree
+    therefore reduces only the z-free shifts of each generator against the
+    basis.  Covered rows (see the module docstring) are those of the first
+    z-free single-term generator c*x^a y^b: the keys (i, j) with i >= a and
+    j >= b at every degree, space_dim(t - a - b) of them at degree t.  Over
+    the rationals each generator is scaled to integers once, a column
+    scaling that stays consistent across degrees."""
+
+    def __init__(self, gens):
+        self.echelon = Echelon(gens[0].field)
+        self.degree = -1
+        gens = [g for g in gens if not g.is_zero()]
+        cover = next((g for g in gens if len(g.terms) == 1 and not next(iter(g.terms))[2]), None)
+        self._cover = next(iter(cover.terms))[:2] if cover is not None else None
+        self._gens = [(g.degree(), _xy_terms(g)) for g in gens if g is not cover]
+
+    def _column(self, terms, a: int = 0, b: int = 0) -> dict:
+        """The sparse column of x^a y^b times the (i, j, coefficient) ``terms``
+        off the covered rows."""
+        ci, cj = self._cover or (None, None)
+        col = {}
+        for i, j, c in terms:
+            i += a
+            j += b
+            if ci is None or i < ci or j < cj:
+                w = i + j
+                col[w * (w + 1) // 2 + j] = c
+        return col
+
+    def advance(self) -> None:
+        """Go up one degree: the z-free shifts of each generator join the basis."""
+        t = self.degree = self.degree + 1
+        echelon = self.echelon
+        echelon.grow(space_dim(t))
+        for dg, terms in self._gens:
+            n = t - dg
+            for a in range(n, -1, -1):
+                echelon.add(self._column(terms, a, n - a))
+
+    def rank(self) -> int:
+        """dim I_t at the current degree t."""
+        covered = space_dim(self.degree - sum(self._cover)) if self._cover else 0
+        return covered + len(self.echelon.basis)
+
+    def contains(self, p: Poly) -> bool:
+        """Whether the form p of the current degree (or zero) lies in I_t;
+        p is reduced against the basis and never joins it."""
+        return self.echelon.reduce(self._column(_xy_terms(p)))[0] is None
 
 
 def jacobian_generators(f) -> tuple:
@@ -146,8 +204,11 @@ def gradient_pairing(f, col) -> Poly:
 
 def monomial_membership(gens, candidates, t: int) -> list[bool]:
     """Membership of each degree-t candidate in the degree-t piece of (gens),
-    all with one elimination (see `_echelon`)."""
-    return _echelon(gens, t, candidates=candidates)[1]
+    each reduced against one `IdealLadder` basis."""
+    ladder = IdealLadder(gens)
+    while ladder.degree < t:
+        ladder.advance()
+    return [ladder.contains(c) for c in candidates]
 
 
 # ----- syzygies ------------------------------------------------------------
@@ -188,7 +249,7 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
     d = f.degree()
     shifts = (t, t, t, t - 1)
     blocks = _eliminated_blocks(gens) if with_f else gens[:3]
-    basis = _echelon(blocks, t + d - 1, (d - 1,) * 3 + (d,), kernel=True)[2]
+    basis = _echelon(blocks, t + d - 1, (d - 1,) * 3 + (d,))[1]
     if with_f and len(blocks) == 3:
         s = space_dim(t)
         # d times the Euler vector of e, integral in both fields
@@ -215,20 +276,6 @@ def gradient_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
     `linalg.eliminate` reduces columns left to right, so it is exactly the
     leading e = 0 part of `syzygy_kernel`."""
     return _syzygy_kernel_raw(jacobian_generators(inst), t, with_f=False)
-
-
-def _syzygy_columns(vectors, t: int) -> tuple[int, list[dict]]:
-    """The row count and the sparse columns m*g, for each (deg g, g) in
-    ``vectors`` and m of degree t - deg g: the blocks a, b, c (degree t) and
-    e (degree t - 1) start at rows 0, s, 2s and 3s, s = space_dim(t)."""
-    return shifted_columns([(t - tg, g.as_polys()) for tg, g in vectors], (t, t, t, t - 1))
-
-
-def in_kernel_span(basis: SyzygyBasis, vec: SyzygyVector, field: Field) -> bool:
-    """Whether vec is an exact linear combination of the basis vectors."""
-    t = basis.degree
-    nrows, cols = _syzygy_columns([(t, s) for s in basis.vectors + (vec,)], t)
-    return len(cols) - 1 not in eliminate(nrows, cols, field)[0]
 
 
 # ----- resolution shape and multiplicity ------------------------------------
@@ -282,28 +329,30 @@ def _as_divisor_poly(obj) -> Poly:
 
 
 class JacobianLadder:
-    """J(F) = (Fx, Fy, Fz, F) eliminated degree by degree, each degree once.
+    """J(F) = (Fx, Fy, Fz, F) climbed degree by degree on one `IdealLadder`.
 
-    Degree t is one elimination of [M_t | x^t | y^t]: the Macaulay matrix of
-    J(F) with the two point-support candidates as its last columns.  It
-    gives both hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F); only
-    those answers are kept, never the matrix.  F's block is kept only when
-    p | d (see `_eliminated_blocks`).  Takes a DivisorInstance, whose stored
-    gradient it reads, or a bare F.
+    Degree t gives hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F),
+    the two point-support candidates, reduced against the basis right after
+    degree t's columns join it.  Only those answers are kept per degree.
+    Degrees are reached lazily and in order, each once.  F's block is kept
+    only when p | d (see `_eliminated_blocks`).  Takes a DivisorInstance,
+    whose stored gradient it reads, or a bare F.
     """
 
     def __init__(self, f):
         gens = jacobian_generators(f)
         self.f = gens[3]
-        self._gens = _eliminated_blocks(gens)
-        self._steps: dict = {}
+        self._ladder = IdealLadder(_eliminated_blocks(gens))
+        self._steps: list = []
 
     def _step(self, t: int) -> tuple:
-        if t not in self._steps:
-            fld = self.f.field
-            rank, members, _ = _echelon(self._gens, t, candidates=(Poly.monomial(fld, (t, 0, 0)),
-                                                                    Poly.monomial(fld, (0, t, 0))))
-            self._steps[t] = (space_dim(t) - rank, all(members))
+        ladder, fld = self._ladder, self.f.field
+        while len(self._steps) <= t:
+            ladder.advance()
+            s = ladder.degree
+            self._steps.append((space_dim(s) - ladder.rank(),
+                                all(ladder.contains(Poly.monomial(fld, m))
+                                    for m in ((s, 0, 0), (0, s, 0)))))
         return self._steps[t]
 
     def hf(self, t: int) -> int:

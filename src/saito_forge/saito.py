@@ -17,7 +17,7 @@ from .column_system import (RouteFailure, base_pair, build_column_system,
                             column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import _as_divisor_poly, gradient_kernel, gradient_pairing
+from .oracle import SyzygyBasis, _as_divisor_poly, gradient_kernel, gradient_pairing
 # det3 is re-exported: callers take the determinant from this module
 from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
                    split_pure_power)
@@ -298,10 +298,11 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
-def _saito_pair(f, t2: int, t3: int):
+def _saito_pair(f, kernel2: SyzygyBasis, t3: int):
     """Euler's column next to two AR(F) columns of degrees (t2, t3) with
-    det = c*F, c a nonzero scalar: the first `gradient_kernel` vector of
-    degree t2 paired with each later one of degree t3, in order.  Returns
+    det = c*F, c a nonzero scalar: the first vector of ``kernel2``, the
+    `gradient_kernel` of degree t2, paired with each later one of degree
+    t3, in order.  Returns
     (matrix, report, s2, s3) for the first such pair, the report from the
     `_verify` every route passes, or None.  Takes a DivisorInstance, whose
     stored gradient it reads, or a bare F.
@@ -318,8 +319,8 @@ def _saito_pair(f, t2: int, t3: int):
       some vector of any basis of AR(F)_t3.
     """
     poly = _as_divisor_poly(f)
-    basis2 = gradient_kernel(f, t2).vectors
-    basis3 = basis2[1:] if t3 == t2 else gradient_kernel(f, t3).vectors
+    basis2 = kernel2.vectors
+    basis3 = basis2[1:] if t3 == kernel2.degree else gradient_kernel(f, t3).vectors
     for s2, s3 in product(basis2[:1], basis3):
         matrix = _assemble(poly.field, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
         if (det := det_unit(poly, matrix))[1] is not None:
@@ -334,7 +335,7 @@ def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
     A = F(x, y, 0)), and p > 3d makes d a unit."""
     v = inst.params.v
     t2, t3 = (v, v) if inst.params.d % 2 == 1 else (v - 1, v)
-    pair = _saito_pair(inst, t2, t3)
+    pair = _saito_pair(inst, gradient_kernel(inst, t2), t3)
     if pair is None:
         raise SaitoConstructionFailed(
             f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
@@ -420,8 +421,10 @@ def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
     unless F is a cone: its constant syzygy (r = 0) lies below the search.
     On a non-reduced F a failure proves nothing."""
     d = f.degree()
-    r = next((t for t in range(1, degree_bound + 1) if gradient_kernel(f, t).vectors), None)
-    pair = _saito_pair(f, r, d - 1 - r) if r is not None and r <= d - 1 - r <= degree_bound else None
+    kernels = (gradient_kernel(f, t) for t in range(1, degree_bound + 1))
+    kernel = next((k for k in kernels if k.vectors), None)
+    r = kernel.degree if kernel is not None else None
+    pair = _saito_pair(f, kernel, d - 1 - r) if r is not None and r <= d - 1 - r <= degree_bound else None
     if pair is None or not pair[1].passed:
         return ProbeReport(False, degree_bound, r, None)
     return ProbeReport(True, degree_bound, r,

@@ -20,12 +20,12 @@ from saito_forge.family import (FamilyParams, build_divisor, is_irreducible,
                                 legal_pairs, random_instance, validate)
 from saito_forge.family import _random_form
 from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import (SyzygyVector, expected_multiplicity, in_kernel_span,
-                                point_support_check, resolution_check,
-                                syzygy_kernel)
+from saito_forge.oracle import (SyzygyVector, expected_multiplicity, point_support_check,
+                                resolution_check, syzygy_kernel)
 from saito_forge.poly import Poly, monomials, parse, render, split_pure_power
 from saito_forge.saito import (build_saito_matrix, freeness_probe, last_column_residual,
                                last_column_strata, middle_column_residual)
+from reference import in_kernel_span
 
 F1009 = PrimeField(1009)
 FP_SEEDS = (101, 102, 103)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from saito_forge.family import build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.linalg import (eliminate, kernel_basis, pivot_columns, rref,
+from saito_forge.linalg import (Echelon, eliminate, kernel_basis, pivot_columns, rref,
                                 solve_affine)
 from saito_forge.oracle import jacobian_generators, macaulay_matrix
 
@@ -272,6 +273,15 @@ def test_modp_echelon_matches_rref(p):
         assert pivot_columns(rows, fld) == pivots
 
 
+def integral(column: dict, fld) -> dict:
+    """A sparse column the way an `Echelon` takes it: over the rationals
+    scaled to integers, which keeps its span."""
+    if fld is not QQ:
+        return column
+    den = lcm(*[x.denominator for x in column.values()])
+    return {i: int(x * den) for i, x in column.items()}
+
+
 @pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
 def test_probe_columns_never_join_the_basis(fld):
     rng = random.Random(91)
@@ -283,15 +293,39 @@ def test_probe_columns_never_join_the_basis(fld):
         # a column of the matrix, and zero
         probes = [[r[0] for r in rand_matrix(fld, rng, nr, 1, 0.6)]]
         probes += [probes[0], [r[rng.randrange(nc)] for r in rows], [fld.zero] * nr]
-        columns = sparse_columns(rows, nc) + [{i: e for i, e in enumerate(p) if e} for p in probes]
-        pivots = eliminate(nr, columns, fld, probe_from=nc)[0]
-        base = len(pivot_columns(rows, fld))
-        assert [j for j in pivots if j < nc] == pivot_columns(rows, fld)
+        echelon = Echelon(fld, nr)
+        pivots = [j for j, v in enumerate(sparse_columns(rows, nc))
+                  if echelon.add(integral(v, fld))[0] is not None]
+        assert pivots == pivot_columns(rows, fld)
+        basis = dict(echelon.basis)
         for i, probe in enumerate(probes):
-            member = len(pivot_columns([r + [e] for r, e in zip(rows, probe)], fld)) == base
-            assert (nc + i not in pivots) == member
+            lead = echelon.reduce(integral({k: e for k, e in enumerate(probe) if e}, fld))[0]
+            member = len(pivot_columns([r + [e] for r, e in zip(rows, probe)], fld)) == len(pivots)
+            assert (lead is None) == member
+            assert echelon.basis == basis
             outcomes.add((i, member))
     assert (0, False) in outcomes and (1, False) in outcomes and (0, True) in outcomes
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+def test_echelon_resumes_as_rows_grow(fld):
+    # columns supported on the first rows join before the rows below exist
+    rng = random.Random(17)
+    for _ in range(40):
+        nr, nc = rng.randint(2, 8), rng.randint(1, 8)
+        top = rng.randint(1, nr - 1)
+        early = rng.randint(0, nc)
+        rows = rand_matrix(fld, rng, nr, nc, 0.5)
+        for r in rows[top:]:
+            r[:early] = [fld.zero] * early
+        echelon = Echelon(fld, top)
+        pivots = []
+        for j, v in enumerate(sparse_columns(rows, nc)):
+            if j == early:
+                echelon.grow(nr)
+            if echelon.add(integral(v, fld))[0] is not None:
+                pivots.append(j)
+        assert pivots == pivot_columns(rows, fld)
 
 
 @pytest.mark.parametrize("p", [1009, 2**31 - 1, 2**61 - 1])

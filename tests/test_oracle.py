@@ -4,17 +4,16 @@ from saito_forge.column_system import build_column_system
 from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
-from saito_forge.linalg import eliminate, pivot_columns, rref
-from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon,
-                                _syzygy_columns, _syzygy_kernel_raw,
+from saito_forge.linalg import eliminate
+from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _syzygy_kernel_raw,
                                 expected_multiplicity, gradient_kernel, gradient_pairing,
-                                in_kernel_span,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
                                 predicted_quotient_hilbert, resolution_check,
                                 space_dim, syzygy_kernel)
 from saito_forge.poly import Poly, column_polys, grlex_key, monomials, parse, shifted_columns
 from saito_forge.saito import freeness_probe
+from reference import dense_echelon, dense_rank, in_kernel_span, syzygy_columns
 
 F1009 = PrimeField(1009)
 
@@ -237,7 +236,7 @@ def test_membership_is_exact_for_every_candidate():
     f = parse("x^5 + x^2*y^3 + x*y^4 + y^5 + y^4*z")
     x4 = Poly.monomial(QQ, (4, 0, 0))
     assert monomial_membership(jacobian_generators(f), [x4, x4], 4) == [False, False]
-    assert _echelon(jacobian_generators(f), 4, candidates=(x4, x4))[:2] == \
+    assert echelon_answers(jacobian_generators(f), 4, (x4, x4)) == \
         dense_echelon(jacobian_generators(f), 4, (x4, x4), QQ)
 
 
@@ -327,7 +326,7 @@ def test_syzygy_entries_match_shifted_products():
         vectors = [(tg, v) for tg in (1, 2, 3) for v in syzygy_kernel(inst, tg).vectors]
         vectors.append(vectors[0])  # a repeated vector: its shifts come again
         for t in (3, 4, 6):
-            nrows, columns = _syzygy_columns(vectors, t)
+            nrows, columns = syzygy_columns(vectors, t)
             assert nrows == 3 * space_dim(t) + space_dim(t - 1)
             pairs = [(t - tg, g.as_polys()) for tg, g in vectors]
             assert dense(nrows, columns, fld) == shifted_products(pairs, (t, t, t, t - 1))
@@ -346,15 +345,6 @@ def test_syzygy_entries_match_shifted_products():
 
 
 # ----- the Jacobian ladder against per-degree dense eliminations ------------------
-
-
-def dense_rank(gens, t, fld, generic: bool) -> int:
-    mat = macaulay_matrix(gens, t)
-    if not mat.columns:
-        return 0
-    if generic:
-        return len(rref([list(r) for r in mat.entries], fld))
-    return len(pivot_columns(mat.entries, fld))
 
 
 def ladder_reference(f, t_max: int, n_max: int, generic: bool):
@@ -402,13 +392,10 @@ def test_ladder_on_controls():
 # ----- the reduced elimination against dense ranks --------------------------------
 
 
-def dense_echelon(gens, t, candidates, fld):
-    """`_echelon` from dense ranks of unreduced matrices: the rank of M_t, and
-    for each candidate whether appending it alone to M_t keeps the rank."""
-    small = fld is not QQ or t <= 7
-    rank = dense_rank(gens, t, fld, generic=small)
-    return rank, [dense_rank(tuple(gens) + (c,), t, fld, generic=small) == rank
-                  for c in candidates]
+def echelon_answers(gens, t, candidates):
+    """`_echelon`'s rank and `monomial_membership`'s answers, shaped as
+    `dense_echelon` returns them."""
+    return _echelon(gens, t)[0], monomial_membership(gens, list(candidates), t)
 
 
 def echelon_cases():
@@ -436,7 +423,7 @@ def test_echelon_matches_dense_reference(f, t_max):
     for t in range(t_max + 1):
         cands = (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0)))
         for sub in (gens, gens[:3]):
-            assert _echelon(sub, t, candidates=cands)[:2] == dense_echelon(sub, t, cands, fld), \
+            assert echelon_answers(sub, t, cands) == dense_echelon(sub, t, cands, fld), \
                 (t, len(sub))
     ladder = JacobianLadder(f)
     hf, n = ladder_reference(f, t_max, t_max, generic=fld is not QQ)
@@ -459,30 +446,37 @@ def test_echelon_candidates_in_covered_rows():
                "x^2 + x*y": False, "x*y": False, "0": True}
     for text, member in members.items():
         cand = (parse(text),)
-        assert _echelon(gens, 2, candidates=cand)[:2] == dense_echelon(gens, 2, cand, QQ) == \
+        assert echelon_answers(gens, 2, cand) == dense_echelon(gens, 2, cand, QQ) == \
             (2, [member])
     cands = (parse("x^2*y + y^3 + y*z^2"), parse("x^2*z"), parse("x*y*z"))
-    assert _echelon(gens, 3, candidates=cands)[:2] == dense_echelon(gens, 3, cands, QQ) == \
+    assert echelon_answers(gens, 3, cands) == dense_echelon(gens, 3, cands, QQ) == \
         (6, [True, True, False])
 
 
 def test_verify_eliminates_each_degree_once(monkeypatch, capsys):
-    # one engine serves both: the ladder eliminates each degree 0..bound once,
-    # and at even d the oracle route's kernels run at t2 + d - 1 and t3 + d - 1
+    # the ladder climbs each degree 0..bound once, and at even d the oracle
+    # route's kernels, the only Macaulay matrices eliminated whole, run at
+    # t2 + d - 1 and t3 + d - 1
     from saito_forge.cli import main
 
-    calls = []
-    real = oracle._echelon
+    climbed, eliminated = [], []
+    real_advance, real_echelon = oracle.IdealLadder.advance, oracle._echelon
 
-    def recording(gens, t, degrees=None, candidates=(), kernel=False):
-        calls.append((t, kernel))
-        return real(gens, t, degrees, candidates, kernel)
+    def advance(ladder):
+        real_advance(ladder)
+        climbed.append(ladder.degree)
 
-    monkeypatch.setattr(oracle, "_echelon", recording)
+    def echelon(gens, t, degrees=None):
+        eliminated.append(t)
+        return real_echelon(gens, t, degrees)
+
+    monkeypatch.setattr(oracle.IdealLadder, "advance", advance)
+    monkeypatch.setattr(oracle, "_echelon", echelon)
     for d, alpha, beta in ((9, 1, 0), (10, 1, 1)):
-        calls.clear()
+        climbed.clear()
+        eliminated.clear()
         assert main(["verify", "--d", str(d), "--alpha", str(alpha), "--beta", str(beta),
                      "--seed", "2", "--field", "fp:1009"]) == 0
         v = d // 2
-        assert [t for t, kernel in calls if not kernel] == list(range(3 * v + 4))
-        assert [t for t, kernel in calls if kernel] == ([] if d % 2 else [v - 1 + d - 1, v + d - 1])
+        assert climbed == list(range(3 * v + 4))
+        assert eliminated == ([] if d % 2 else [v - 1 + d - 1, v + d - 1])

@@ -16,9 +16,10 @@ from saito_forge.family import (build_divisor, legal_pairs, random_instance,
                                 random_non_squarefree_instance)
 from saito_forge.field import PrimeField, QQ
 from saito_forge.linalg import eliminate
-from saito_forge.oracle import _syzygy_columns, _syzygy_kernel_raw, jacobian_generators
+from saito_forge.oracle import _syzygy_kernel_raw, jacobian_generators
 from saito_forge.poly import Poly, det_unit, parse
 from saito_forge.saito import freeness_probe
+from reference import syzygy_columns
 
 F1009 = PrimeField(1009)
 
@@ -32,7 +33,7 @@ def reference_probe(f: Poly, degree_bound: int):
     gens = jacobian_generators(f)
     for t in range(1, degree_bound + 1):
         basis = _syzygy_kernel_raw(gens, t)
-        nrows, cols = _syzygy_columns(found + [(t, v) for v in basis.vectors], t)
+        nrows, cols = syzygy_columns(found + [(t, v) for v in basis.vectors], t)
         if not cols:
             continue
         pivots = set(eliminate(nrows, cols, fld)[0])

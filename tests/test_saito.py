@@ -6,8 +6,7 @@ from saito_forge.column_system import NoSolution
 from saito_forge.family import (DivisorInstance, FamilyParams, build_divisor, legal_pairs,
                                 random_instance)
 from saito_forge.field import PrimeField, QQ, _is_prime
-from saito_forge.oracle import (SyzygyBasis, SyzygyVector, gradient_kernel, in_kernel_span,
-                                syzygy_kernel)
+from saito_forge.oracle import SyzygyBasis, SyzygyVector, gradient_kernel, syzygy_kernel
 from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
@@ -18,6 +17,7 @@ from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                last_column_strata, middle_column,
                                middle_column_residual, middle_ingredients,
                                verify_saito)
+from reference import in_kernel_span
 
 F1009 = PrimeField(1009)
 
