@@ -15,13 +15,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .column_system import RouteFailure
 from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
                      InvalidParams, FamilyParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, random_non_squarefree_instance)
-from .field import FieldError, field_from_spec
+from .field import InputError, field_from_spec
 from .oracle import (JacobianLadder, expected_multiplicity, point_support_check,
                      predicted_quotient_hilbert, resolution_check, syzygy_kernel)
 from .poly import Poly, PolyError, parse, render
@@ -95,10 +96,7 @@ def _instance_from_args(args) -> DivisorInstance:
         return instance_from_json(_read_instance_file(args.infile))
     if args.d is None:
         raise CliError("need --d (with --f1/--f2 or --seed) or --in FILE")
-    try:
-        fld = field_from_spec(args.field)
-    except FieldError as exc:
-        raise CliError(str(exc))
+    fld = field_from_spec(args.field)
     if args.f1 is not None or args.f2 is not None:
         if args.f1 is None or args.f2 is None:
             raise CliError("--f1 and --f2 must be given together")
@@ -109,10 +107,7 @@ def _instance_from_args(args) -> DivisorInstance:
             raise CliError(f"polynomial syntax: {exc}")
         params = FamilyParams(args.d, args.alpha, args.beta, f1, f2)
     else:
-        try:
-            params = random_instance(args.d, args.alpha, args.beta, args.seed, fld)
-        except InvalidParams as exc:
-            raise CliError(str(exc))
+        params = random_instance(args.d, args.alpha, args.beta, args.seed, fld)
     try:
         return build_divisor(params)
     except InvalidParams as exc:
@@ -147,21 +142,21 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     bound = _verify_bound(args, d)
     timings: dict = {}
 
+    # one climb of J(F): the Saito stage tracks it, resolution goes on, point support reads it
+    ladder = JacobianLadder(f if inst is None else inst)
     t0 = time.perf_counter()
     irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.terms) else None
     if inst is None:
-        probe = freeness_probe(f, bound)
+        probe = freeness_probe(f, bound, ladder)
         stage = ("freeness_probe", probe.to_json(), probe.success)
     else:
         try:
-            sm = build_saito_matrix(inst, route=args.route)
+            sm = build_saito_matrix(inst, route=args.route, ladder=ladder)
             stage = ("saito", sm.to_json(), sm.verify.passed)
         except RouteFailure as exc:
             stage = ("saito", {"pass": False, "error": str(exc)}, False)
     timings["saito"] = time.perf_counter() - t0
 
-    # one elimination per degree: point support reads what resolution filled
-    ladder = JacobianLadder(f if inst is None else inst)
     t0 = time.perf_counter()
     res = resolution_check(f, bound, ladder)
     timings["resolution"] = time.perf_counter() - t0
@@ -465,14 +460,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = cache(build_parser)  # built by the first `main` call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"{exc}\n")
         return exc.code
-    except (InvalidParams, PolyError, FieldError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

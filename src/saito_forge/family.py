@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .field import Field, QQ, check_char_policy, field_from_spec
+from .field import Field, InputError, QQ, check_char_policy, field_from_spec
 from .poly import Poly, coprime_forms, is_squarefree_bivariate, parse, render
 
 
-class InvalidParams(Exception):
+class InvalidParams(InputError):
     """Parameters outside the family; ``report`` holds the failed validation
     when there is one."""
 

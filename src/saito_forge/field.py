@@ -11,7 +11,11 @@ import random
 from fractions import Fraction
 
 
-class FieldError(Exception):
+class InputError(Exception):
+    """A bad field, polynomial or family parameter: the command line exits 2."""
+
+
+class FieldError(InputError):
     pass
 
 

@@ -2,20 +2,20 @@
 
 Everything is deterministic: pivots are chosen leftmost-column first, never by
 magnitude, so identical inputs give identical echelon forms, kernels and ranks
-on every run.
+on every run.  Nothing is probabilistic and no certificate is needed.
 
 Every elimination runs on one sparse column-echelon engine for every field,
 `Echelon`: a basis keyed by each basis vector's leading (smallest) row, which
 sparse ``{row: value}`` columns join one at a time and which may gain rows
 between them.  A column can also be reduced against the basis without
-joining it, which answers whether it lies in the span.  `eliminate` joins a
-whole matrix's columns to a fresh `Echelon`, left to right.  A column is a
-pivot exactly when it does not reduce to zero, so the pivot set is the greedy
-left-to-right column basis that RREF finds.  A column that does reduce to
-zero yields a relation with the independent columns to its left; its
-coordinates in those columns are unique, so scaled to 1 at the column itself
-it is exactly the RREF kernel vector.  Nothing is probabilistic and no
-certificate is needed.  Only the reduction step depends on the field:
+joining it, which answers whether it lies in the span.  A column that
+reduces to zero yields a relation with the columns before it, tracked as a
+``{column: value}`` map.  `eliminate` joins a whole matrix's columns to a
+fresh `Echelon`, left to right, so its pivots are the greedy left-to-right
+column basis and its relations, scaled to 1 at their own column, the RREF
+kernel vectors.  The Jacobian ladder joins columns in another order, and
+`canonical_kernel` turns any basis of a kernel into that RREF basis.  Only
+the reduction step depends on the field:
 
 * rationals: columns hold Python ints, after `eliminate` scales each row by
   the lcm of its denominators (which changes neither the column
@@ -27,14 +27,9 @@ certificate is needed.  Only the reduction step depends on the field:
   ``% p`` when read (so any p works), visiting its nonzero rows smallest
   first through a heap.
 
-`canonical_kernel` returns the same relations from any basis of the kernel,
-so a caller that knows a cheaper basis never eliminates the whole matrix.
-
-The generic ``rref`` on lists is the reference the engine is tested against.
-Every program path builds its columns sparse, with `poly.shifted_columns` or,
-for the Jacobian ladder, from the generators' terms; the dense-list front
-ends ``pivot_columns`` and ``kernel_basis`` serve the tests and the
-benchmark's layer tracing.
+The generic ``rref`` on lists is the reference the engine is tested against;
+the dense-list front ends ``pivot_columns`` and ``kernel_basis`` serve the
+tests and the benchmark's layer tracing.
 """
 
 from __future__ import annotations
@@ -251,25 +246,29 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
     """
     qq = isinstance(field, Rationals)
     p = None if qq else field.p
-
-    def clear(v: dict, w: dict, k: int) -> dict:
-        # v with column k cleared by w; a prime-field w is 1 at k
-        if not qq:
-            return {j: r for j, x in _combine(v, 1, w, v[k]).items() if (r := x % p)}
-        g = gcd(w[k], v[k])
-        v = _combine(v, w[k] // g, w, v[k] // g)
-        g = gcd(*v.values())
-        return _divide(v, g) if g > 1 else v
-
     basis: dict = {}  # pivot (last nonzero column) -> vector
-    for v in vectors:
+
+    def clear(v: dict, cols: list) -> dict:
+        # v with the pivot columns cols cleared at once and one content
+        # division; basis[j] is 0 at the other pivots (over a prime field, 1 at j)
+        scale = lcm(*[basis[j][j] // gcd(basis[j][j], v[j]) for j in cols]) if qq else 1
+        acc = {i: scale * x for i, x in v.items()}
+        for j in cols:
+            c = scale * v[j] // basis[j][j]
+            for i, y in basis[j].items():
+                acc[i] = acc.get(i, 0) - c * y
+        v = {i: r for i, x in acc.items() if (r := x if qq else x % p)}
+        return _divide(v, g) if qq and (g := gcd(*v.values())) > 1 else v
+
+    # sparsest first: the later, denser vectors then meet sparse pivots
+    for v in sorted(vectors, key=len):
         if qq:
             den = lcm(*[x.denominator for x in v.values()])
             v = {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
         else:
             v = {k: r for k, x in v.items() if (r := x % p)}
         while v and (k := max(v)) in basis:
-            v = clear(v, basis[k], k)
+            v = clear(v, [k])
         if v and not qq:
             inv = pow(v[k], p - 2, p)
             v = {j: x * inv % p for j, x in v.items()}
@@ -277,12 +276,9 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
             basis[k] = v
     out = []
     for k in sorted(basis):
-        v = basis[k]
         # the vectors with smaller pivots are already cleared of every other
-        # pivot column, so clearing one from v puts no pivot column back
-        for j in [j for j in v if j != k and j in basis]:
-            v = clear(v, basis[j], j)
-        basis[k] = v
+        # pivot column, so all of v's clear in one pass
+        v = basis[k] = clear(basis[k], [j for j in basis[k] if j != k and j in basis])
         out.append({j: Fraction(x, v[k]) if qq else x for j, x in sorted(v.items())})
     return out
 

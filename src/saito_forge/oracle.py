@@ -4,50 +4,39 @@ Everything here is exact linear algebra on Macaulay matrices: the degree-t
 piece of an ideal is the column space of the multiplication map from shifted
 generators into the monomial basis of degree t.  No Groebner bases anywhere;
 ranks and kernels answer every question asked in bounded degree (Lazard's
-degree-by-degree elimination).  Every elimination, over any field, runs on
-one `linalg.Echelon`, with sparse ``{row: value}`` columns built in pure
-Python straight from the generators' terms.
+degree-by-degree elimination), and one climb answers them all: an
+`IdealLadder` carries one `linalg.Echelon` basis up the degrees, and each
+shift that reduces to zero gives a relation, a kernel vector of the map.  A
+`JacobianLadder` climbs J(F) once per F; the Saito stage reads the syzygy
+kernels off its relations, the resolution and point-support checks its
+ranks and memberships.  Two exact identities shrink the matrices first:
 
-An `IdealLadder` climbs the degrees of an ideal on one persistent echelon
-basis: since I_(t+1) = z*I_t + (the z-free shifts of degree t + 1), each
-degree reduces only those shifts.  A `JacobianLadder` climbs J(F) once and
-keeps only the answers, so the resolution and point-support checks of one F
-share it; `monomial_membership` reads an `IdealLadder` too.  The syzygy
-kernels eliminate one whole Macaulay matrix per degree with `_echelon`,
-its columns from `poly.shifted_columns`.  Both shrink their matrices first
-by two exact identities:
-
-* covered rows: a single-term generator c*m (the family's
+* covered rows: a z-free single-term generator c*m (the family's
   Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit column at row
   m*s.  Those rows count once each toward the rank and are deleted from
   every other column, since the column space is their span plus the rest
-  projected off them, so rank and memberships are unchanged.  `_echelon`
-  takes the first single-term generator; a kernel relation's entry in its
-  block is -(sum of entry * generator) / (c*m), an exact monomial division:
-  each term lands on one covered row.  A ladder takes the first one free of
-  z, whose covered rows are the same at every degree.
+  projected off them, so rank and memberships are unchanged.  A relation's
+  entry in c*m's block is -(sum of entry * generator)/(c*m), an exact
+  monomial division: each term lands on one covered row.
 * Euler: d*F = x*Fx + y*Fy + z*Fz puts every shift of F in the partials'
-  span when d is nonzero in the field.  `_eliminated_blocks` decides, for
-  the ladder and the kernels both, that F's block is eliminated exactly
-  when p | d.
+  span when d is nonzero in the field.  `_eliminated_blocks` decides that
+  F's block is eliminated exactly when p | d; otherwise one Euler vector
+  (-x*e/d, -y*e/d, -z*e/d, e) per monomial e completes AR(F), the kernel of
+  the partials, to the kernel of (Fx, Fy, Fz, F).
 
-The ladder keeps ranks and memberships.  The syzygy kernels print their
-RREF basis byte for byte.  That basis depends only on the kernel and the
-column order, so `linalg.canonical_kernel` recovers it from any basis:
-the kernel of the partials' blocks is AR(F), the gradient kernel, and when
-F's block is dropped one Euler vector (-x*e/d, -y*e/d, -z*e/d, e) per
-monomial e completes it to the kernel of (Fx, Fy, Fz, F).
+The syzygy kernels print their RREF basis byte for byte.  It depends only
+on the kernel and the column order, so `linalg.canonical_kernel` recovers
+it from the relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .family import DivisorInstance
-from .linalg import Echelon, canonical_kernel, eliminate
+from .linalg import Echelon, canonical_kernel
 from .poly import (Poly, _int_terms, column_polys, dot, grlex_key, monomial_index,
-                   monomials, shifted_columns, space_dim)
+                   monomials, space_dim)
 
 
 @dataclass(frozen=True)
@@ -83,37 +72,6 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
     return MacaulayMatrix(gens, t, tuple(row_monos), tuple(cols), entries)
 
 
-def _echelon(gens, t: int, degrees=None) -> tuple:
-    """(rank, relations) of the degree-t Macaulay matrix whose block k holds
-    ``gens[k]`` shifted by the monomials of degree t - ``degrees[k]``: by
-    default each generator's own degree, a zero generator then owning no
-    block, while an explicit degree keeps a zero generator's block of zero
-    (free) columns.  relations is a basis of the kernel of the matrix as
-    sparse ``{col: value}`` maps (not the RREF one).  The first single-term
-    generator covers rows (see the module docstring): only the other
-    columns, on the rows left, are eliminated."""
-    fld = gens[0].field
-    if degrees is None:
-        degrees = [g.degree() for g in gens]
-    shifts = [t - dg if dg >= 0 else -1 for _, dg in zip(gens, degrees)]
-    nrows, cols = shifted_columns([(n, (g,)) for g, n in zip(gens, shifts)], (t,))
-    offsets = list(accumulate(map(space_dim, shifts), initial=0))
-    k = next((k for k, g in enumerate(gens) if len(g.terms) == 1), None)
-    cover = range(offsets[k], offsets[k + 1]) if k is not None else range(0)
-    unit = {r: j for j in cover for r in cols[j]}  # covered row -> its unit column
-    kept = [j for j in range(len(cols)) if j not in cover]
-    rows = dict(zip([r for r in range(nrows) if r not in unit], range(nrows)))
-    pivots, relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
-                                              for j in kept], fld, kernel=True)
-    relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
-    if k is not None:
-        scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
-        for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
-            for m, c in dot(polys, gens).terms.items():
-                rel[unit[monomial_index(m)]] = fld.mul(c, scale)
-    return len(cover) + len(pivots), relations
-
-
 def _xy_terms(p: Poly) -> list:
     """The terms of p as (x exponent, y exponent, coefficient), scaled to
     integers over the rationals."""
@@ -126,28 +84,30 @@ class IdealLadder:
 
     Every shift m*g with z | m is z*((m/z)*g), so I_(t+1) = z*I_t plus the
     z-free shifts x^a y^b * g of degree t + 1, exactly, for any generators.
-    The row of x^i y^j z^k is keyed by (i, j) alone, as (i+j)(i+j+1)/2 + j
-    (below space_dim(t) at degree t), so z*v has the same sparse map as v
-    and the echelon basis of I_t is already one of z*I_t.  Each degree
-    therefore reduces only the z-free shifts of each generator against the
-    basis.  Covered rows (see the module docstring) are those of the first
-    z-free single-term generator c*x^a y^b: the keys (i, j) with i >= a and
-    j >= b at every degree, space_dim(t - a - b) of them at degree t.  Over
+    The row of x^i y^j z^k is keyed by (i, j) alone, as (i+j)(i+j+1)/2 + j,
+    so z*v has the same sparse map as v and the basis of I_t is already one
+    of z*I_t: each degree reduces only the z-free shifts.  The covered rows
+    of the first z-free single-term generator c*x^a y^b are the keys (i, j)
+    with i >= a and j >= b, space_dim(t - a - b) of them at degree t.  Over
     the rationals each generator is scaled to integers once, a column
-    scaling that stays consistent across degrees."""
+    scaling that holds at every degree.  Zero generators own no columns."""
 
     def __init__(self, gens):
         self.echelon = Echelon(gens[0].field)
         self.degree = -1
-        gens = [g for g in gens if not g.is_zero()]
-        cover = next((g for g in gens if len(g.terms) == 1 and not next(iter(g.terms))[2]), None)
-        self._cover = next(iter(cover.terms))[:2] if cover is not None else None
-        self._gens = [(g.degree(), _xy_terms(g)) for g in gens if g is not cover]
+        self.tracked = -1       # every degree up to this one was tracked
+        self.relations: list = []
+        live = [(k, g) for k, g in enumerate(gens) if not g.is_zero()]
+        kc = next((k for k, g in live if len(g.terms) == 1 and not next(iter(g.terms))[2]), None)
+        # index -> (degree, integer terms, their scale), in order
+        self._gens = {k: (g.degree(), _xy_terms(g), _int_terms(g)[1]) for k, g in live if k != kc}
+        # the cover c*x^i y^j as (index, i, j, c, scale)
+        self._cover = None if kc is None else (kc, *_xy_terms(gens[kc])[0], _int_terms(gens[kc])[1])
 
     def _column(self, terms, a: int = 0, b: int = 0) -> dict:
         """The sparse column of x^a y^b times the (i, j, coefficient) ``terms``
         off the covered rows."""
-        ci, cj = self._cover or (None, None)
+        ci, cj = self._cover[1:3] if self._cover else (None, None)
         col = {}
         for i, j, c in terms:
             i += a
@@ -157,19 +117,45 @@ class IdealLadder:
                 col[w * (w + 1) // 2 + j] = c
         return col
 
-    def advance(self) -> None:
-        """Go up one degree: the z-free shifts of each generator join the basis."""
+    def advance(self, track: bool = False) -> None:
+        """Go up one degree: the z-free shifts of each generator join the basis.
+        With ``track``, and every lower degree tracked, the shift x^a y^b * g_k
+        carries the relation {(k, a, b): 1}, and each that reduces to zero
+        appends (t, `_relation`) to ``relations``.  A tracked column may meet
+        only basis vectors with relations: an untracked degree ends tracking."""
         t = self.degree = self.degree + 1
+        if track and self.tracked == t - 1:
+            self.tracked = t
+        track = self.tracked == t
         echelon = self.echelon
         echelon.grow(space_dim(t))
-        for dg, terms in self._gens:
+        for k, (dg, terms, _) in self._gens.items():
             n = t - dg
             for a in range(n, -1, -1):
-                echelon.add(self._column(terms, a, n - a))
+                lead, rel = echelon.add(self._column(terms, a, n - a),
+                                        {(k, a, n - a): 1} if track else None)
+                if track and lead is None:
+                    self.relations.append((t, self._relation(rel)))
+
+    def _relation(self, rel: dict) -> dict:
+        """``rel``, among the scaled, projected columns, as c times one among
+        the shifts of ``gens``, {(k, a, b): int}, the cover c*x^i y^j's entry
+        at x^a y^b minus the sum of entry * generator at x^(a+i) y^(b+j)."""
+        kc, ci, cj, c, scale_c = self._cover or (None, 0, 0, 1, 1)
+        out, total = {}, {}
+        for (k, a, b), x in rel.items():
+            if x:
+                _, terms, scale = self._gens[k]
+                out[k, a, b] = x * scale * c
+                for i, j, y in terms if kc is not None else ():
+                    total[i + a, j + b] = total.get((i + a, j + b), 0) + x * y
+        out.update(((kc, i - ci, j - cj), -x * scale_c) for (i, j), x in total.items()
+                   if x and i >= ci and j >= cj)
+        return out
 
     def rank(self) -> int:
         """dim I_t at the current degree t."""
-        covered = space_dim(self.degree - sum(self._cover)) if self._cover else 0
+        covered = space_dim(self.degree - sum(self._cover[1:3])) if self._cover else 0
         return covered + len(self.echelon.basis)
 
     def contains(self, p: Poly) -> bool:
@@ -231,32 +217,43 @@ class SyzygyBasis:
     vectors: tuple
 
 
-def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True) -> SyzygyBasis:
+def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
+                       ladder: JacobianLadder | None = None) -> SyzygyBasis:
     """The degree-t kernel of the Macaulay map of ``gens`` = (Fx, Fy, Fz, F),
     from `jacobian_generators`: the RREF kernel basis that `linalg.eliminate`
-    gives for the whole matrix [Fx | Fy | Fz | F], computed from a cheaper
-    basis by `linalg.canonical_kernel`.  Without ``with_f`` the F block is
-    left out, and every vector has e = 0.
+    gives for the whole matrix [Fx | Fy | Fz | F], by `linalg.canonical_kernel`
+    from the relations ``ladder``, the `JacobianLadder` of gens (a fresh one
+    by default), finds up to degree T = t + d - 1.  Without ``with_f`` the F
+    block is left out, and every vector has e = 0.
 
-    The cheaper basis is the kernel `_echelon` gives for the blocks
-    `_eliminated_blocks` keeps.  Without F's block that is AR(F)_t, and
-    Euler's d*F = x*Fx + y*Fy + z*Fz completes it to the whole kernel with
-    the vectors (-x*e/d, -y*e/d, -z*e/d, e), e over the monomials of degree
-    t - 1: a kernel vector less the Euler vectors of its e-entry has e = 0.
-    Each partial keeps its block, a zero one as free columns."""
+    A relation found at degree s is read z^(T - s) times at T.  Each owns
+    the column that found it, its other entries lie on basis columns, so
+    they are a basis.  A zero partial adds its unit vectors.  Without F's
+    block that spans AR(F)_t, and the Euler vectors complete it: a kernel
+    vector less those of its e-entry has e = 0.  With it (p | d), AR(F)_t is
+    the part of the RREF basis with free columns in the partials' blocks."""
     f = gens[3]
     fld = f.field
     d = f.degree()
+    s = space_dim(t)
     shifts = (t, t, t, t - 1)
-    blocks = _eliminated_blocks(gens) if with_f else gens[:3]
-    basis = _echelon(blocks, t + d - 1, (d - 1,) * 3 + (d,))[1]
-    if with_f and len(blocks) == 3:
-        s = space_dim(t)
+    ladder = ladder or JacobianLadder(gens)
+    top = t + d - 1
+    ladder.climb(top, track=True)
+    if top > ladder.ideal.tracked:
+        raise ValueError(f"degree {ladder.ideal.tracked + 1} was climbed untracked: "
+                         f"no kernel at degree {top}")
+    basis = [{k * s + monomial_index((a, b, shifts[k] - a - b)): x for (k, a, b), x in rel.items()}
+             for deg, rel in ladder.ideal.relations if deg <= top]
+    basis += [{k * s + n: 1} for k in range(3) if gens[k].is_zero() for n in range(s)]
+    if with_f and len(_eliminated_blocks(gens)) == 3:
         # d times the Euler vector of e, integral in both fields
         basis += [{monomial_index((i + 1, j, k)): -1, s + monomial_index((i, j + 1, k)): -1,
                    2 * s + monomial_index((i, j, k + 1)): -1, 3 * s + n: d}
                   for n, (i, j, k) in enumerate(monomials(t - 1))]
     relations = canonical_kernel(basis, fld)
+    if not with_f:
+        relations = [rel for rel in relations if max(rel) < 3 * s]
     vectors = [SyzygyVector(*polys) for polys in column_polys(relations, shifts, fld)]
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.terms),
@@ -270,12 +267,13 @@ def syzygy_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
     return _syzygy_kernel_raw(jacobian_generators(inst), t)
 
 
-def gradient_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
+def gradient_kernel(f, t: int, ladder: JacobianLadder | None = None) -> SyzygyBasis:
     """Basis of AR(F) = {(a, b, c) : a F_x + b F_y + c F_z = 0} in degree t,
-    as vectors with e = 0: the RREF kernel of the three gradient blocks.
-    `linalg.eliminate` reduces columns left to right, so it is exactly the
-    leading e = 0 part of `syzygy_kernel`."""
-    return _syzygy_kernel_raw(jacobian_generators(inst), t, with_f=False)
+    as vectors with e = 0: the RREF kernel of the three gradient blocks,
+    exactly the leading e = 0 part of `syzygy_kernel`.  Read off ``ladder``,
+    the `JacobianLadder` of f (a DivisorInstance or bare F), or a fresh one."""
+    ladder = ladder or JacobianLadder(f)
+    return _syzygy_kernel_raw(ladder.gens, t, with_f=False, ladder=ladder)
 
 
 # ----- resolution shape and multiplicity ------------------------------------
@@ -336,19 +334,20 @@ class JacobianLadder:
     degree t's columns join it.  Only those answers are kept per degree.
     Degrees are reached lazily and in order, each once.  F's block is kept
     only when p | d (see `_eliminated_blocks`).  Takes a DivisorInstance,
-    whose stored gradient it reads, or a bare F.
+    whose stored gradient it reads, a bare F, or its `jacobian_generators`.
     """
 
     def __init__(self, f):
-        gens = jacobian_generators(f)
-        self.f = gens[3]
-        self._ladder = IdealLadder(_eliminated_blocks(gens))
+        self.gens = f if isinstance(f, tuple) else jacobian_generators(f)
+        self.f = self.gens[3]
+        self.ideal = IdealLadder(_eliminated_blocks(self.gens))
         self._steps: list = []
 
-    def _step(self, t: int) -> tuple:
-        ladder, fld = self._ladder, self.f.field
+    def climb(self, t: int, track: bool = False) -> tuple:
+        """(hf(t), powers_in(t)); the degrees climbed to reach t are tracked with ``track``."""
+        ladder, fld = self.ideal, self.f.field
         while len(self._steps) <= t:
-            ladder.advance()
+            ladder.advance(track)
             s = ladder.degree
             self._steps.append((space_dim(s) - ladder.rank(),
                                 all(ladder.contains(Poly.monomial(fld, m))
@@ -357,11 +356,11 @@ class JacobianLadder:
 
     def hf(self, t: int) -> int:
         """Hilbert function of S/J(F) at t."""
-        return self._step(t)[0]
+        return self.climb(t)[0]
 
     def powers_in(self, t: int) -> bool:
         """Whether x^t and y^t both lie in J(F)."""
-        return self._step(t)[1]
+        return self.climb(t)[1]
 
 
 def resolution_check(inst, t_max: int | None = None,

@@ -29,14 +29,14 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .field import Field, FieldMismatch, QQ
+from .field import Field, FieldMismatch, InputError, QQ
 from .linalg import eliminate
 
 VAR_NAMES = ("x", "y", "z")
 VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-class PolyError(Exception):
+class PolyError(InputError):
     pass
 
 

@@ -17,7 +17,7 @@ from .column_system import (RouteFailure, base_pair, build_column_system,
                             column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import SyzygyBasis, _as_divisor_poly, gradient_kernel, gradient_pairing
+from .oracle import JacobianLadder, SyzygyBasis, _as_divisor_poly, gradient_kernel, gradient_pairing
 # det3 is re-exported: callers take the determinant from this module
 from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
                    split_pure_power)
@@ -298,11 +298,11 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
-def _saito_pair(f, kernel2: SyzygyBasis, t3: int):
+def _saito_pair(f, kernel2: SyzygyBasis, t3: int, ladder: JacobianLadder):
     """Euler's column next to two AR(F) columns of degrees (t2, t3) with
     det = c*F, c a nonzero scalar: the first vector of ``kernel2``, the
     `gradient_kernel` of degree t2, paired with each later one of degree
-    t3, in order.  Returns
+    t3 read off ``ladder``, in order.  Returns
     (matrix, report, s2, s3) for the first such pair, the report from the
     `_verify` every route passes, or None.  Takes a DivisorInstance, whose
     stored gradient it reads, or a bare F.
@@ -320,7 +320,7 @@ def _saito_pair(f, kernel2: SyzygyBasis, t3: int):
     """
     poly = _as_divisor_poly(f)
     basis2 = kernel2.vectors
-    basis3 = basis2[1:] if t3 == kernel2.degree else gradient_kernel(f, t3).vectors
+    basis3 = basis2[1:] if t3 == kernel2.degree else gradient_kernel(f, t3, ladder).vectors
     for s2, s3 in product(basis2[:1], basis3):
         matrix = _assemble(poly.field, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
         if (det := det_unit(poly, matrix))[1] is not None:
@@ -328,14 +328,15 @@ def _saito_pair(f, kernel2: SyzygyBasis, t3: int):
     return None
 
 
-def _build_oracle(inst: DivisorInstance) -> SaitoMatrix:
+def _build_oracle(inst: DivisorInstance, ladder: JacobianLadder | None) -> SaitoMatrix:
     """The `_saito_pair` of degrees (t2, t3) = (v - 1, v) for even d, (v, v)
     for odd d.  It applies as F = A + B*z is irreducible for every family
     member (B = x^beta y^(d-beta-1), and neither x nor y divides
     A = F(x, y, 0)), and p > 3d makes d a unit."""
     v = inst.params.v
     t2, t3 = (v, v) if inst.params.d % 2 == 1 else (v - 1, v)
-    pair = _saito_pair(inst, gradient_kernel(inst, t2), t3)
+    ladder = ladder or JacobianLadder(inst)
+    pair = _saito_pair(inst, gradient_kernel(inst, t2, ladder), t3, ladder)
     if pair is None:
         raise SaitoConstructionFailed(
             f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
@@ -375,14 +376,14 @@ def _finish(inst, matrix, route, ing, constants, residuals, sol, report=None) ->
     return SaitoMatrix(matrix, route, report.unit, ing, constants, residuals, report)
 
 
-def build_saito_matrix(inst: DivisorInstance, route: str = "auto") -> SaitoMatrix:
+def build_saito_matrix(inst: DivisorInstance, route: str = "auto", ladder=None) -> SaitoMatrix:
     """Construct and verify a Saito matrix for a validated family member.
 
     Route selection: odd d with beta >= 1 uses the fully explicit formulas;
     odd d with beta = 0 the explicit shape with one eliminated scalar; even d
     the syzygy-kernel oracle.  Pass route="oracle" to force the kernel route
-    (any parity), or an explicit route name to insist on it.
-    """
+    (any parity), or an explicit route name to insist on it.  The oracle
+    reads its kernels off ``ladder``, the `JacobianLadder` of inst, if given."""
     d, be = inst.params.d, inst.params.beta
     if route == "auto":
         route = (ROUTE_ORACLE if d % 2 == 0
@@ -392,7 +393,7 @@ def build_saito_matrix(inst: DivisorInstance, route: str = "auto") -> SaitoMatri
     if route == ROUTE_EXPLICIT_BETA0:
         return _build_explicit_beta0(inst)
     if route == ROUTE_ORACLE:
-        return _build_oracle(inst)
+        return _build_oracle(inst, ladder)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -410,21 +411,23 @@ class ProbeReport:
         return asdict(self)
 
 
-def freeness_probe(f: Poly, degree_bound: int) -> ProbeReport:
+def freeness_probe(f: Poly, degree_bound: int, ladder: JacobianLadder | None = None) -> ProbeReport:
     """Saito's criterion for a bare F, with no closed form to follow: r is
-    the least t in 1..degree_bound with AR(F)_t != 0, and a free reduced F
-    has exponents (r, d - 1 - r), so `_saito_pair` of those degrees decides
-    it whenever r <= d - 1 - r <= degree_bound.
+    the least t in 1..degree_bound with AR(F)_t != 0 on ``ladder`` (F's
+    `JacobianLadder`, or a fresh one), and a free reduced F has exponents
+    (r, d - 1 - r), so `_saito_pair` of those degrees decides it whenever
+    r <= d - 1 - r <= degree_bound.
 
     A success is an exact det = c*F certificate.  Over the rationals, with
     degree_bound >= d - 1, a failure on a reduced F proves F is not free,
     unless F is a cone: its constant syzygy (r = 0) lies below the search.
     On a non-reduced F a failure proves nothing."""
     d = f.degree()
-    kernels = (gradient_kernel(f, t) for t in range(1, degree_bound + 1))
+    ladder = ladder or JacobianLadder(f)
+    kernels = (gradient_kernel(f, t, ladder) for t in range(1, degree_bound + 1))
     kernel = next((k for k in kernels if k.vectors), None)
     r = kernel.degree if kernel is not None else None
-    pair = _saito_pair(f, kernel, d - 1 - r) if r is not None and r <= d - 1 - r <= degree_bound else None
+    pair = _saito_pair(f, kernel, d - 1 - r, ladder) if r is not None and r <= d - 1 - r <= degree_bound else None
     if pair is None or not pair[1].passed:
         return ProbeReport(False, degree_bound, r, None)
     return ProbeReport(True, degree_bound, r,

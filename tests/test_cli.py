@@ -501,3 +501,38 @@ def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
     monkeypatch.delenv("SAITO_FORGE_THREADS")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert cli._worker_count(50) == 8
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process; no call may leave an option set
+    # for the next, so each report matches the one a fresh parser gives
+    from saito_forge import cli
+
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    calls = [["verify", "--d", "8", "--alpha", "1", "--beta", "0", "--seed", "2",
+              "--field", "fp:1009", "--timings"],
+             ["verify", "--d", "8", "--alpha", "1", "--beta", "0", "--seed", "2", "--field", "fp:1009"],
+             ["sweep", "--d", "7..8", "--field", "fp:1009"],
+             ["syzygies", *WORKED, "--degree", "3"]]
+
+    def reports(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code, text = run(capsys, *argv)
+            data = json.loads(text)
+            out.append((code, sorted(data.pop("timings", {})), json.dumps(data)))
+        return out
+
+    shared = reports(fresh=False)
+    assert shared == reports(fresh=True)
+    assert [timed for _, timed, _ in shared] == [["point_support", "resolution", "saito"], [], [], []]
+
+
+def test_input_errors_share_one_base():
+    from saito_forge.family import InvalidParams
+    from saito_forge.field import FieldError, InputError
+    from saito_forge.poly import PolyError
+
+    assert all(issubclass(e, InputError) for e in (InvalidParams, PolyError, FieldError))

@@ -5,7 +5,7 @@ from saito_forge.family import FamilyParams, build_divisor, legal_pairs, random_
 from saito_forge.field import PrimeField, QQ
 from saito_forge import oracle
 from saito_forge.linalg import eliminate
-from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _syzygy_kernel_raw,
+from saito_forge.oracle import (IdealLadder, JacobianLadder, SyzygyVector, _syzygy_kernel_raw,
                                 expected_multiplicity, gradient_kernel, gradient_pairing,
                                 jacobian_generators, macaulay_matrix,
                                 monomial_membership, point_support_check,
@@ -13,7 +13,7 @@ from saito_forge.oracle import (JacobianLadder, SyzygyVector, _echelon, _syzygy_
                                 space_dim, syzygy_kernel)
 from saito_forge.poly import Poly, column_polys, grlex_key, monomials, parse, shifted_columns
 from saito_forge.saito import freeness_probe
-from reference import dense_echelon, dense_rank, in_kernel_span, syzygy_columns
+from reference import dense_echelon, dense_rank, in_kernel_span, syzygy_columns, whole_echelon
 
 F1009 = PrimeField(1009)
 
@@ -26,18 +26,26 @@ def worked_instance(fld=QQ):
 # ----- Macaulay ranks -------------------------------------------------------
 
 
+def ladder_rank(gens, t):
+    """dim of the degree-t piece of (gens), climbed on an `IdealLadder`."""
+    ladder = IdealLadder(gens)
+    while ladder.degree < t:
+        ladder.advance()
+    return ladder.rank()
+
+
 def test_ideal_dim_variables():
     gens = [parse("x"), parse("y"), parse("z")]
-    assert _echelon(gens, 1)[0] == 3
+    assert ladder_rank(gens, 1) == 3
 
 
 def test_ideal_dim_single_square():
-    assert _echelon([parse("x^2")], 3)[0] == 3  # x^3, x^2 y, x^2 z
+    assert ladder_rank([parse("x^2")], 3) == 3  # x^3, x^2 y, x^2 z
 
 
 def test_ideal_dim_gradient_d5():
     inst = worked_instance()
-    assert _echelon(jacobian_generators(inst.f), 4)[0] == 3
+    assert ladder_rank(jacobian_generators(inst.f), 4) == 3
 
 
 def test_macaulay_column_shape():
@@ -48,7 +56,7 @@ def test_macaulay_column_shape():
 
 def test_hilbert_quotient_t0():
     inst = worked_instance()
-    assert space_dim(0) - _echelon(jacobian_generators(inst.f), 0)[0] == 1
+    assert space_dim(0) - ladder_rank(jacobian_generators(inst.f), 0) == 1
 
 
 def test_rank_stability_redundant_generator():
@@ -57,7 +65,7 @@ def test_rank_stability_redundant_generator():
     partials = [inst.fx, inst.fy, inst.fz]
     with_f = partials + [inst.f]
     for t in range(4, 10):
-        assert _echelon(partials, t)[0] == _echelon(with_f, t)[0]
+        assert ladder_rank(partials, t) == ladder_rank(with_f, t) == whole_echelon(with_f, t)[0]
 
 
 # ----- syzygy kernels ---------------------------------------------------------
@@ -393,9 +401,9 @@ def test_ladder_on_controls():
 
 
 def echelon_answers(gens, t, candidates):
-    """`_echelon`'s rank and `monomial_membership`'s answers, shaped as
+    """`IdealLadder.rank` and `monomial_membership`'s answers, shaped as
     `dense_echelon` returns them."""
-    return _echelon(gens, t)[0], monomial_membership(gens, list(candidates), t)
+    return ladder_rank(gens, t), monomial_membership(gens, list(candidates), t)
 
 
 def echelon_cases():
@@ -454,29 +462,41 @@ def test_echelon_candidates_in_covered_rows():
 
 
 def test_verify_eliminates_each_degree_once(monkeypatch, capsys):
-    # the ladder climbs each degree 0..bound once, and at even d the oracle
-    # route's kernels, the only Macaulay matrices eliminated whole, run at
-    # t2 + d - 1 and t3 + d - 1
+    # one ladder climbs each degree 0..bound once: the oracle route's
+    # kernels read it, and no Macaulay matrix is eliminated whole, so every
+    # kernel elimination is a closed-form route's `solve_affine`
+    from saito_forge import column_system, linalg, poly, saito
     from saito_forge.cli import main
 
-    climbed, eliminated = [], []
-    real_advance, real_echelon = oracle.IdealLadder.advance, oracle._echelon
+    climbed, kernels, solves = [], [], []
+    real_advance = oracle.IdealLadder.advance
+    real_eliminate, real_solve = linalg.eliminate, linalg.solve_affine
 
-    def advance(ladder):
-        real_advance(ladder)
+    def advance(ladder, track=False):
+        real_advance(ladder, track)
         climbed.append(ladder.degree)
 
-    def echelon(gens, t, degrees=None):
-        eliminated.append(t)
-        return real_echelon(gens, t, degrees)
+    def eliminate(nrows, columns, field, kernel=False):
+        if kernel:
+            kernels.append(nrows)
+        return real_eliminate(nrows, columns, field, kernel)
+
+    def solve_affine(nrows, columns, rhs, field):
+        solves.append(nrows)
+        return real_solve(nrows, columns, rhs, field)
 
     monkeypatch.setattr(oracle.IdealLadder, "advance", advance)
-    monkeypatch.setattr(oracle, "_echelon", echelon)
+    for mod in (linalg, column_system, poly, saito, oracle):
+        for name, stand_in in (("eliminate", eliminate), ("solve_affine", solve_affine)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, stand_in)
     for d, alpha, beta in ((9, 1, 0), (10, 1, 1)):
         climbed.clear()
-        eliminated.clear()
+        kernels.clear()
+        solves.clear()
         assert main(["verify", "--d", str(d), "--alpha", str(alpha), "--beta", str(beta),
                      "--seed", "2", "--field", "fp:1009"]) == 0
         v = d // 2
         assert climbed == list(range(3 * v + 4))
-        assert eliminated == ([] if d % 2 else [v - 1 + d - 1, v + d - 1])
+        assert kernels == solves
+        assert bool(solves) == (d % 2 == 1)  # the beta = 0 route solves; the oracle does not

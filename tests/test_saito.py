@@ -317,11 +317,11 @@ HAND_BUILT = [
 ]
 
 
-def empty_gradient_kernel(inst, t):
+def empty_gradient_kernel(inst, t, ladder=None):
     return SyzygyBasis(t, ())
 
 
-def useless_gradient_kernel(inst, t):
+def useless_gradient_kernel(inst, t, ladder=None):
     zero = Poly.zero(inst.params.field)
     return SyzygyBasis(t, (SyzygyVector(zero, zero, zero, zero),) * 3)
 
