@@ -5,7 +5,7 @@ column is a triple (h1, h3, h5) of bivariate forms of degree v solving a
 2x3 system with polynomial entries built from F1 and F2.  Each unknown
 coefficient is the column of one z-free shift of a matrix column, built
 sparse by `poly.shifted_columns` with one row block per equation, so the
-solve and the cokernel dimensions are each one exact elimination.
+solve is one exact elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .family import FamilyParams
-from .linalg import eliminate, solve_affine
+from .linalg import solve_affine
 from .poly import Poly, column_polys, shifted_columns
 
 
@@ -134,27 +134,3 @@ def column_syzygy_generator(params: FamilyParams):
         Poly.monomial(fld, (b, v - a - b, 0), nvars=2) * g2,
         -(x * y * params.f2.partial("x") * g1 + y_bracket(params) * g2),
     )
-
-
-def column_cokernel_hilbert(params: FamilyParams, i: int) -> int:
-    """Dimension of the degree-i piece of the cokernel of the system's
-    generator module, by exact rank of the evaluation matrix."""
-    if i < 0:
-        return 0
-    a, v, fld = params.alpha, params.v, params.field
-    sys = build_column_system(params, fld.one)
-    ambient = max(0, i - (v - a) + 1) + max(0, i - a + 1)
-    if i < v:
-        return ambient
-    nrows, cols = _module_columns(sys, i - v)
-    return ambient - len(eliminate(nrows, cols, fld)[0])
-
-
-def cokernel_series_coefficient(params: FamilyParams, i: int) -> int:
-    """Coefficient of z^i in (z^a + z^(v-a) - 3 z^v + z^(2v)) / (1-z)^2."""
-    v, a = params.v, params.alpha
-
-    def g(n: int) -> int:
-        return n + 1 if n >= 0 else 0
-
-    return g(i - a) + g(i - (v - a)) - 3 * g(i - v) + g(i - 2 * v)

@@ -220,8 +220,8 @@ def is_irreducible(f: Poly) -> bool:
     if not f.is_homogeneous() or any(m[2] > 1 for m in f.terms):
         raise ValueError("expected a form linear in z")
     fld, d = f.field, f.degree()
-    a = Poly._make(fld, 3, {m: c for m, c in f.terms.items() if m[2] == 0})
-    b = Poly._make(fld, 3, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
+    a = Poly(fld, 3, {m: c for m, c in f.terms.items() if m[2] == 0})
+    b = Poly(fld, 3, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
     return not (a.is_zero() or b.is_zero()) and coprime_forms(a, b, d, d - 1)
 
 

@@ -17,19 +17,19 @@ kernel vectors.  The Jacobian ladder joins columns in another order, and
 `canonical_kernel` turns any basis of a kernel into that RREF basis.  Only
 the reduction step depends on the field:
 
-* rationals: columns hold Python ints, after `eliminate` scales each row by
-  the lcm of its denominators (which changes neither the column
-  dependencies nor the right kernel); they are reduced with two-term
-  fraction-free integer combinations, dividing out the content after each
-  step;
+* rationals: columns hold Python ints, the caller having cleared
+  denominators by a row scaling (which changes neither the column
+  dependencies nor the right kernel), as `poly.shifted_columns` does; they
+  are reduced with two-term fraction-free integer combinations, dividing
+  out the content after each step;
 * prime fields: each basis vector is scaled to 1 at its leading row, and a
   column is reduced in one reused dense accumulator of Python ints, taken
   ``% p`` when read (so any p works), visiting its nonzero rows smallest
   first through a heap.
 
-The generic ``rref`` on lists is the reference the engine is tested against;
-the dense-list front ends ``pivot_columns`` and ``kernel_basis`` serve the
-tests and the benchmark's layer tracing.
+The dense-list front ends ``pivot_columns`` and ``kernel_basis`` take
+field scalars, clear the denominators of each row first (`_dense_columns`),
+and serve the tests and the benchmark's layer tracing.
 """
 
 from __future__ import annotations
@@ -39,46 +39,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .field import Field, Rationals
-
-
-def rref(rows: list, field: Field) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column indices."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    piv = 0
-    for c in range(nc):
-        r = None
-        for i in range(piv, nr):
-            if not field.is_zero(rows[i][c]):
-                r = i
-                break
-        if r is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        inv = field.inv(rows[piv][c])
-        rows[piv] = [field.mul(e, inv) for e in rows[piv]]
-        prow = rows[piv]
-        for i in range(nr):
-            if i != piv and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        piv += 1
-        if piv == nr:
-            break
-    return pivots
-
-
-def _int_columns(columns: list) -> list[dict]:
-    """The columns as ``{row: int}`` after clearing the denominators of each row."""
-    mult: dict = {}
-    for col in columns:
-        for i, e in col.items():
-            if e.denominator != 1:
-                mult[i] = lcm(mult.get(i, 1), e.denominator)
-    return [{i: e.numerator * (mult.get(i, 1) // e.denominator) for i, e in col.items() if e}
-            for col in columns]
 
 
 def _combine(v: dict, a: int, w: dict, c: int) -> dict:
@@ -208,13 +168,10 @@ def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False):
     which is what rank queries need.  With ``kernel``, ``relations`` holds,
     for each non-pivot column j in order, its RREF kernel vector as a
     ``{col: value}`` map in column order, with value 1 at j; otherwise it is
-    None.  Over the rationals each row is first scaled by the lcm of its
-    denominators, which changes neither the column dependencies nor the
-    right kernel.
+    None.  Over the rationals the columns hold ints (any row scaling of the
+    matrix has the same pivots and relations) and the relations Fractions.
     """
     qq = isinstance(field, Rationals)
-    if qq:
-        columns = _int_columns(columns)
     echelon = Echelon(field, nrows)
     pivots: list[int] = []
     relations = [] if kernel else None
@@ -283,7 +240,12 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
     return out
 
 
-def _dense_columns(rows: list, ncols: int) -> list[dict]:
+def _dense_columns(rows: list, ncols: int, field: Field) -> list[dict]:
+    """The sparse columns of a dense matrix of field scalars, as `eliminate`
+    takes them: over the rationals each row scaled by the lcm of its denominators."""
+    if isinstance(field, Rationals):
+        rows = [[e.numerator * (m // e.denominator) for e in r]
+                for r in rows for m in (lcm(*[e.denominator for e in r]),)]
     return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
 
 
@@ -291,7 +253,7 @@ def pivot_columns(rows: list, field: Field) -> list[int]:
     """Pivot columns of a dense matrix under left-to-right elimination."""
     if not rows or not rows[0]:
         return []
-    return eliminate(len(rows), _dense_columns(rows, len(rows[0])), field)[0]
+    return eliminate(len(rows), _dense_columns(rows, len(rows[0]), field), field)[0]
 
 
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
@@ -299,13 +261,15 @@ def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
     a 1 in one RREF-free column and zeros in the other free columns."""
     if ncols == 0:
         return []
-    relations = eliminate(len(rows), _dense_columns(rows, ncols), field, kernel=True)[1]
+    relations = eliminate(len(rows), _dense_columns(rows, ncols, field), field, kernel=True)[1]
     return [[rel.get(k, field.zero) for k in range(ncols)] for rel in relations]
 
 
 def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):
     """Solve A u = b exactly, with A given by its sparse ``{row: value}``
-    ``columns`` and b by the sparse column ``rhs``.
+    ``columns`` and b by the sparse column ``rhs``, integral over the
+    rationals as in `eliminate` (one row scaling of A and b together keeps
+    the solutions).
 
     Returns (particular, kernel) as sparse ``{col: value}`` maps: the
     canonical particular solution (free variables pinned to zero), or None

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 from .family import DivisorInstance
 from .linalg import Echelon, canonical_kernel
-from .poly import (Poly, _int_terms, column_polys, dot, grlex_key, monomial_index,
-                   monomials, space_dim)
+from .poly import Poly, column_polys, dot, grlex_key, monomial_index, monomials, space_dim
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,9 @@ def macaulay_matrix(gens, t: int, degrees=None) -> MacaulayMatrix:
 
 
 def _xy_terms(p: Poly) -> list:
-    """The terms of p as (x exponent, y exponent, coefficient), scaled to
-    integers over the rationals."""
-    return [(i, j, c) for (i, j, _), c in _int_terms(p)[0].items()]
+    """The terms of p as (x exponent, y exponent, numerator): p's terms
+    scaled by ``p.den``, integers over the rationals."""
+    return [(i, j, c) for (i, j, _), c in p.num.items()]
 
 
 class IdealLadder:
@@ -98,11 +97,11 @@ class IdealLadder:
         self.tracked = -1       # every degree up to this one was tracked
         self.relations: list = []
         live = [(k, g) for k, g in enumerate(gens) if not g.is_zero()]
-        kc = next((k for k, g in live if len(g.terms) == 1 and not next(iter(g.terms))[2]), None)
+        kc = next((k for k, g in live if len(g.num) == 1 and not next(iter(g.num))[2]), None)
         # index -> (degree, integer terms, their scale), in order
-        self._gens = {k: (g.degree(), _xy_terms(g), _int_terms(g)[1]) for k, g in live if k != kc}
+        self._gens = {k: (g.degree(), _xy_terms(g), g.den) for k, g in live if k != kc}
         # the cover c*x^i y^j as (index, i, j, c, scale)
-        self._cover = None if kc is None else (kc, *_xy_terms(gens[kc])[0], _int_terms(gens[kc])[1])
+        self._cover = None if kc is None else (kc, *_xy_terms(gens[kc])[0], gens[kc].den)
 
     def _column(self, terms, a: int = 0, b: int = 0) -> dict:
         """The sparse column of x^a y^b times the (i, j, coefficient) ``terms``
@@ -256,8 +255,8 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
         relations = [rel for rel in relations if max(rel) < 3 * s]
     vectors = [SyzygyVector(*polys) for polys in column_polys(relations, shifts, fld)]
     # stable preference: smallest e-support first, then leading monomial order
-    vectors.sort(key=lambda s: (len(s.e.terms),
-                                [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
+    vectors.sort(key=lambda s: (len(s.e.num),
+                                [grlex_key(m) for m in sorted(s.e.num, key=grlex_key, reverse=True)]))
     return SyzygyBasis(t, tuple(vectors))
 
 

@@ -1,9 +1,15 @@
 """Sparse homogeneous polynomials in x, y, z (or the subring in x, y).
 
-Terms are stored as a map from exponent triples ``(ex, ey, ez)`` to nonzero
-field scalars; bivariate polynomials keep ``ez = 0`` and are tagged with
+A polynomial is integer numerators over one denominator: ``num`` maps
+exponent triples ``(ex, ey, ez)`` to nonzero Python ints and the value is
+``num / den``.  Over the rationals ``den > 0`` and ``den`` shares no factor
+with the content of ``num``; over a prime field ``den == 1`` and the values
+lie in ``1..p-1``.  The form is canonical, so equality compares ``num`` and
+``den``.  ``terms`` is the read-only ``{mono: field scalar}`` view, built on
+first use.  Bivariate polynomials keep ``ez = 0`` and are tagged with
 ``nvars = 2``.  Polynomials are immutable after construction: every operation
-allocates a fresh result, so values can be shared freely across threads.
+allocates a fresh result (``num`` may be shared between results, never
+written), so values can be shared freely across threads.
 
 The canonical text form prints terms in descending graded-lex order, x > y > z,
 with ``*`` between coefficient and variables, no ``^1`` and ASCII digits;
@@ -11,11 +17,12 @@ with ``*`` between coefficient and variables, no ``^1`` and ASCII digits;
 order, and ``shifted_columns`` builds every linear system the package solves
 from shifted forms, as sparse columns indexed in that order.
 
-Sums, products, negation, scaling and ``det3`` run on maps of Python ints,
-as ``linalg.eliminate`` does: a rational operand (a row, in ``det3``) is
-scaled by the lcm of its denominators, and each result term is normalised
-once, by ``Fraction(n, den)`` or ``% p``.  ``det_unit`` tests det == c*F with
-c = det[lm F] / lc F, the same predicate as F | det with a constant quotient.
+Sums, products, negation, scaling, partials, ``dot`` and ``det3`` run on
+the numerators, with the denominators multiplied (or, for sums, their lcm
+taken), and each result is normalised once: one gcd divided out of its
+content and ``den``, or ``% p``.  No ``Fraction`` is built.  ``det_unit``
+tests det == c*F with c = det[lm F] / lc F, the same predicate as F | det
+with a constant quotient.
 
 Common factors of binary forms are one Sylvester-rank test, ``coprime_forms``
 (two forms share a factor exactly when their resultant vanishes); it decides
@@ -27,7 +34,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .field import Field, FieldMismatch, InputError, QQ
 from .linalg import eliminate
@@ -64,27 +72,50 @@ def grlex_key(m):
 
 
 class Poly:
-    __slots__ = ("field", "nvars", "terms")
+    """``num / den`` in canonical form (see the module docstring).
+
+    ``Poly(field, nvars, terms)`` takes ``{mono: scalar}`` with ints or
+    ``Fraction``s, zeros allowed; ``terms`` gives them back as field scalars
+    in a read-only map, built on first use and kept."""
+
+    __slots__ = ("field", "nvars", "num", "den", "_terms")
 
     def __init__(self, field: Field, nvars: int, terms: dict):
         if nvars not in (2, 3):
             raise PolyError(f"nvars must be 2 or 3, got {nvars}")
         self.field = field
         self.nvars = nvars
-        self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
+        self._terms = None
+        if field.char:
+            p = field.p
+            self.num, self.den = {m: r for m, c in terms.items() if (r := c % p)}, 1
+        else:
+            # scalars in lowest terms: no prime of the lcm divides every numerator
+            den = self.den = lcm(*[c.denominator for c in terms.values()])
+            self.num = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
 
     @classmethod
-    def _make(cls, field: Field, nvars: int, terms: dict) -> "Poly":
-        """Construct from terms already known to be nonzero and reduced."""
+    def _make(cls, field: Field, nvars: int, num: dict, den: int) -> "Poly":
+        """Construct from numerators and a denominator already canonical."""
         p = object.__new__(cls)
-        p.field, p.nvars, p.terms = field, nvars, terms
+        p.field, p.nvars, p.num, p.den, p._terms = field, nvars, num, den, None
         return p
+
+    @property
+    def terms(self):
+        """The read-only map ``{mono: field scalar}`` of the nonzero terms."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                self.num if self.field.char else
+                {m: Fraction(c, den) if den != 1 else Fraction(c) for m, c in self.num.items()})
+        return self._terms
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field, nvars: int = 3) -> "Poly":
-        return cls(field, nvars, {})
+        return cls._make(field, nvars, {}, 1)
 
     @classmethod
     def constant(cls, field: Field, c, nvars: int = 3) -> "Poly":
@@ -95,7 +126,9 @@ class Poly:
         ex, ey, ez = exps
         if ez and nvars == 2:
             raise UnknownVariable("z exponent in a bivariate polynomial")
-        return cls(field, nvars, {(ex, ey, ez): field.one if c is None else c})
+        if c is None:
+            return cls._make(field, nvars, {(ex, ey, ez): 1}, 1)
+        return cls(field, nvars, {(ex, ey, ez): c})
 
     @classmethod
     def variable(cls, field: Field, name: str, nvars: int = 3) -> "Poly":
@@ -104,41 +137,42 @@ class Poly:
             raise UnknownVariable(f"variable {name!r} not available with nvars={nvars}")
         e = [0, 0, 0]
         e[i] = 1
-        return cls(field, nvars, {tuple(e): field.one})
+        return cls._make(field, nvars, {tuple(e): 1}, 1)
 
     # ----- basic structure ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.num)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
+        degs = {sum(m) for m in self.num}
         return len(degs) <= 1
 
     def coeff_of(self, exps):
-        """Stored coefficient of the monomial, or the field zero."""
+        """Coefficient of the monomial as a field scalar (the field zero when absent)."""
         ex, ey, ez = exps
-        return self.terms.get((ex, ey, ez), self.field.zero)
+        c = self.num.get((ex, ey, ez), 0)
+        return c if self.field.char else Fraction(c, self.den)
 
     def as_trivariate(self) -> "Poly":
         if self.nvars == 3:
             return self
-        return Poly(self.field, 3, dict(self.terms))
+        return Poly._make(self.field, 3, self.num, self.den)
 
     def sorted_terms(self):
         return [(m, self.terms[m]) for m in sorted(self.terms, key=grlex_key, reverse=True)]
 
     def leading_term(self):
-        if not self.terms:
+        if not self.num:
             return None
-        m = max(self.terms, key=grlex_key)
-        return m, self.terms[m]
+        m = max(self.num, key=grlex_key)
+        return m, self.coeff_of(m)
 
     # ----- arithmetic ----------------------------------------------------
 
@@ -149,10 +183,10 @@ class Poly:
             raise FieldMismatch(f"mixed nvars {self.nvars} vs {other.nvars}; lift with as_trivariate()")
 
     def _add(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign*other, on common-denominator int maps."""
+        """self + sign*other, over the lcm of the two denominators."""
         self._check_compat(other)
-        a, da = _int_terms(self)
-        b, db = _int_terms(other)
+        a, da = self.num, self.den
+        b, db = other.num, other.den
         den = lcm(da, db)
         sa, sb = den // da, sign * (den // db)
         out = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
@@ -169,20 +203,18 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         p = self.field.char  # p - c keeps a prime-field value in 1..p-1
-        terms = {m: p - c if p else -c for m, c in self.terms.items()}
-        return Poly._make(self.field, self.nvars, terms)
+        num = {m: p - c if p else -c for m, c in self.num.items()}
+        return Poly._make(self.field, self.nvars, num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(self.field.from_int(other))
+            return self.scale(other)
         self._check_compat(other)
-        a, da = _int_terms(self)
-        b, db = _int_terms(other)
-        return _from_ints(self.field, self.nvars, _imul(a, b), da * db)
+        return _from_ints(self.field, self.nvars, _imul(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return self.scale(self.field.from_int(other))
+            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
@@ -194,20 +226,18 @@ class Poly:
         return out
 
     def scale(self, c) -> "Poly":
-        f = self.field
-        if f.is_zero(c):
-            return Poly.zero(f, self.nvars)
-        a, da = _int_terms(self)
-        n = c.numerator  # c itself over a prime field
-        return _from_ints(f, self.nvars, {m: v * n for m, v in a.items()}, da * c.denominator)
+        """c * self for a field scalar or an int c."""
+        n = c.numerator  # c itself for an int
+        return _from_ints(self.field, self.nvars, {m: v * n for m, v in self.num.items()},
+                          self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.field == other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        return hash((self.field, frozenset(self.num.items()), self.den))
 
     # ----- calculus -------------------------------------------------------
 
@@ -216,16 +246,15 @@ class Poly:
         i = VAR_INDEX[var]
         if i >= self.nvars:
             raise UnknownVariable(f"variable {var!r} not available with nvars={self.nvars}")
-        f = self.field
         out: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             e = m[i]
             if e == 0:
                 continue
             mm = list(m)
             mm[i] = e - 1
-            out[tuple(mm)] = f.mul(c, f.from_int(e))
-        return Poly(f, self.nvars, out)  # drops the multiples of char
+            out[tuple(mm)] = c * e
+        return _from_ints(self.field, self.nvars, out, self.den)  # drops the multiples of char
 
     def euler_check(self, grad=None):
         """Verify x*P_x + y*P_y + z*P_z = deg(P)*P exactly; return deg(P) in the field.
@@ -234,7 +263,7 @@ class Poly:
         Raises EulerViolation on failure (an arithmetic bug, since the identity
         is forced for homogeneous input).
         """
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomial("euler_check of the zero polynomial")
         if not self.is_homogeneous():
             raise EulerViolation("input is not homogeneous")
@@ -258,15 +287,6 @@ class Poly:
 # ----- int-accumulator kernels ---------------------------------------------
 
 
-def _int_terms(p: "Poly") -> tuple[dict, int]:
-    """``({mono: int}, den)`` with p = ints / den: den is the lcm of the
-    coefficient denominators over the rationals and 1 over a prime field."""
-    if p.field.char:
-        return p.terms, 1
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
-
-
 def _imul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
     """The int map a*b, or ``out`` with sign*a*b added to it; zero entries stay."""
     out = {} if out is None else out
@@ -279,17 +299,18 @@ def _imul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
     return out
 
 
-def _from_ints(field: Field, nvars: int, terms: dict, den: int) -> "Poly":
-    """The polynomial ints / den, normalising each nonzero term once:
-    ``Fraction(n, den)`` over the rationals, ``n % p`` over a prime field."""
+def _from_ints(field: Field, nvars: int, ints: dict, den: int) -> "Poly":
+    """The polynomial ints / den (den > 0) in canonical form: zero entries
+    dropped, then one gcd divided out of the content and den over the
+    rationals, each value taken ``% p`` over a prime field."""
     if field.char:
         p = field.p
-        out = {m: r for m, c in terms.items() if (r := c % p)}
-    elif den == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
-        out = {m: Fraction(c) for m, c in terms.items() if c}
-    else:
-        out = {m: Fraction(c, den) for m, c in terms.items() if c}
-    return Poly._make(field, nvars, out)
+        return Poly._make(field, nvars, {m: r for m, c in ints.items() if (r := c % p)}, 1)
+    num = {m: c for m, c in ints.items() if c}
+    if den != 1 and (g := gcd(den, *num.values())) > 1:
+        num = {m: c // g for m, c in num.items()}
+        den //= g
+    return Poly._make(field, nvars, num, den)
 
 
 def divides(d: "Poly", p: "Poly"):
@@ -335,7 +356,7 @@ def dot(ps, qs) -> Poly:
     for p, q in zip(ps, qs):
         first._check_compat(p)
         first._check_compat(q)
-        pairs.append((_int_terms(p), _int_terms(q)))
+        pairs.append(((p.num, p.den), (q.num, q.den)))
     den = lcm(*[da * db for (_, da), (_, db) in pairs])
     out: dict = {}
     for (a, da), (b, db) in pairs:
@@ -348,13 +369,13 @@ def det3(m) -> Poly:
     """Determinant of a 3x3 matrix of polynomials sharing one field and nvars.
 
     Each row is scaled by the lcm of its denominators, the cofactor expansion
-    runs on int maps, and the product of the row lcms is divided out once."""
+    runs on the numerators, and the product of the row lcms is divided out once."""
     first = m[0][0]
     rows, den = [], 1
     for row in m:
         for e in row:
             first._check_compat(e)
-        ints = [_int_terms(e) for e in row]
+        ints = [(e.num, e.den) for e in row]
         rl = lcm(*[d for _, d in ints])
         rows.append([t if d == rl else {k: c * (rl // d) for k, c in t.items()} for t, d in ints])
         den *= rl
@@ -399,8 +420,8 @@ def split_pure_power(p: "Poly", axis: str):
     m = p.degree()
     pure = (0, m, 0) if axis == "x" else (m, 0, 0)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
-    q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.terms.items() if (ex, ey, 0) != pure}
-    return Poly._make(f, 2, q), p.coeff_of(pure)
+    q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.num.items() if (ex, ey, 0) != pure}
+    return _from_ints(f, 2, q, p.den), p.coeff_of(pure)
 
 
 def coprime_forms(a: "Poly", b: "Poly", m: int, n: int) -> bool:
@@ -434,7 +455,7 @@ def is_squarefree_bivariate(p: "Poly") -> bool:
 
 
 def render(p: "Poly") -> str:
-    if not p.terms:
+    if not p.num:
         return "0"
     f = p.field
     parts = []
@@ -560,20 +581,24 @@ def space_dim(t: int) -> int:
 
 
 def shifted_columns(pairs, degrees, zfree: bool = False) -> tuple[int, list[dict]]:
-    """The row count and the sparse ``{row: value}`` columns m*g of a linear
+    """The row count and the sparse ``{row: int}`` columns m*g of a linear
     system over shifted polynomials, for each ``(n, g)`` in ``pairs`` and each
     shift m of degree n in `monomials` order (only the z-free x^a y^(n-a)
     with ``zfree``).  ``g`` holds one form per row block: block k lists the
     monomials of degree ``degrees[k]`` in `monomials` order, after the blocks
-    before it, and every m*g[k] must have that degree.  The index of
-    x^I y^J z^(u-I-J) in `monomials` (u) is ``(u-I)(u-I+1)/2 + (u-I-J)``, so
-    each shift costs one subtraction per term."""
+    before it, and every m*g[k] must have that degree.  Each block's rows
+    are scaled by the lcm of the denominators of its forms, a row scaling
+    that keeps the pivots, relations and solutions `linalg.eliminate` and
+    `linalg.solve_affine` find.  The index of x^I y^J z^(u-I-J) in
+    `monomials` (u) is ``(u-I)(u-I+1)/2 + (u-I-J)``, so each shift costs one
+    subtraction per term."""
     offsets = list(accumulate(map(space_dim, degrees), initial=0))
     bases = [w * (w + 1) // 2 + w for w in range(max(degrees, default=0) + 1)]
+    scales = [lcm(*[p.den for p in block]) for block in zip(*[g for _, g in pairs])]
     cols = []
     for n, g in pairs:
-        terms = [(m[0], m[1], u, off, c) for p, u, off in zip(g, degrees, offsets)
-                 for m, c in p.terms.items()]
+        terms = [(m[0], m[1], u, off, c * (s // p.den))
+                 for p, u, off, s in zip(g, degrees, offsets, scales) for m, c in p.num.items()]
         for a in range(n, -1, -1):
             shifted = [(bases[u - i - a] - j + off, c) for i, j, u, off, c in terms]
             for b in (n - a,) if zfree else range(n - a, -1, -1):

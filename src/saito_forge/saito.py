@@ -135,11 +135,6 @@ def middle_column(params, ing) -> tuple:
     return (c1, c2, c3)
 
 
-def middle_column_residual(inst: DivisorInstance, ing: dict) -> Poly:
-    """Gradient pairing of the middle column; identically zero on the family."""
-    return gradient_pairing(inst, middle_column(inst.params, ing))
-
-
 def compute_constants(params) -> dict:
     """The scalars (a, b, mu) of the odd-degree, beta >= 1 route.
 
@@ -179,11 +174,6 @@ def compute_constants(params) -> dict:
     return {"a": a, "b": b, "mu": mu}
 
 
-def _z_stratum(p: Poly, k: int) -> Poly:
-    """The z^k slice of p, with the z power stripped."""
-    return Poly(p.field, 3, {(m[0], m[1], 0): c for m, c in p.terms.items() if m[2] == k})
-
-
 def coupling_residual(params, ing: dict) -> Poly:
     """The bivariate identity tying h6 to the graded triple:
     b*y*h1 + x*y*F2x*h2 + (d-b-1)*x*h3 + (y*F2y + (d-v+a)*F2)*h4 + x*y*h6."""
@@ -210,18 +200,6 @@ def last_column(params, ing) -> tuple:
           + Poly.variable(fld, "z") * ing["h6"].as_trivariate()
           - Poly.monomial(fld, (be - 1, gm, 2)) * tail)
     return (c1, c2, c3)
-
-
-def last_column_residual(inst: DivisorInstance, ing: dict) -> Poly:
-    return gradient_pairing(inst, last_column(inst.params, ing))
-
-
-def last_column_strata(inst: DivisorInstance, ing: dict) -> dict:
-    """z^2, z^1, z^0 slices of the last-column gradient pairing; the route is
-    sound exactly when each slice vanishes on its own."""
-    res = last_column_residual(inst, ing)
-    top = max((m[2] for m in res.terms), default=2)
-    return {k: _z_stratum(res, k) for k in range(max(top, 2) + 1)}
 
 
 # ----- build routes ----------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Reference computations shared by the test modules: dense ranks of whole
-Macaulay matrices, span tests on syzygy vectors, and the syzygy kernels
-eliminated one whole Macaulay matrix per degree.
+"""Reference computations shared by the test modules: the generic list
+RREF, dense ranks of whole Macaulay matrices, span tests on syzygy vectors,
+the syzygy kernels eliminated one whole Macaulay matrix per degree, the
+diagnostics of the closed-form Saito columns and of the column system's
+cokernel, and polynomial arithmetic on plain ``{mono: scalar}`` maps.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
 deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
@@ -9,11 +11,43 @@ one linear system over the blocks a, b, c (degree t') and e (degree t' - 1).
 
 from itertools import accumulate
 
+from saito_forge.column_system import _module_columns, build_column_system
 from saito_forge.field import Field, QQ
-from saito_forge.linalg import canonical_kernel, eliminate, pivot_columns, rref
-from saito_forge.oracle import SyzygyBasis, SyzygyVector, _eliminated_blocks, macaulay_matrix
-from saito_forge.poly import (column_polys, dot, grlex_key, monomial_index, monomials,
+from saito_forge.linalg import canonical_kernel, eliminate, pivot_columns
+from saito_forge.oracle import (SyzygyBasis, SyzygyVector, _eliminated_blocks, gradient_pairing,
+                                macaulay_matrix)
+from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
                               shifted_columns, space_dim)
+from saito_forge.saito import last_column, middle_column
+
+
+def rref(rows: list, field: Field) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column indices."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    piv = 0
+    for c in range(nc):
+        r = None
+        for i in range(piv, nr):
+            if not field.is_zero(rows[i][c]):
+                r = i
+                break
+        if r is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        inv = field.inv(rows[piv][c])
+        rows[piv] = [field.mul(e, inv) for e in rows[piv]]
+        prow = rows[piv]
+        for i in range(nr):
+            if i != piv and not field.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        piv += 1
+        if piv == nr:
+            break
+    return pivots
 
 
 def dense_rank(gens, t, fld, generic: bool) -> int:
@@ -104,3 +138,118 @@ def whole_matrix_kernel(gens, t: int, with_f: bool = True) -> SyzygyBasis:
     vectors.sort(key=lambda s: (len(s.e.terms),
                                 [grlex_key(m) for m in sorted(s.e.terms, key=grlex_key, reverse=True)]))
     return SyzygyBasis(t, tuple(vectors))
+
+
+# ----- diagnostics of the closed-form routes ---------------------------------
+
+
+def middle_column_residual(inst, ing: dict) -> Poly:
+    """Gradient pairing of the middle column; identically zero on the family."""
+    return gradient_pairing(inst, middle_column(inst.params, ing))
+
+
+def last_column_residual(inst, ing: dict) -> Poly:
+    return gradient_pairing(inst, last_column(inst.params, ing))
+
+
+def _z_stratum(p: Poly, k: int) -> Poly:
+    """The z^k slice of p, with the z power stripped."""
+    return Poly(p.field, 3, {(m[0], m[1], 0): c for m, c in p.terms.items() if m[2] == k})
+
+
+def last_column_strata(inst, ing: dict) -> dict:
+    """z^2, z^1, z^0 slices of the last-column gradient pairing; the route is
+    sound exactly when each slice vanishes on its own."""
+    res = last_column_residual(inst, ing)
+    top = max((m[2] for m in res.terms), default=2)
+    return {k: _z_stratum(res, k) for k in range(max(top, 2) + 1)}
+
+
+def column_cokernel_hilbert(params, i: int) -> int:
+    """Dimension of the degree-i piece of the cokernel of the column system's
+    generator module, by exact rank of the evaluation matrix."""
+    if i < 0:
+        return 0
+    a, v, fld = params.alpha, params.v, params.field
+    sys = build_column_system(params, fld.one)
+    ambient = max(0, i - (v - a) + 1) + max(0, i - a + 1)
+    if i < v:
+        return ambient
+    nrows, cols = _module_columns(sys, i - v)
+    return ambient - len(eliminate(nrows, cols, fld)[0])
+
+
+def cokernel_series_coefficient(params, i: int) -> int:
+    """Coefficient of z^i in (z^a + z^(v-a) - 3 z^v + z^(2v)) / (1-z)^2."""
+    v, a = params.v, params.alpha
+
+    def g(n: int) -> int:
+        return n + 1 if n >= 0 else 0
+
+    return g(i - a) + g(i - (v - a)) - 3 * g(i - v) + g(i - 2 * v)
+
+
+# ----- polynomials as plain {mono: scalar} maps --------------------------------
+
+
+def ref_terms(terms: dict, fld) -> dict:
+    """The map without its zero scalars."""
+    return {m: c for m, c in terms.items() if not fld.is_zero(c)}
+
+
+def ref_add(a: dict, b: dict, fld, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = fld.add(out.get(m, fld.zero), c if sign == 1 else fld.neg(c))
+    return ref_terms(out, fld)
+
+
+def ref_mul(a: dict, b: dict, fld) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            out[m] = fld.add(out.get(m, fld.zero), fld.mul(c1, c2))
+    return ref_terms(out, fld)
+
+
+def ref_scale(a: dict, c, fld) -> dict:
+    return ref_terms({m: fld.mul(v, c) for m, v in a.items()}, fld)
+
+
+def ref_partial(a: dict, i: int, fld) -> dict:
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            mm = list(m)
+            mm[i] -= 1
+            out[tuple(mm)] = fld.mul(c, fld.from_int(m[i]))
+    return ref_terms(out, fld)
+
+
+def ref_det3(m, fld) -> dict:
+    """The cofactor expansion of a 3x3 matrix of term maps along its first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+
+    def minor(p, q, r, s):
+        return ref_add(ref_mul(p, q, fld), ref_mul(r, s, fld), fld, -1)
+
+    out = ref_mul(a, minor(e, i, f, h), fld)
+    out = ref_add(out, ref_mul(b, minor(d, i, f, g), fld), fld, -1)
+    return ref_add(out, ref_mul(c, minor(d, h, e, g), fld), fld)
+
+
+def ref_divides(d: dict, p: dict, fld):
+    """(True, q) with p = d*q, else (False, None): leading-term division
+    under the graded-lex order."""
+    lm = max(d, key=grlex_key)
+    inv = fld.inv(d[lm])
+    rem, quot = dict(p), {}
+    while rem:
+        m = max(rem, key=grlex_key)
+        q = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
+        if min(q) < 0:
+            return False, None
+        quot[q] = fld.mul(rem[m], inv)
+        rem = ref_add(rem, ref_mul({q: quot[q]}, d, fld), fld, -1)
+    return True, quot

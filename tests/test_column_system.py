@@ -2,15 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from saito_forge.column_system import (NoSolution, build_column_system,
-                                       column_cokernel_hilbert,
-                                       column_syzygy_generator,
-                                       cokernel_series_coefficient,
+from saito_forge.column_system import (NoSolution, build_column_system, column_syzygy_generator,
                                        solve_column_system)
 from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.linalg import rref
 from saito_forge.poly import Poly, monomials, parse
+from reference import cokernel_series_coefficient, column_cokernel_hilbert, rref
 
 F1009 = PrimeField(1009)
 

@@ -22,6 +22,9 @@ TAMPERED = {
 ODD = ["--d", "7", "--alpha", "0", "--beta", "1", "--seed", "3"]
 BETA0 = ["--d", "7", "--alpha", "1", "--beta", "0", "--seed", "2"]
 EVEN = ["--d", "8", "--alpha", "0", "--beta", "1", "--seed", "1"]
+# true denominators in F1 and F2 (random instances draw integer coefficients)
+RATIONAL = ["--alpha", "1", "--beta", "1", "--f1=2/3*x+5/7*y",
+            "--f2=-3/4*x^3+1/2*x*y^2+11/9*y^3", "--field", "q"]
 
 # case id -> (argv without --out, sha256 of the written report)
 GOLDEN = {
@@ -39,6 +42,10 @@ GOLDEN = {
         "9269eb3a7e291689d6b49443580ff0ef5478b507d45457009bff2afe95efc06e"),
     "verify-oracle-odd-q": (["verify", *ODD, "--field", "q", "--route", "oracle"],
         "44f5f3097025eedb471c6b1a8dbdd96c04385bda7a2e7fa60b9cc19959d17767"),
+    "verify-explicit_odd-rational-q": (["verify", "--d", "9", *RATIONAL],
+        "60daab50d7510204549dc0afe22db9e3f50802248b87ef404b3cdd5642dc7e3e"),
+    "verify-oracle-rational-q": (["verify", "--d", "10", *RATIONAL],
+        "7a081ae256327f60b0a51174aa3deb94236e81fc5a2aea69199d3be8abeb8b0d"),
     "sweep-5..8-fp": (["sweep", "--d", "5..8", "--field", "fp:1009"],
         "491a2b658a9b3569cecbbe4cd5f1b8ccb9ad3596484fa984b1cc9bf6868480c6"),
     "sweep-9..12-q": (["sweep", "--d", "9..12", "--field", "q"],

@@ -6,9 +6,10 @@ import pytest
 
 from saito_forge.family import build_divisor, random_instance
 from saito_forge.field import PrimeField, QQ
-from saito_forge.linalg import (Echelon, eliminate, kernel_basis, pivot_columns, rref,
+from saito_forge.linalg import (Echelon, _dense_columns, eliminate, kernel_basis, pivot_columns,
                                 solve_affine)
 from saito_forge.oracle import jacobian_generators, macaulay_matrix
+from reference import rref
 
 F1009 = PrimeField(1009)
 
@@ -35,9 +36,11 @@ def densify(vec, ncols, fld=QQ):
 
 
 def solve_dense(rows, ncols, rhs, fld):
-    """`solve_affine` on the sparse columns of a dense system A u = b."""
-    return solve_affine(len(rows), sparse_columns(rows, ncols),
-                        {i: b for i, b in enumerate(rhs) if b}, fld)
+    """`solve_affine` on the sparse columns of a dense system A u = b,
+    integral over the rationals: each row of [A | b] scaled by the lcm of
+    its denominators, which keeps the solutions."""
+    *cols, b = _dense_columns([r + [x] for r, x in zip(rows, rhs)], ncols + 1, fld)
+    return solve_affine(len(rows), cols, b, fld)
 
 
 def test_rref_known_rank():

@@ -26,7 +26,8 @@ def recombined_kernel(draw):
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
     # small entries, many zeros: kernels of every dimension, free columns anywhere
     entry = st.integers(-2, 2) | st.just(0)
-    columns = [{i: scalar(fld, x) for i in range(nrows) if (x := draw(entry))}
+    # integer columns, as eliminate takes them over the rationals
+    columns = [{i: fld.from_int(x) if fld.char else x for i in range(nrows) if (x := draw(entry))}
                for _ in range(ncols)]
     relations = eliminate(nrows, columns, fld, kernel=True)[1]
     k = len(relations)

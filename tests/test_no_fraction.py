@@ -1,0 +1,83 @@
+"""Polynomial arithmetic over the rationals builds no `Fraction`: sums,
+products, scaling, `dot`, `det3`, partials, `as_trivariate` and the
+integer columns of `shifted_columns`, ranked by `eliminate`, all run on
+integer numerators.  Checked on the d = 9 member with true denominators in
+F1 and F2, by counting stand-ins for the `Fraction` the package modules
+construct with."""
+
+from fractions import Fraction
+
+import pytest
+
+from saito_forge import field, linalg, poly
+from saito_forge.family import FamilyParams, build_divisor
+from saito_forge.field import QQ
+from saito_forge.linalg import eliminate
+from saito_forge.poly import Poly, det3, dot, parse, shifted_columns
+from saito_forge.saito import build_saito_matrix
+
+
+@pytest.fixture
+def built():
+    """Count the Fractions the package modules build: a list that grows by
+    one per construction."""
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (poly, linalg, field):
+            mp.setattr(mod, "Fraction", Counting)
+        yield made
+
+
+def rational_member():
+    f1 = parse("2/3*x + 5/7*y", QQ, 2)
+    f2 = parse("-3/4*x^3 + 1/2*x*y^2 + 11/9*y^3", QQ, 2)
+    inst = build_divisor(FamilyParams(9, 1, 1, f1, f2))
+    return inst, build_saito_matrix(inst)
+
+
+def test_arithmetic_builds_no_fraction(built):
+    inst, sm = rational_member()
+    f1, f2 = inst.params.f1, inst.params.f2
+    assert f1.den > 1 and f2.den > 1 and inst.fx.den > 1
+    col = sm.column(2)
+    scalar = Fraction(-5, 6)
+    built.clear()
+    lifted = f1.as_trivariate(), f2.as_trivariate()
+    results = [
+        inst.fx * inst.fy, f1 * f2, inst.fx + inst.fy, inst.fx - inst.fz, -inst.fy,
+        3 * inst.fz, inst.fx * 2, inst.f.scale(scalar), f2.scale(scalar),
+        dot(col, (inst.fx, inst.fy, inst.fz)), det3(sm.matrix),
+        *(inst.f.partial(v) for v in "xyz"), *lifted, lifted[0] * inst.fz,
+    ]
+    assert built == []
+    assert det3(sm.matrix) == inst.f.scale(sm.unit)
+    assert any(r.den > 1 for r in results)
+
+
+def test_shifted_columns_and_elimination_build_no_fraction(built):
+    inst, _ = rational_member()
+    f1, f2 = inst.params.f1, inst.params.f2
+    built.clear()
+    for pairs, degrees, zfree in (
+            ([(1, (inst.fx,)), (1, (inst.fy,)), (1, (inst.fz,))], (9,), False),
+            ([(1, (f2,)), (3, (f1,))], (4,), True),
+            ([(2, (f1, f2)), (1, (f2.partial("x"), f2 * f1))], (3, 5), True)):
+        nrows, cols = shifted_columns(pairs, degrees, zfree)
+        assert all(type(c) is int for col in cols for c in col.values())
+        eliminate(nrows, cols, QQ)
+    assert built == []
+
+
+def test_the_counter_counts(built):
+    """The stand-ins see what the package builds: reading a rational
+    polynomial's terms builds one Fraction per term."""
+    p = Poly(QQ, 2, {(1, 0, 0): 2, (0, 1, 0): 3}).scale(Fraction(1, 5))
+    built.clear()
+    assert dict(p.terms) == {(1, 0, 0): Fraction(2, 5), (0, 1, 0): Fraction(3, 5)}
+    assert len(built) == 2

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from saito_forge.column_system import build_column_system
@@ -319,12 +321,14 @@ def test_direct_assembly_matches_macaulay_matrix():
 def shifted_products(pairs, degrees, zfree=False):
     """Dense columns m*g by Poly products, in the order `shifted_columns` uses:
     for each (n, g) and each shift m of degree n (z-free with ``zfree``), the
-    coefficients of m*g[k] at the monomials of degree degrees[k], block by block."""
+    coefficients of m*g[k] at the monomials of degree degrees[k], block by
+    block, each block's rows scaled by the lcm of its forms' denominators."""
+    scales = [lcm(*[g[k].den for _, g in pairs]) for k in range(len(degrees))]
     cols = []
     for n, g in pairs:
         for m in monomials(n, 2 if zfree else 3):
-            cols.append([(p * Poly.monomial(p.field, m, nvars=p.nvars)).coeff_of(r)
-                         for p, u in zip(g, degrees) for r in monomials(u, 3)])
+            cols.append([(p * Poly.monomial(p.field, m, nvars=p.nvars)).coeff_of(r) * s
+                         for p, u, s in zip(g, degrees, scales) for r in monomials(u, 3)])
     return [list(row) for row in zip(*cols)]
 
 
@@ -337,6 +341,7 @@ def test_syzygy_entries_match_shifted_products():
             nrows, columns = syzygy_columns(vectors, t)
             assert nrows == 3 * space_dim(t) + space_dim(t - 1)
             pairs = [(t - tg, g.as_polys()) for tg, g in vectors]
+            assert all(type(e) is int for col in columns for e in col.values())
             assert dense(nrows, columns, fld) == shifted_products(pairs, (t, t, t, t - 1))
         # z-free shifts: the two-block column system (bivariate, with its
         # right-hand side and a zero entry) and the beta=0 route's tail z*Fz

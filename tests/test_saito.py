@@ -12,12 +12,10 @@ from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
                                SaitoConstructionFailed, base_pair,
                                build_saito_matrix, compute_constants,
-                               coupling_residual, det3,
-                               last_column, last_column_residual,
-                               last_column_strata, middle_column,
-                               middle_column_residual, middle_ingredients,
-                               verify_saito)
-from reference import in_kernel_span
+                               coupling_residual, det3, last_column, middle_column,
+                               middle_ingredients, verify_saito)
+from reference import (in_kernel_span, last_column_residual, last_column_strata,
+                       middle_column_residual)
 
 F1009 = PrimeField(1009)
 
