@@ -6,7 +6,10 @@ generators into the monomial basis of degree t.  No Groebner bases anywhere;
 ranks and kernels answer every question asked in bounded degree (Lazard's
 degree-by-degree elimination), and one climb answers them all: an
 `IdealLadder` carries one `linalg.Echelon` basis up the degrees, and each
-shift that reduces to zero gives a relation, a kernel vector of the map.  A
+shift that reduces to zero gives a relation, a kernel vector of the map.
+Each z-free shift starts from x or y times its parent's reduced vector of
+the degree below (F4's "simplify"), and the child of a dependent parent is
+dependent, so it is skipped unless its relation is asked for.  A
 `JacobianLadder` climbs J(F) once per F; the Saito stage reads the syzygy
 kernels off its relations, the resolution and point-support checks its
 ranks and memberships.  Two exact identities shrink the matrices first:
@@ -89,7 +92,17 @@ class IdealLadder:
     of the first z-free single-term generator c*x^a y^b are the keys (i, j)
     with i >= a and j >= b, space_dim(t - a - b) of them at degree t.  Over
     the rationals each generator is scaled to integers once, a column
-    scaling that holds at every degree.  Zero generators own no columns."""
+    scaling that holds at every degree.  Zero generators own no columns.
+
+    Most z-free shifts start from the work of the degree below: the parent
+    of x^a y^b * g_k is x^(a-1) y^b * g_k, or y^(b-1) * g_k when a = 0.
+    Columns join by degree, then generator index, then descending a, so x
+    (or y) times a column that joined before the parent joins before the
+    child or is a z-multiple already in the span, and the covered rows are
+    closed under x and y.  So x (or y) times the parent's reduced vector
+    is the child's column modulo the span before it: a dependent parent
+    has a dependent child, and the spans, with every answer, are those of
+    the raw columns."""
 
     def __init__(self, gens):
         self.echelon = Echelon(gens[0].field)
@@ -102,6 +115,10 @@ class IdealLadder:
         self._gens = {k: (g.degree(), _xy_terms(g), g.den) for k, g in live if k != kc}
         # the cover c*x^i y^j as (index, i, j, c, scale)
         self._cover = None if kc is None else (kc, *_xy_terms(gens[kc])[0], gens[kc].den)
+        # (k, a, b) -> the lead its column joined at (None: dependent) at the
+        # degree below; row key -> x, y times it (None: covered), grown per degree
+        self._leads: dict = {}
+        self._times: tuple = ([], [])
 
     def _column(self, terms, a: int = 0, b: int = 0) -> dict:
         """The sparse column of x^a y^b times the (i, j, coefficient) ``terms``
@@ -121,20 +138,44 @@ class IdealLadder:
         With ``track``, and every lower degree tracked, the shift x^a y^b * g_k
         carries the relation {(k, a, b): 1}, and each that reduces to zero
         appends (t, `_relation`) to ``relations``.  A tracked column may meet
-        only basis vectors with relations: an untracked degree ends tracking."""
+        only basis vectors with relations: an untracked degree ends tracking.
+
+        A shift whose parent joined the basis starts from x (or y) times
+        the parent's basis vector, off the covered rows, and carries the
+        parent's relation with every key shifted likewise.  A shift whose
+        parent was dependent is dependent too: it is skipped in an
+        untracked degree, and reduced from its own column in a tracked one
+        to find its relation.  A generator's first shift has no parent."""
         t = self.degree = self.degree + 1
         if track and self.tracked == t - 1:
             self.tracked = t
         track = self.tracked == t
-        echelon = self.echelon
-        echelon.grow(space_dim(t))
+        echelon, parents, leads, rows = self.echelon, self._leads, {}, space_dim(t)
+        echelon.grow(rows)
+        ci, cj = self._cover[1:3] if self._cover else (t + 2, t + 2)  # (t + 2, t + 2): none
+        for j in range(t + 1):  # x, y times x^(t-j) y^j; rows is the key of x^(t+1)
+            self._times[0].append(None if t - j + 1 >= ci and j >= cj else rows + j)
+            self._times[1].append(None if t - j >= ci and j + 1 >= cj else rows + j + 1)
         for k, (dg, terms, _) in self._gens.items():
             n = t - dg
             for a in range(n, -1, -1):
-                lead, rel = echelon.add(self._column(terms, a, n - a),
-                                        {(k, a, n - a): 1} if track else None)
-                if track and lead is None:
+                b = n - a
+                r = parents[(k, a - 1, b) if a else (k, 0, b - 1)] if n else None
+                if r is not None:
+                    vec, rel = echelon.basis[r]
+                    up = self._times[not a]  # x times the parent, or y when a = 0
+                    col = {s: x for q, x in vec.items() if (s := up[q]) is not None}
+                    rel = {(k2, a2 + 1, b2) if a else (k2, a2, b2 + 1): x
+                           for (k2, a2, b2), x in rel.items()} if track else None
+                elif n and not track:
+                    leads[k, a, b] = None
+                    continue
+                else:
+                    col, rel = self._column(terms, a, b), {(k, a, b): 1} if track else None
+                leads[k, a, b], rel = echelon.add(col, rel)
+                if track and leads[k, a, b] is None:
                     self.relations.append((t, self._relation(rel)))
+        self._leads = leads
 
     def _relation(self, rel: dict) -> dict:
         """``rel``, among the scaled, projected columns, as c times one among
@@ -226,11 +267,12 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
     block is left out, and every vector has e = 0.
 
     A relation found at degree s is read z^(T - s) times at T.  Each owns
-    the column that found it, its other entries lie on basis columns, so
-    they are a basis.  A zero partial adds its unit vectors.  Without F's
-    block that spans AR(F)_t, and the Euler vectors complete it: a kernel
-    vector less those of its e-entry has e = 0.  With it (p | d), AR(F)_t is
-    the part of the RREF basis with free columns in the partials' blocks."""
+    the column that found it, its other entries lie on columns that joined
+    before it, so they are a basis.  A zero partial adds its unit vectors.
+    Without F's block that spans AR(F)_t, and the Euler vectors complete it:
+    a kernel vector less those of its e-entry has e = 0.  With it (p | d),
+    AR(F)_t is the part of the RREF basis with free columns in the
+    partials' blocks."""
     f = gens[3]
     fld = f.field
     d = f.degree()

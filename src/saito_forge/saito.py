@@ -100,7 +100,7 @@ def _verify(f, matrix, det: Poly, unit) -> VerifyReport:
     failures = []
     for j in range(3):
         dot = gradient_pairing(f, [row[j] for row in matrix])
-        ok, q = divides(_as_divisor_poly(f), dot) if dot.terms else (True, dot)
+        ok, q = (True, dot) if dot.is_zero() else divides(_as_divisor_poly(f), dot)
         if ok:
             quotients.append(q)
         else:
@@ -333,15 +333,17 @@ def _assemble(fld, col2, col3):
 
 
 def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix:
-    """Both closed-form columns must pair with the gradient to zero exactly."""
+    """Both closed-form columns must pair with the gradient to zero exactly,
+    read off the `verify_saito` report: a zero pairing is its own quotient."""
     col2 = middle_column(inst.params, ing)
-    eq3, eq4 = (gradient_pairing(inst, c) for c in (col2, col3))
-    if not eq3.is_zero():
-        raise SaitoConstructionFailed("middle column (eq3) is not a syzygy", eq3)
-    if not eq4.is_zero():
-        raise SaitoConstructionFailed("last column (eq4) is not a syzygy", eq4)
-    return _finish(inst, _assemble(inst.params.field, col2, col3), route, ing, constants,
-                   {"eq2": eq2, "eq3": eq3, "eq4": eq4}, sol)
+    matrix = _assemble(inst.params.field, col2, col3)
+    report = verify_saito(inst, matrix)
+    eq3, eq4 = report.quotients[1:]
+    for name, q, col in (("middle column (eq3)", eq3, col2), ("last column (eq4)", eq4, col3)):
+        if q is None or not q.is_zero():
+            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst, col))
+    return _finish(inst, matrix, route, ing, constants, {"eq2": eq2, "eq3": eq3, "eq4": eq4},
+                   sol, report)
 
 
 def _finish(inst, matrix, route, ing, constants, residuals, sol, report=None) -> SaitoMatrix:

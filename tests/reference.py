@@ -1,5 +1,6 @@
 """Reference computations shared by the test modules: the generic list
-RREF, dense ranks of whole Macaulay matrices, span tests on syzygy vectors,
+RREF, dense ranks of whole Macaulay matrices, the ideal ladder that reduces
+every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
 diagnostics of the closed-form Saito columns and of the column system's
 cokernel, and polynomial arithmetic on plain ``{mono: scalar}`` maps.
@@ -14,8 +15,8 @@ from itertools import accumulate
 from saito_forge.column_system import _module_columns, build_column_system
 from saito_forge.field import Field, QQ
 from saito_forge.linalg import canonical_kernel, eliminate, pivot_columns
-from saito_forge.oracle import (SyzygyBasis, SyzygyVector, _eliminated_blocks, gradient_pairing,
-                                macaulay_matrix)
+from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
+                                gradient_pairing, macaulay_matrix)
 from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
                               shifted_columns, space_dim)
 from saito_forge.saito import last_column, middle_column
@@ -68,6 +69,36 @@ def dense_echelon(gens, t, candidates, fld):
     rank = dense_rank(gens, t, fld, generic=small)
     return rank, [dense_rank(tuple(gens) + (c,), t, fld, generic=small) == rank
                   for c in candidates]
+
+
+class RawLadder(IdealLadder):
+    """`oracle.IdealLadder` as it was before each z-free shift started from
+    its parent's reduced vector: every shift x^a y^b * g_k is reduced from
+    its own column, in the same join order.  ``joins[t]`` lists, in that
+    order, each shift (k, a, b) of degree t with the leading row its column
+    joined at, None if it was dependent."""
+
+    def __init__(self, gens):
+        super().__init__(gens)
+        self.joins: list = []
+
+    def advance(self, track: bool = False) -> None:
+        t = self.degree = self.degree + 1
+        if track and self.tracked == t - 1:
+            self.tracked = t
+        track = self.tracked == t
+        echelon = self.echelon
+        echelon.grow(space_dim(t))
+        joins = []
+        for k, (dg, terms, _) in self._gens.items():
+            n = t - dg
+            for a in range(n, -1, -1):
+                lead, rel = echelon.add(self._column(terms, a, n - a),
+                                        {(k, a, n - a): 1} if track else None)
+                joins.append(((k, a, n - a), lead))
+                if track and lead is None:
+                    self.relations.append((t, self._relation(rel)))
+        self.joins.append(joins)
 
 
 def syzygy_columns(vectors, t: int) -> tuple[int, list[dict]]:

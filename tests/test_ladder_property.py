@@ -1,14 +1,16 @@
 """`oracle.JacobianLadder` against dense ranks of unreduced Macaulay
 matrices, on random sparse forms of degree 3..7: hf(t) = dim S_t - rank M_t,
 and x^t, y^t lie in J(F) exactly when appending each alone to M_t keeps the
-rank."""
+rank.  And `oracle.IdealLadder`, whose z-free shifts start from their
+parents' reduced vectors, against `reference.RawLadder`, which reduces each
+from its own column, on random tuples of sparse generators."""
 
 import pytest
 
 from saito_forge.field import PrimeField, QQ
-from saito_forge.oracle import JacobianLadder, jacobian_generators
+from saito_forge.oracle import IdealLadder, JacobianLadder, _eliminated_blocks, jacobian_generators
 from saito_forge.poly import Poly, space_dim
-from reference import dense_echelon
+from reference import RawLadder, dense_echelon
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -16,12 +18,9 @@ st = hypothesis.strategies
 FIELDS = {"q": QQ, "fp:1009": PrimeField(1009), "fp:5": PrimeField(5), "fp:7": PrimeField(7)}
 
 
-@st.composite
-def sparse_forms(draw):
-    """A nonzero form of degree 3..7 with one to five terms and small
-    coefficients, over the rationals or a small prime field."""
-    fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    d = draw(st.integers(3, 7))
+def draw_form(draw, fld, d: int) -> Poly:
+    """A nonzero form of degree d with one to five terms and small
+    coefficients."""
     exponents = st.tuples(st.integers(0, d), st.integers(0, d)).filter(lambda m: sum(m) <= d)
     terms = {}
     for i, j in draw(st.lists(exponents, min_size=1, max_size=5, unique=True)):
@@ -30,6 +29,40 @@ def sparse_forms(draw):
             terms[(i, j, d - i - j)] = c
     hypothesis.assume(terms)
     return Poly(fld, 3, terms)
+
+
+@st.composite
+def sparse_forms(draw):
+    """A nonzero form of degree 3..7 with one to five terms and small
+    coefficients, over the rationals or a small prime field."""
+    fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    return draw_form(draw, fld, draw(st.integers(3, 7)))
+
+
+@st.composite
+def generator_tuples(draw):
+    """Generators for an `IdealLadder`: the blocks `_eliminated_blocks`
+    keeps of a sparse F's `jacobian_generators`, over fp:5 with d = 5 (p | d,
+    so F's block is kept) or any field; or one to three sparse forms of
+    degree 1..5 over one field, with or without a z-free single-term
+    generator (the cover) and a single-term generator holding z, each put
+    at a random place."""
+    kind = draw(st.sampled_from(["p | d", "jacobian", "forms"]))
+    if kind == "p | d":
+        return _eliminated_blocks(jacobian_generators(draw_form(draw, FIELDS["fp:5"], 5)))
+    if kind == "jacobian":
+        return _eliminated_blocks(jacobian_generators(draw(sparse_forms())))
+    fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    gens = [draw_form(draw, fld, draw(st.integers(1, 5)))
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        hypothesis.assume(i + j)
+        gens.insert(draw(st.integers(0, len(gens))), Poly.monomial(fld, (i, j, 0), 2))
+    if draw(st.booleans()):
+        m = (draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2)))
+        gens.insert(draw(st.integers(0, len(gens))), Poly.monomial(fld, m, 3))
+    return tuple(gens)
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -42,3 +75,38 @@ def test_ladder_matches_dense_ranks_on_sparse_forms(f):
         powers = (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0)))
         rank, members = dense_echelon(gens, t, powers, fld)
         assert (ladder.hf(t), ladder.powers_in(t)) == (space_dim(t) - rank, all(members)), t
+
+
+def expand(gens, t: int, rel: dict) -> Poly:
+    """The sum of entry * x^a y^b z^c * gens[k] over the entries (k, a, b) of
+    a relation found at degree t, c making each term of degree t."""
+    fld = gens[0].field
+    total = Poly.zero(fld)
+    for (k, a, b), x in rel.items():
+        c = t - gens[k].degree() - a - b
+        assert min(a, b, c) >= 0, (k, a, b)
+        total = total + Poly.monomial(fld, (a, b, c), x) * gens[k]
+    return total
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(generator_tuples(), st.integers(0, 8))
+def test_parent_started_ladder_matches_raw_columns(gens, untracked):
+    # the top ``untracked`` degrees are climbed untracked, the rest tracked
+    fld = gens[0].field
+    ladder, ref = IdealLadder(gens), RawLadder(gens)
+    top = 2 * max(g.degree() for g in gens) + 2
+    tracked = top - untracked
+    for t in range(top + 1):
+        ladder.advance(t <= tracked)
+        ref.advance(t <= tracked)
+        assert set(ladder.echelon.basis) == set(ref.echelon.basis), t
+        assert ladder.rank() == ref.rank(), t
+        powers = [Poly.monomial(fld, m) for m in ((t, 0, 0), (0, t, 0))]
+        assert ((space_dim(t) - ladder.rank(), [ladder.contains(p) for p in powers])
+                == (space_dim(t) - ref.rank(), [ref.contains(p) for p in powers])), t
+        found = [rel for s, rel in ladder.relations if s == t]
+        assert ladder.tracked == ref.tracked
+        assert len(found) == sum(s == t for s, _ in ref.relations), t
+        for rel in found:
+            assert rel and expand(gens, t, rel).is_zero(), (t, rel)

@@ -17,8 +17,9 @@ import pytest
 from saito_forge.family import build_divisor, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.linalg import eliminate
-from saito_forge.oracle import JacobianLadder, _eliminated_blocks, jacobian_generators
+from saito_forge.oracle import IdealLadder, JacobianLadder, _eliminated_blocks, jacobian_generators
 from saito_forge.poly import Poly, parse, shifted_columns, space_dim
+from reference import RawLadder
 
 F1009 = PrimeField(1009)
 
@@ -101,3 +102,28 @@ def test_out_of_order_queries():
     ladder = JacobianLadder(f)
     for t in order:
         assert (ladder.hf(t), ladder.powers_in(t)) == expected[t], t
+
+
+def test_untracked_climb_skips_the_children_of_dependent_shifts():
+    # (33, 2, 0) over fp:32003 climbed untracked to 3v+3 = 51, as verify
+    # climbs it: the columns the ladder passes to its echelon are exactly
+    # the shifts that have no parent or whose parent joined the basis, in
+    # join order, and each joins at the reference's lead
+    gens = _eliminated_blocks(jacobian_generators(
+        build_divisor(random_instance(33, 2, 0, 1, PrimeField(32003)))))
+    ladder, ref = IdealLadder(gens), RawLadder(gens)
+    add, leads = ladder.echelon.add, []
+    ladder.echelon.add = lambda v, rel=None: leads.append(add(v, rel)[0]) or (leads[-1], None)
+    parents, shifts, reduced = {}, 0, 0
+    for t in range(52):
+        ladder.advance()
+        ref.advance()
+        expected = [lead for (k, a, b), lead in ref.joins[t]
+                    if not a + b or parents[(k, a - 1, b) if a else (k, 0, b - 1)] is not None]
+        assert leads == expected, t
+        shifts += len(ref.joins[t])
+        reduced += len(leads)
+        parents = dict(ref.joins[t])
+        leads.clear()
+    # Fx and Fy shifted to degrees 32..51; Fz = y^32 covers its rows
+    assert (shifts, reduced) == (420, 405)

@@ -6,7 +6,8 @@ from saito_forge.column_system import NoSolution
 from saito_forge.family import (DivisorInstance, FamilyParams, build_divisor, legal_pairs,
                                 random_instance)
 from saito_forge.field import PrimeField, QQ, _is_prime
-from saito_forge.oracle import SyzygyBasis, SyzygyVector, gradient_kernel, syzygy_kernel
+from saito_forge.oracle import (SyzygyBasis, SyzygyVector, gradient_kernel, gradient_pairing,
+                                syzygy_kernel)
 from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
@@ -412,6 +413,42 @@ def test_gradient_taken_once_per_instance(monkeypatch):
         build_saito_matrix(inst)
         build_saito_matrix(inst, route="oracle")
     assert calls == list("xyz") * 3
+
+
+@pytest.mark.parametrize("d,alpha,beta", [(9, 1, 1), (9, 1, 0)], ids=["odd", "beta0"])
+def test_explicit_build_pairs_each_column_once(monkeypatch, d, alpha, beta):
+    # eq3 and eq4 are read off the verifier's quotients, not paired again
+    import saito_forge.saito as saito
+    paired = []
+    real = saito.gradient_pairing
+
+    def counting(f, col):
+        paired.append(tuple(col))
+        return real(f, col)
+
+    monkeypatch.setattr(saito, "gradient_pairing", counting)
+    sm = build_saito_matrix(build_divisor(random_instance(d, alpha, beta, seed=5, field=F1009)))
+    assert sm.residuals["eq3"].is_zero() and sm.residuals["eq4"].is_zero()
+    assert [paired.count(sm.column(j)) for j in range(3)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("name,eq", [("middle_column", "eq3"), ("last_column", "eq4")])
+def test_explicit_build_reports_a_column_that_is_no_syzygy(monkeypatch, name, eq):
+    # the error carries the column's nonzero gradient pairing as its residual
+    import saito_forge.saito as saito
+    real, built = getattr(saito, name), []
+
+    def broken(params, ing):
+        c1, c2, c3 = real(params, ing)
+        built.append((2 * c1, c2, c3))
+        return built[-1]
+
+    monkeypatch.setattr(saito, name, broken)
+    inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
+    with pytest.raises(SaitoConstructionFailed) as exc:
+        build_saito_matrix(inst)
+    assert str(exc.value).endswith(f"({eq}) is not a syzygy")
+    assert exc.value.residual == gradient_pairing(inst, built[-1]) != Poly.zero(inst.f.field)
 
 
 def test_verify_reports_failing_column():
