@@ -23,8 +23,9 @@ from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, random_non_squarefree_instance)
 from .field import InputError, field_from_spec
-from .oracle import (JacobianLadder, expected_multiplicity, point_support_check,
-                     predicted_quotient_hilbert, resolution_check, syzygy_kernel)
+from .oracle import (JacobianLadder, expected_multiplicity, point_support_bound,
+                     point_support_check, predicted_quotient_hilbert, resolution_bound,
+                     resolution_check, syzygy_kernel)
 from .poly import Poly, PolyError, parse, render
 from .saito import build_saito_matrix, freeness_probe
 
@@ -83,9 +84,9 @@ def _read_instance_file(path: str) -> dict:
     return data
 
 
-def _degree_bound(args, v: int) -> int:
+def _degree_bound(args, d: int) -> int:
     if args.degree_bound is None:
-        return 3 * v + 3
+        return resolution_bound(d)
     if args.degree_bound < 0:
         raise CliError("--degree-bound must be >= 0")
     return args.degree_bound
@@ -124,7 +125,7 @@ def _verify_bound(args, d: int) -> int:
     """The verify degree bound.  Below the first t where the predicted Hilbert
     function of S/J(F) reaches the multiplicity, the multiplicity check would
     fail on a truncated series, so such a bound is invalid input."""
-    bound = _degree_bound(args, d // 2)
+    bound = _degree_bound(args, d)
     stable = 0
     while predicted_quotient_hilbert(d, stable) < expected_multiplicity(d):
         stable += 1
@@ -143,7 +144,7 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     timings: dict = {}
 
     # one climb of J(F): the Saito stage tracks it, resolution goes on, point support reads it
-    ladder = JacobianLadder(f if inst is None else inst)
+    ladder = JacobianLadder(f)
     t0 = time.perf_counter()
     irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.terms) else None
     if inst is None:
@@ -162,7 +163,7 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     timings["resolution"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    support_bound = 3 * (d // 2) + 2
+    support_bound = point_support_bound(d)
     ps = point_support_check(f, min(bound, support_bound), ladder)
     timings["point_support"] = time.perf_counter() - t0
     if not ps.certified and bound < support_bound:
@@ -202,7 +203,7 @@ def cmd_verify(args) -> int:
 
 def cmd_syzygies(args) -> int:
     inst = _instance_from_args(args)
-    basis = syzygy_kernel(inst, args.degree)
+    basis = syzygy_kernel(inst.f, args.degree)
     _emit({
         "instance": instance_to_json(inst),
         "degree": args.degree,
@@ -214,8 +215,8 @@ def cmd_syzygies(args) -> int:
 
 def cmd_hilbert(args) -> int:
     inst = _instance_from_args(args)
-    bound = _degree_bound(args, inst.params.v)
-    values = resolution_check(inst, bound).computed
+    bound = _degree_bound(args, inst.params.d)
+    values = resolution_check(inst.f, bound).computed
     if args.csv:
         _write("t,hilbert_function\n" + "".join(f"{t},{h}\n" for t, h in enumerate(values)), args.csv)
     _emit({
@@ -247,7 +248,7 @@ def _sweep_task(task) -> dict:
     entry["F"] = render(inst.f)
     if drop_squarefree:
         entry["square_free_F1"] = not forced
-        probe = freeness_probe(inst.f, 3 * params.v + 3)
+        probe = freeness_probe(inst.f, resolution_bound(d))
         entry["probe"] = probe.to_json()
         entry["pass"] = probe.success
         return entry
@@ -341,10 +342,9 @@ print "saito-forge export: all assertions passed";
 def _cocoa_script(inst: DivisorInstance, sm, f_text: str | None = None) -> str:
     fld = inst.f.field
     d = inst.params.d
-    v = inst.params.v
     ring = "QQ" if fld.char == 0 else f"ZZ/({fld.char})"
     rows = ",\n    ".join("[" + ", ".join(render(e) for e in row) + "]" for row in sm.matrix)
-    hvals = [predicted_quotient_hilbert(d, t) for t in range(3 * v + 4)]
+    hvals = [predicted_quotient_hilbert(d, t) for t in range(resolution_bound(d) + 1)]
     checks = ";\n".join(
         f"If HilbertFn(R/J, {t}) <> {h} Then Error(\"hilbert check failed at {t}\"); EndIf"
         for t, h in enumerate(hvals)

@@ -59,14 +59,14 @@ def base_pair(params: FamilyParams):
     """g1 = dF1/dy and g2 = -(x dF1/dx + (d - alpha) F1), both bivariate."""
     f1 = params.f1
     g1 = f1.partial("y")
-    g2 = -(Poly.variable(params.field, "x", 2) * f1.partial("x") + (params.d - params.alpha) * f1)
+    g2 = -(Poly.variable(params.field, "x") * f1.partial("x") + (params.d - params.alpha) * f1)
     return g1, g2
 
 
 def y_bracket(params: FamilyParams) -> Poly:
     """y dF2/dy + (d - v + alpha) F2, bivariate."""
     f2, c = params.f2, params.d - params.v + params.alpha
-    return Poly.variable(params.field, "y", 2) * f2.partial("y") + c * f2
+    return Poly.variable(params.field, "y") * f2.partial("y") + c * f2
 
 
 def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
@@ -83,15 +83,15 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     if f2.degree() != v - a:
         raise NoSolution(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
     g1, g2 = base_pair(params)
-    x = Poly.variable(fld, "x", 2)
-    y = Poly.variable(fld, "y", 2)
+    x = Poly.variable(fld, "x")
+    y = Poly.variable(fld, "y")
     rows = (
-        (-g2, x * g1, Poly.zero(fld, 2)),
-        (y * f2.partial("x"), y_bracket(params), Poly.monomial(fld, (b, v - a - b, 0), nvars=2)),
+        (-g2, x * g1, Poly.zero(fld)),
+        (y * f2.partial("x"), y_bracket(params), Poly.monomial(fld, (b, v - a - b, 0))),
     )
     rhs = (
-        Poly.monomial(fld, (0, v + a, 0), mu, nvars=2),
-        Poly.monomial(fld, (2 * v - a, 0, 0), fld.neg(mu), nvars=2),
+        Poly.monomial(fld, (0, v + a, 0), mu),
+        Poly.monomial(fld, (2 * v - a, 0, 0), fld.neg(mu)),
     )
     return ColumnSystem(params, rows, rhs, mu)
 
@@ -127,10 +127,10 @@ def column_syzygy_generator(params: FamilyParams):
     v = params.v
     fld = params.field
     g1, g2 = base_pair(params)
-    x = Poly.variable(fld, "x", 2)
-    y = Poly.variable(fld, "y", 2)
+    x = Poly.variable(fld, "x")
+    y = Poly.variable(fld, "y")
     return (
-        Poly.monomial(fld, (b + 1, v - a - b, 0), nvars=2) * g1,
-        Poly.monomial(fld, (b, v - a - b, 0), nvars=2) * g2,
+        Poly.monomial(fld, (b + 1, v - a - b, 0)) * g1,
+        Poly.monomial(fld, (b, v - a - b, 0)) * g2,
         -(x * y * params.f2.partial("x") * g1 + y_bracket(params) * g2),
     )

@@ -93,7 +93,7 @@ def validate(params: FamilyParams, drop_squarefree: bool = False) -> ValidationR
     rep.add("exponent_sum_bound", 0 <= a + b <= bound, f"alpha+beta={a + b} must be <= {bound}")
     rep.add("char_policy", check_char_policy(params.field, d), f"need char 0 or p > {3 * d}")
     rep.add("f1_field", f1.field == f2.field, "F1 and F2 over the same field")
-    rep.add("f1_bivariate", f1.nvars == 2 and f2.nvars == 2, "F1, F2 in x, y only")
+    rep.add("f1_bivariate", f1.is_bivariate() and f2.is_bivariate(), "F1, F2 in x, y only")
     rep.add("f1_degree", (not f1.is_zero()) and f1.is_homogeneous() and f1.degree() == a,
             f"deg F1 = {f1.degree()}, expected {a}")
     deg2 = d - v - a - 1
@@ -114,23 +114,18 @@ def validate(params: FamilyParams, drop_squarefree: bool = False) -> ValidationR
 class DivisorInstance:
     params: FamilyParams
     f: Poly
-    fx: Poly
-    fy: Poly
-    fz: Poly
 
 
 def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> DivisorInstance:
-    """Assemble F and its gradient; raises InvalidParams on a failed report."""
+    """Assemble F; raises InvalidParams on a failed report."""
     rep = validate(params, drop_squarefree=drop_squarefree)
     if not rep.ok:
         raise InvalidParams(f"invalid parameters: {', '.join(rep.failures())}", rep)
     d, a, b = params.d, params.alpha, params.beta
     v = params.v
     fld = params.field
-    f1 = params.f1.as_trivariate()
-    f2 = params.f2.as_trivariate()
-    block1 = Poly.monomial(fld, (d - a, 0, 0)) * f1
-    block2 = Poly.monomial(fld, (0, v + a + 1, 0)) * f2
+    block1 = Poly.monomial(fld, (d - a, 0, 0)) * params.f1
+    block2 = Poly.monomial(fld, (0, v + a + 1, 0)) * params.f2
     block_z = Poly.monomial(fld, (b, d - b - 1, 1))
     # the two bivariate support blocks may never share a monomial
     if set(block1.terms) & set(block2.terms):
@@ -138,9 +133,8 @@ def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> Diviso
     f = block1 + block2 + block_z
     if not (f.is_homogeneous() and f.degree() == d):
         raise InvalidParams(f"assembled F is not a form of degree {d}")
-    grad = tuple(f.partial(var) for var in "xyz")
-    f.euler_check(grad)
-    return DivisorInstance(params, f, *grad)
+    f.euler_check()
+    return DivisorInstance(params, f)
 
 
 def _random_form(field: Field, degree: int, rng: random.Random) -> Poly:
@@ -153,7 +147,7 @@ def _random_form(field: Field, degree: int, rng: random.Random) -> Poly:
             c = field.random(rng)
         if not field.is_zero(c):
             terms[(i, degree - i, 0)] = c
-    return Poly(field, 2, terms)
+    return Poly(field, terms)
 
 
 def _require_char_policy(field: Field, d: int):
@@ -195,8 +189,8 @@ def random_non_squarefree_instance(d: int, alpha: int, beta: int, seed: int,
         raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
     _require_char_policy(field, d)
     rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:nsf:{field!r}")
-    x = Poly.variable(field, "x", 2)
-    y = Poly.variable(field, "y", 2)
+    x = Poly.variable(field, "x")
+    y = Poly.variable(field, "y")
     for _ in range(100):
         lin = x + y.scale(field.random_nonzero(rng))
         f1 = lin * lin * _random_form(field, alpha - 2, rng)
@@ -220,8 +214,8 @@ def is_irreducible(f: Poly) -> bool:
     if not f.is_homogeneous() or any(m[2] > 1 for m in f.terms):
         raise ValueError("expected a form linear in z")
     fld, d = f.field, f.degree()
-    a = Poly(fld, 3, {m: c for m, c in f.terms.items() if m[2] == 0})
-    b = Poly(fld, 3, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
+    a = Poly(fld, {m: c for m, c in f.terms.items() if m[2] == 0})
+    b = Poly(fld, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
     return not (a.is_zero() or b.is_zero()) and coprime_forms(a, b, d, d - 1)
 
 

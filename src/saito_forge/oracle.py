@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import DivisorInstance
 from .linalg import Echelon, canonical_kernel
 from .poly import Poly, column_polys, dot, grlex_key, monomial_index, monomials, space_dim
 
@@ -204,11 +203,8 @@ class IdealLadder:
         return self.echelon.reduce(self._column(_xy_terms(p)))[0] is None
 
 
-def jacobian_generators(f) -> tuple:
-    """(Fx, Fy, Fz, F) of a bare F, or of a DivisorInstance from the gradient
-    it stores."""
-    if isinstance(f, DivisorInstance):
-        return (f.fx, f.fy, f.fz, f.f)
+def jacobian_generators(f: Poly) -> tuple:
+    """(Fx, Fy, Fz, F), the generators of J(F)."""
     return (f.partial("x"), f.partial("y"), f.partial("z"), f)
 
 
@@ -221,7 +217,7 @@ def _eliminated_blocks(gens: tuple) -> tuple:
     return gens if char and f.degree() % char == 0 else gens[:3]
 
 
-def gradient_pairing(f, col) -> Poly:
+def gradient_pairing(f: Poly, col) -> Poly:
     """a*Fx + b*Fy + c*Fz for a column col = (a, b, c), plus e*F for a
     syzygy vector (a, b, c, e): col paired with `jacobian_generators` (f)
     by one `poly.dot`."""
@@ -262,7 +258,7 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
     """The degree-t kernel of the Macaulay map of ``gens`` = (Fx, Fy, Fz, F),
     from `jacobian_generators`: the RREF kernel basis that `linalg.eliminate`
     gives for the whole matrix [Fx | Fy | Fz | F], by `linalg.canonical_kernel`
-    from the relations ``ladder``, the `JacobianLadder` of gens (a fresh one
+    from the relations ``ladder``, the `JacobianLadder` of F (a fresh one
     by default), finds up to degree T = t + d - 1.  Without ``with_f`` the F
     block is left out, and every vector has e = 0.
 
@@ -278,7 +274,7 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
     d = f.degree()
     s = space_dim(t)
     shifts = (t, t, t, t - 1)
-    ladder = ladder or JacobianLadder(gens)
+    ladder = ladder or JacobianLadder(f)
     top = t + d - 1
     ladder.climb(top, track=True)
     if top > ladder.ideal.tracked:
@@ -302,17 +298,17 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
     return SyzygyBasis(t, tuple(vectors))
 
 
-def syzygy_kernel(inst: DivisorInstance, t: int) -> SyzygyBasis:
+def syzygy_kernel(f: Poly, t: int) -> SyzygyBasis:
     """Basis of {(a, b, c, e) : a F_x + b F_y + c F_z + e F = 0} in degree t
     (deg a = deg b = deg c = t, deg e = t - 1)."""
-    return _syzygy_kernel_raw(jacobian_generators(inst), t)
+    return _syzygy_kernel_raw(jacobian_generators(f), t)
 
 
-def gradient_kernel(f, t: int, ladder: JacobianLadder | None = None) -> SyzygyBasis:
+def gradient_kernel(f: Poly, t: int, ladder: JacobianLadder | None = None) -> SyzygyBasis:
     """Basis of AR(F) = {(a, b, c) : a F_x + b F_y + c F_z = 0} in degree t,
     as vectors with e = 0: the RREF kernel of the three gradient blocks,
     exactly the leading e = 0 part of `syzygy_kernel`.  Read off ``ladder``,
-    the `JacobianLadder` of f (a DivisorInstance or bare F), or a fresh one."""
+    the `JacobianLadder` of F, or a fresh one."""
     ladder = ladder or JacobianLadder(f)
     return _syzygy_kernel_raw(ladder.gens, t, with_f=False, ladder=ladder)
 
@@ -329,6 +325,16 @@ def predicted_quotient_hilbert(d: int, t: int) -> int:
         return space_dim(t) - 3 * space_dim(t - 2 * v) + 2 * space_dim(t - 3 * v)
     return (space_dim(t) - 3 * space_dim(t - (2 * v - 1))
             + space_dim(t - (3 * v - 2)) + space_dim(t - (3 * v - 1)))
+
+
+def resolution_bound(d: int) -> int:
+    """3v + 3, the default top degree of the resolution check."""
+    return 3 * (d // 2) + 3
+
+
+def point_support_bound(d: int) -> int:
+    """3v + 2, the default bound on N of the point-support check."""
+    return 3 * (d // 2) + 2
 
 
 def expected_multiplicity(d: int) -> int:
@@ -363,10 +369,6 @@ class ResolutionReport:
         }
 
 
-def _as_divisor_poly(obj) -> Poly:
-    return obj.f if isinstance(obj, DivisorInstance) else obj
-
-
 class JacobianLadder:
     """J(F) = (Fx, Fy, Fz, F) climbed degree by degree on one `IdealLadder`.
 
@@ -374,13 +376,12 @@ class JacobianLadder:
     the two point-support candidates, reduced against the basis right after
     degree t's columns join it.  Only those answers are kept per degree.
     Degrees are reached lazily and in order, each once.  F's block is kept
-    only when p | d (see `_eliminated_blocks`).  Takes a DivisorInstance,
-    whose stored gradient it reads, a bare F, or its `jacobian_generators`.
+    only when p | d (see `_eliminated_blocks`).
     """
 
-    def __init__(self, f):
-        self.gens = f if isinstance(f, tuple) else jacobian_generators(f)
-        self.f = self.gens[3]
+    def __init__(self, f: Poly):
+        self.gens = jacobian_generators(f)
+        self.f = f
         self.ideal = IdealLadder(_eliminated_blocks(self.gens))
         self._steps: list = []
 
@@ -404,19 +405,15 @@ class JacobianLadder:
         return self.climb(t)[1]
 
 
-def resolution_check(inst, t_max: int | None = None,
+def resolution_check(f: Poly, t_max: int | None = None,
                      ladder: JacobianLadder | None = None) -> ResolutionReport:
     """Compare the computed Hilbert function of S/J(F) with the series the
-    family's resolution shape implies, for all t <= t_max.
-
-    Accepts a DivisorInstance or a bare homogeneous polynomial (controls),
-    and the ladder of its F to read from (a fresh one by default)."""
-    f = _as_divisor_poly(inst)
+    family's resolution shape implies, for all t <= t_max (by default
+    `resolution_bound`), reading the ladder of F (a fresh one by default)."""
     d = f.degree()
-    v = d // 2
     if t_max is None:
-        t_max = 3 * v + 3
-    ladder = ladder or JacobianLadder(inst)
+        t_max = resolution_bound(d)
+    ladder = ladder or JacobianLadder(f)
     computed = [ladder.hf(t) for t in range(t_max + 1)]
     predicted = [predicted_quotient_hilbert(d, t) for t in range(t_max + 1)]
     mismatch = next((t for t, (c, p) in enumerate(zip(computed, predicted)) if c != p), None)
@@ -434,19 +431,18 @@ class PointSupportResult:
         return {"certified": self.certified, "n": self.n, "bound": self.bound}
 
 
-def point_support_check(inst, t_bound: int | None = None,
+def point_support_check(f: Poly, t_bound: int | None = None,
                         ladder: JacobianLadder | None = None) -> PointSupportResult:
-    """Certify that x^N and y^N lie in J(F) for some N <= t_bound, which pins
-    the singular locus to the single point (0:0:1).
+    """Certify that x^N and y^N lie in J(F) for some N <= t_bound (by default
+    `point_support_bound`), which pins the singular locus to the single
+    point (0:0:1).
 
     Membership is monotone in N, so the first N from d - 1 up where both lie
-    in J(F) is the smallest.  Accepts a DivisorInstance or a bare homogeneous
-    polynomial (controls), and the ladder of its F to read from.
+    in J(F) is the smallest.  Reads the ladder of F (a fresh one by default).
     """
-    f = _as_divisor_poly(inst)
     d = f.degree()
     if t_bound is None:
-        t_bound = 3 * (d // 2) + 2
-    ladder = ladder or JacobianLadder(inst)
+        t_bound = point_support_bound(d)
+    ladder = ladder or JacobianLadder(f)
     n = next((n for n in range(d - 1, t_bound + 1) if ladder.powers_in(n)), None)
     return PointSupportResult(n is not None, n, t_bound)

@@ -1,4 +1,4 @@
-"""Sparse homogeneous polynomials in x, y, z (or the subring in x, y).
+"""Sparse homogeneous polynomials in x, y, z.
 
 A polynomial is integer numerators over one denominator: ``num`` maps
 exponent triples ``(ex, ey, ez)`` to nonzero Python ints and the value is
@@ -6,10 +6,10 @@ exponent triples ``(ex, ey, ez)`` to nonzero Python ints and the value is
 with the content of ``num``; over a prime field ``den == 1`` and the values
 lie in ``1..p-1``.  The form is canonical, so equality compares ``num`` and
 ``den``.  ``terms`` is the read-only ``{mono: field scalar}`` view, built on
-first use.  Bivariate polynomials keep ``ez = 0`` and are tagged with
-``nvars = 2``.  Polynomials are immutable after construction: every operation
-allocates a fresh result (``num`` may be shared between results, never
-written), so values can be shared freely across threads.
+first use.  A bivariate form is one with no z term; it mixes freely with
+every other polynomial.  Polynomials are immutable after construction: every
+operation allocates a fresh result (``num`` may be shared between results,
+never written), so values can be shared freely across threads.
 
 The canonical text form prints terms in descending graded-lex order, x > y > z,
 with ``*`` between coefficient and variables, no ``^1`` and ASCII digits;
@@ -74,17 +74,14 @@ def grlex_key(m):
 class Poly:
     """``num / den`` in canonical form (see the module docstring).
 
-    ``Poly(field, nvars, terms)`` takes ``{mono: scalar}`` with ints or
+    ``Poly(field, terms)`` takes ``{mono: scalar}`` with ints or
     ``Fraction``s, zeros allowed; ``terms`` gives them back as field scalars
     in a read-only map, built on first use and kept."""
 
-    __slots__ = ("field", "nvars", "num", "den", "_terms")
+    __slots__ = ("field", "num", "den", "_terms")
 
-    def __init__(self, field: Field, nvars: int, terms: dict):
-        if nvars not in (2, 3):
-            raise PolyError(f"nvars must be 2 or 3, got {nvars}")
+    def __init__(self, field: Field, terms: dict):
         self.field = field
-        self.nvars = nvars
         self._terms = None
         if field.char:
             p = field.p
@@ -95,10 +92,10 @@ class Poly:
             self.num = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
 
     @classmethod
-    def _make(cls, field: Field, nvars: int, num: dict, den: int) -> "Poly":
+    def _make(cls, field: Field, num: dict, den: int) -> "Poly":
         """Construct from numerators and a denominator already canonical."""
         p = object.__new__(cls)
-        p.field, p.nvars, p.num, p.den, p._terms = field, nvars, num, den, None
+        p.field, p.num, p.den, p._terms = field, num, den, None
         return p
 
     @property
@@ -114,30 +111,25 @@ class Poly:
     # ----- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, field: Field, nvars: int = 3) -> "Poly":
-        return cls._make(field, nvars, {}, 1)
+    def zero(cls, field: Field) -> "Poly":
+        return cls._make(field, {}, 1)
 
     @classmethod
-    def constant(cls, field: Field, c, nvars: int = 3) -> "Poly":
-        return cls(field, nvars, {(0, 0, 0): c})
+    def constant(cls, field: Field, c) -> "Poly":
+        return cls(field, {(0, 0, 0): c})
 
     @classmethod
-    def monomial(cls, field: Field, exps, c=None, nvars: int = 3) -> "Poly":
+    def monomial(cls, field: Field, exps, c=None) -> "Poly":
         ex, ey, ez = exps
-        if ez and nvars == 2:
-            raise UnknownVariable("z exponent in a bivariate polynomial")
         if c is None:
-            return cls._make(field, nvars, {(ex, ey, ez): 1}, 1)
-        return cls(field, nvars, {(ex, ey, ez): c})
+            return cls._make(field, {(ex, ey, ez): 1}, 1)
+        return cls(field, {(ex, ey, ez): c})
 
     @classmethod
-    def variable(cls, field: Field, name: str, nvars: int = 3) -> "Poly":
-        i = VAR_INDEX[name]
-        if i >= nvars:
-            raise UnknownVariable(f"variable {name!r} not available with nvars={nvars}")
+    def variable(cls, field: Field, name: str) -> "Poly":
         e = [0, 0, 0]
-        e[i] = 1
-        return cls._make(field, nvars, {tuple(e): 1}, 1)
+        e[VAR_INDEX[name]] = 1
+        return cls._make(field, {tuple(e): 1}, 1)
 
     # ----- basic structure ----------------------------------------------
 
@@ -154,16 +146,15 @@ class Poly:
         degs = {sum(m) for m in self.num}
         return len(degs) <= 1
 
+    def is_bivariate(self) -> bool:
+        """Whether no term holds z: a form in x and y."""
+        return not any(m[2] for m in self.num)
+
     def coeff_of(self, exps):
         """Coefficient of the monomial as a field scalar (the field zero when absent)."""
         ex, ey, ez = exps
         c = self.num.get((ex, ey, ez), 0)
         return c if self.field.char else Fraction(c, self.den)
-
-    def as_trivariate(self) -> "Poly":
-        if self.nvars == 3:
-            return self
-        return Poly._make(self.field, 3, self.num, self.den)
 
     def sorted_terms(self):
         return [(m, self.terms[m]) for m in sorted(self.terms, key=grlex_key, reverse=True)]
@@ -179,8 +170,6 @@ class Poly:
     def _check_compat(self, other: "Poly"):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.nvars != other.nvars:
-            raise FieldMismatch(f"mixed nvars {self.nvars} vs {other.nvars}; lift with as_trivariate()")
 
     def _add(self, other: "Poly", sign: int) -> "Poly":
         """self + sign*other, over the lcm of the two denominators."""
@@ -193,7 +182,7 @@ class Poly:
         get = out.get
         for m, c in b.items():
             out[m] = get(m, 0) + sb * c
-        return _from_ints(self.field, self.nvars, out, den)
+        return _from_ints(self.field, out, den)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._add(other, 1)
@@ -204,13 +193,13 @@ class Poly:
     def __neg__(self) -> "Poly":
         p = self.field.char  # p - c keeps a prime-field value in 1..p-1
         num = {m: p - c if p else -c for m, c in self.num.items()}
-        return Poly._make(self.field, self.nvars, num, self.den)
+        return Poly._make(self.field, num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check_compat(other)
-        return _from_ints(self.field, self.nvars, _imul(self.num, other.num), self.den * other.den)
+        return _from_ints(self.field, _imul(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -220,7 +209,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        out = Poly.constant(self.field, self.field.one, self.nvars)
+        out = Poly.constant(self.field, self.field.one)
         for _ in range(n):
             out = out * self
         return out
@@ -228,8 +217,7 @@ class Poly:
     def scale(self, c) -> "Poly":
         """c * self for a field scalar or an int c."""
         n = c.numerator  # c itself for an int
-        return _from_ints(self.field, self.nvars, {m: v * n for m, v in self.num.items()},
-                          self.den * c.denominator)
+        return _from_ints(self.field, {m: v * n for m, v in self.num.items()}, self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -244,8 +232,6 @@ class Poly:
     def partial(self, var: str) -> "Poly":
         """Formal partial derivative, integer multipliers mapped into the field."""
         i = VAR_INDEX[var]
-        if i >= self.nvars:
-            raise UnknownVariable(f"variable {var!r} not available with nvars={self.nvars}")
         out: dict = {}
         for m, c in self.num.items():
             e = m[i]
@@ -254,12 +240,11 @@ class Poly:
             mm = list(m)
             mm[i] = e - 1
             out[tuple(mm)] = c * e
-        return _from_ints(self.field, self.nvars, out, self.den)  # drops the multiples of char
+        return _from_ints(self.field, out, self.den)  # drops the multiples of char
 
-    def euler_check(self, grad=None):
+    def euler_check(self):
         """Verify x*P_x + y*P_y + z*P_z = deg(P)*P exactly; return deg(P) in the field.
 
-        ``grad`` holds the partials (P_x, P_y, P_z) when the caller has them.
         Raises EulerViolation on failure (an arithmetic bug, since the identity
         is forced for homogeneous input).
         """
@@ -269,10 +254,9 @@ class Poly:
             raise EulerViolation("input is not homogeneous")
         m = self.degree()
         f = self.field
-        names = VAR_NAMES[: self.nvars]
-        lhs = Poly.zero(f, self.nvars)
-        for var, p in zip(names, grad or [self.partial(var) for var in names]):
-            lhs = lhs + Poly.variable(f, var, self.nvars) * p
+        lhs = Poly.zero(f)
+        for var in VAR_NAMES:
+            lhs = lhs + Poly.variable(f, var) * self.partial(var)
         if lhs != self.scale(f.from_int(m)):
             raise EulerViolation(f"Euler identity failed at degree {m}")
         return f.from_int(m)
@@ -299,18 +283,18 @@ def _imul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
     return out
 
 
-def _from_ints(field: Field, nvars: int, ints: dict, den: int) -> "Poly":
+def _from_ints(field: Field, ints: dict, den: int) -> "Poly":
     """The polynomial ints / den (den > 0) in canonical form: zero entries
     dropped, then one gcd divided out of the content and den over the
     rationals, each value taken ``% p`` over a prime field."""
     if field.char:
         p = field.p
-        return Poly._make(field, nvars, {m: r for m, c in ints.items() if (r := c % p)}, 1)
+        return Poly._make(field, {m: r for m, c in ints.items() if (r := c % p)}, 1)
     num = {m: c for m, c in ints.items() if c}
     if den != 1 and (g := gcd(den, *num.values())) > 1:
         num = {m: c // g for m, c in num.items()}
         den //= g
-    return Poly._make(field, nvars, num, den)
+    return Poly._make(field, num, den)
 
 
 def divides(d: "Poly", p: "Poly"):
@@ -325,7 +309,6 @@ def divides(d: "Poly", p: "Poly"):
     if d.field != p.field:
         raise FieldMismatch(f"{d.field} vs {p.field}")
     f = p.field
-    nv = max(d.nvars, p.nvars)
     dm, dc = d.leading_term()
     dc_inv = f.inv(dc)
     rem = dict(p.terms)
@@ -345,12 +328,12 @@ def divides(d: "Poly", p: "Poly"):
                 rem.pop(mm, None)
             else:
                 rem[mm] = s
-    return True, Poly(f, nv, quot)
+    return True, Poly(f, quot)
 
 
 def dot(ps, qs) -> Poly:
-    """The sum of the products p*q over paired polynomials sharing one field
-    and nvars, accumulated in one int map and normalised once."""
+    """The sum of the products p*q over paired polynomials sharing one field,
+    accumulated in one int map and normalised once."""
     first = ps[0]
     pairs = []
     for p, q in zip(ps, qs):
@@ -362,11 +345,11 @@ def dot(ps, qs) -> Poly:
     for (a, da), (b, db) in pairs:
         s = den // (da * db)
         _imul(a if s == 1 else {m: c * s for m, c in a.items()}, b, out)
-    return _from_ints(first.field, first.nvars, out, den)
+    return _from_ints(first.field, out, den)
 
 
 def det3(m) -> Poly:
-    """Determinant of a 3x3 matrix of polynomials sharing one field and nvars.
+    """Determinant of a 3x3 matrix of polynomials sharing one field.
 
     Each row is scaled by the lcm of its denominators, the cofactor expansion
     runs on the numerators, and the product of the row lcms is divided out once."""
@@ -383,7 +366,7 @@ def det3(m) -> Poly:
     out = _imul(a, _imul(f, h, _imul(e, i), -1))
     _imul(b, _imul(f, g, _imul(d, i), -1), out, -1)
     _imul(c, _imul(e, g, _imul(d, h), -1), out)
-    return _from_ints(first.field, first.nvars, out, den)
+    return _from_ints(first.field, out, den)
 
 
 def det_unit(f: Poly, matrix):
@@ -414,14 +397,14 @@ def split_pure_power(p: "Poly", axis: str):
         raise UnknownVariable(f"split axis must be 'x' or 'y', got {axis!r}")
     f = p.field
     if p.is_zero():
-        return Poly.zero(f, 2), f.zero
-    if not (p.is_homogeneous() and p.nvars == 2):
+        return Poly.zero(f), f.zero
+    if not (p.is_homogeneous() and p.is_bivariate()):
         raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
     m = p.degree()
     pure = (0, m, 0) if axis == "x" else (m, 0, 0)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
     q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.num.items() if (ex, ey, 0) != pure}
-    return _from_ints(f, 2, q, p.den), p.coeff_of(pure)
+    return _from_ints(f, q, p.den), p.coeff_of(pure)
 
 
 def coprime_forms(a: "Poly", b: "Poly", m: int, n: int) -> bool:
@@ -445,7 +428,7 @@ def is_squarefree_bivariate(p: "Poly") -> bool:
     """
     if p.is_zero():
         raise ZeroPolynomial("square-freeness of the zero polynomial")
-    if not (p.nvars == 2 and p.is_homogeneous()):
+    if not (p.is_bivariate() and p.is_homogeneous()):
         raise PolyError("square-freeness needs a homogeneous bivariate polynomial")
     m = p.degree()
     return coprime_forms(p.partial("x"), p.partial("y"), m - 1, m - 1)
@@ -494,6 +477,8 @@ def parse(text: str, field: Field = QQ, nvars: int = 3) -> Poly:
 
     A PolySyntaxError's ``pos`` is where the offending token starts (where a
     zero denominator ends), or ``len(text)`` when the text ends too early.
+    With ``nvars = 2`` a z is an UnknownVariable: outside input for a form
+    in x and y must not hold one.
     """
     toks = [(m[1], m.start(1)) for m in re.finditer(r"\s*([0-9]+|\S)", text)] + [("", len(text))]
     if len(toks) == 1:
@@ -551,7 +536,7 @@ def parse(text: str, field: Field = QQ, nvars: int = 3) -> Poly:
         terms[m] = f.add(terms.get(m, f.zero), f.neg(c) if op == "-" else c)  # Poly drops zeros
         op, pos = toks[i]
         if not op:
-            return Poly(field, nvars, terms)
+            return Poly(field, terms)
         if op not in ("+", "-"):
             raise PolySyntaxError(f"unexpected {op[0]!r}", pos)
         i += 1
@@ -611,13 +596,12 @@ def column_polys(vectors, shifts, field: Field, zfree: bool = False) -> list[tup
     `shifted_columns` builds from pairs of shift degrees ``shifts`` back into
     polynomials: per vector, one polynomial per pair, the sum of value * m
     over the pair's columns m*g (bivariate with ``zfree``)."""
-    nvars = 2 if zfree else 3
-    index = [(k, m) for k, n in enumerate(shifts) for m in monomials(n, nvars)]
+    index = [(k, m) for k, n in enumerate(shifts) for m in monomials(n, 2 if zfree else 3)]
     out = []
     for vec in vectors:
         blocks = [{} for _ in shifts]
         for col, c in vec.items():
             k, m = index[col]
             blocks[k][m] = c
-        out.append(tuple(Poly(field, nvars, b) for b in blocks))
+        out.append(tuple(Poly(field, b) for b in blocks))
     return out

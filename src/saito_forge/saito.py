@@ -17,7 +17,7 @@ from .column_system import (RouteFailure, base_pair, build_column_system,
                             column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import JacobianLadder, SyzygyBasis, _as_divisor_poly, gradient_kernel, gradient_pairing
+from .oracle import JacobianLadder, SyzygyBasis, gradient_kernel, gradient_pairing
 # det3 is re-exported: callers take the determinant from this module
 from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
                    split_pure_power)
@@ -87,20 +87,19 @@ class SaitoMatrix:
         }
 
 
-def verify_saito(f, matrix) -> VerifyReport:
+def verify_saito(f: Poly, matrix) -> VerifyReport:
     """Saito's criterion for a candidate 3x3 matrix: (grad F) . col = q_k * F
-    exactly for every column and det = c * F with c a nonzero scalar.
-    Accepts a DivisorInstance, whose stored gradient it reads, or a bare F."""
-    return _verify(f, matrix, *det_unit(_as_divisor_poly(f), matrix))
+    exactly for every column and det = c * F with c a nonzero scalar."""
+    return _verify(f, matrix, *det_unit(f, matrix))
 
 
-def _verify(f, matrix, det: Poly, unit) -> VerifyReport:
+def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
     """`verify_saito` given ``(det, unit)`` = ``det_unit(F, matrix)``."""
     quotients = []
     failures = []
     for j in range(3):
         dot = gradient_pairing(f, [row[j] for row in matrix])
-        ok, q = (True, dot) if dot.is_zero() else divides(_as_divisor_poly(f), dot)
+        ok, q = (True, dot) if dot.is_zero() else divides(f, dot)
         if ok:
             quotients.append(q)
         else:
@@ -120,7 +119,7 @@ def middle_ingredients(params) -> dict:
     d, b = params.d, params.beta
     g1, g2 = base_pair(params)
     g3 = column_syzygy_generator(params)[2]
-    w = b * (Poly.variable(params.field, "y", 2) * g1) + (d - b - 1) * g2
+    w = b * (Poly.variable(params.field, "y") * g1) + (d - b - 1) * g2
     return {"g1": g1, "g2": g2, "g3": g3, "w": w}
 
 
@@ -128,10 +127,9 @@ def middle_column(params, ing) -> tuple:
     """The degree-(d-v-1) syzygy column (exponent-safe for beta = 0)."""
     b, gm = params.beta, params.gamma
     fld = params.field
-    c1 = Poly.monomial(fld, (b + 1, gm + 2, 0)) * ing["g1"].as_trivariate()
-    c2 = Poly.monomial(fld, (b, gm + 2, 0)) * ing["g2"].as_trivariate()
-    c3 = (ing["g3"].as_trivariate()
-          - Poly.monomial(fld, (b, gm + 1, 1)) * ing["w"].as_trivariate())
+    c1 = Poly.monomial(fld, (b + 1, gm + 2, 0)) * ing["g1"]
+    c2 = Poly.monomial(fld, (b, gm + 2, 0)) * ing["g2"]
+    c3 = ing["g3"] - Poly.monomial(fld, (b, gm + 1, 1)) * ing["w"]
     return (c1, c2, c3)
 
 
@@ -179,8 +177,8 @@ def coupling_residual(params, ing: dict) -> Poly:
     b*y*h1 + x*y*F2x*h2 + (d-b-1)*x*h3 + (y*F2y + (d-v+a)*F2)*h4 + x*y*h6."""
     d, be = params.d, params.beta
     fld = params.field
-    x = Poly.variable(fld, "x", 2)
-    y = Poly.variable(fld, "y", 2)
+    x = Poly.variable(fld, "x")
+    y = Poly.variable(fld, "y")
     return (be * (y * ing["h1"]) + x * y * params.f2.partial("x") * ing["h2"]
             + (d - be - 1) * (x * ing["h3"]) + y_bracket(params) * ing["h4"]
             + x * y * ing["h6"])
@@ -191,13 +189,11 @@ def last_column(params, ing) -> tuple:
     be, gm = params.beta, params.gamma
     d = params.d
     fld = params.field
-    h2t = ing["h2"].as_trivariate()
-    h4t = ing["h4"].as_trivariate()
-    c1 = ing["h1"].as_trivariate() + Poly.monomial(fld, (be, gm + 1, 1)) * h2t
-    c2 = ing["h3"].as_trivariate() + Poly.monomial(fld, (be - 1, gm + 1, 1)) * h4t
-    tail = be * (Poly.variable(fld, "y") * h2t) + (d - be - 1) * h4t
-    c3 = (ing["h5"].as_trivariate()
-          + Poly.variable(fld, "z") * ing["h6"].as_trivariate()
+    h2, h4 = ing["h2"], ing["h4"]
+    c1 = ing["h1"] + Poly.monomial(fld, (be, gm + 1, 1)) * h2
+    c2 = ing["h3"] + Poly.monomial(fld, (be - 1, gm + 1, 1)) * h4
+    tail = be * (Poly.variable(fld, "y") * h2) + (d - be - 1) * h4
+    c3 = (ing["h5"] + Poly.variable(fld, "z") * ing["h6"]
           - Poly.monomial(fld, (be - 1, gm, 2)) * tail)
     return (c1, c2, c3)
 
@@ -213,8 +209,8 @@ def _build_explicit_odd(inst: DivisorInstance) -> SaitoMatrix:
     f1, f2 = params.f1, params.f2
     consts = compute_constants(params)
     a, b, mu = consts["a"], consts["b"], consts["mu"]
-    x = Poly.variable(fld, "x", 2)
-    y = Poly.variable(fld, "y", 2)
+    x = Poly.variable(fld, "x")
+    y = Poly.variable(fld, "y")
     e = x.scale(a) + y.scale(b)
     ing = middle_ingredients(params)
     g1, g2 = ing["g1"], ing["g2"]
@@ -251,15 +247,15 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     g1, g2 = ing["g1"], ing["g2"]
     sol = solve_column_system(build_column_system(params, mu))
     h1, h3, h5 = sol.h1, sol.h3, sol.h5
-    hs = [h.as_trivariate() for h in (h1, h3, h5)]
-    base = gradient_pairing(inst, hs)
+    hs = [h1, h3, h5]
+    base = gradient_pairing(inst.f, hs)
     # the last column is (h1, h3, h5 + z*u) + lambda * lam_col
-    lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1.as_trivariate()),
-               -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2.as_trivariate()),
-               (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2.as_trivariate()))
-    lam_vec = gradient_pairing(inst, lam_col)
+    lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1),
+               -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2),
+               (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2))
+    lam_vec = gradient_pairing(inst.f, lam_col)
     # unknowns: the tail u of degree v - 1, entering as u * z * Fz, and lambda
-    tail = Poly.variable(fld, "z") * inst.fz
+    tail = Poly.variable(fld, "z") * inst.f.partial("z")
     nrows, cols = shifted_columns([(v - 1, (tail,)), (0, (lam_vec,)), (0, (-base,))],
                                   (v + d - 1,), zfree=True)
     particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
@@ -268,7 +264,7 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     (u_poly, lam_poly), *kernel = column_polys([particular, *kernel], (v - 1, 0), fld, zfree=True)
     lam = lam_poly.coeff_of((0, 0, 0))
     lam_unique = all(k[1].is_zero() for k in kernel)
-    hs[2] = hs[2] + Poly.variable(fld, "z") * u_poly.as_trivariate()
+    hs[2] = hs[2] + Poly.variable(fld, "z") * u_poly
     col3 = tuple(h + c.scale(lam) for h, c in zip(hs, lam_col))
     ing.update({"h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
                 "lambda_unique": lam_unique})
@@ -276,14 +272,13 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
-def _saito_pair(f, kernel2: SyzygyBasis, t3: int, ladder: JacobianLadder):
+def _saito_pair(f: Poly, kernel2: SyzygyBasis, t3: int, ladder: JacobianLadder):
     """Euler's column next to two AR(F) columns of degrees (t2, t3) with
     det = c*F, c a nonzero scalar: the first vector of ``kernel2``, the
     `gradient_kernel` of degree t2, paired with each later one of degree
     t3 read off ``ladder``, in order.  Returns
     (matrix, report, s2, s3) for the first such pair, the report from the
-    `_verify` every route passes, or None.  Takes a DivisorInstance, whose
-    stored gradient it reads, or a bare F.
+    `_verify` every route passes, or None.
 
     For a reduced F over a field where d is a unit, it succeeds exactly
     when F is free of exponents (t2, t3), t2 <= t3:
@@ -296,12 +291,11 @@ def _saito_pair(f, kernel2: SyzygyBasis, t3: int, ladder: JacobianLadder):
       (t2, t3), so the first vector of any basis of AR(F)_t2 pairs with
       some vector of any basis of AR(F)_t3.
     """
-    poly = _as_divisor_poly(f)
     basis2 = kernel2.vectors
     basis3 = basis2[1:] if t3 == kernel2.degree else gradient_kernel(f, t3, ladder).vectors
     for s2, s3 in product(basis2[:1], basis3):
-        matrix = _assemble(poly.field, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
-        if (det := det_unit(poly, matrix))[1] is not None:
+        matrix = _assemble(f.field, (s2.a, s2.b, s2.c), (s3.a, s3.b, s3.c))
+        if (det := det_unit(f, matrix))[1] is not None:
             return matrix, _verify(f, matrix, *det), s2, s3
     return None
 
@@ -313,8 +307,8 @@ def _build_oracle(inst: DivisorInstance, ladder: JacobianLadder | None) -> Saito
     A = F(x, y, 0)), and p > 3d makes d a unit."""
     v = inst.params.v
     t2, t3 = (v, v) if inst.params.d % 2 == 1 else (v - 1, v)
-    ladder = ladder or JacobianLadder(inst)
-    pair = _saito_pair(inst, gradient_kernel(inst, t2, ladder), t3, ladder)
+    ladder = ladder or JacobianLadder(inst.f)
+    pair = _saito_pair(inst.f, gradient_kernel(inst.f, t2, ladder), t3, ladder)
     if pair is None:
         raise SaitoConstructionFailed(
             f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
@@ -337,18 +331,18 @@ def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix
     read off the `verify_saito` report: a zero pairing is its own quotient."""
     col2 = middle_column(inst.params, ing)
     matrix = _assemble(inst.params.field, col2, col3)
-    report = verify_saito(inst, matrix)
+    report = verify_saito(inst.f, matrix)
     eq3, eq4 = report.quotients[1:]
     for name, q, col in (("middle column (eq3)", eq3, col2), ("last column (eq4)", eq4, col3)):
         if q is None or not q.is_zero():
-            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst, col))
+            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst.f, col))
     return _finish(inst, matrix, route, ing, constants, {"eq2": eq2, "eq3": eq3, "eq4": eq4},
                    sol, report)
 
 
 def _finish(inst, matrix, route, ing, constants, residuals, sol, report=None) -> SaitoMatrix:
     """Verify and wrap a built matrix, reusing its `_verify` ``report`` if given."""
-    report = report or verify_saito(inst, matrix)
+    report = report or verify_saito(inst.f, matrix)
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
     if sol is not None:

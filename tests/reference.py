@@ -176,16 +176,16 @@ def whole_matrix_kernel(gens, t: int, with_f: bool = True) -> SyzygyBasis:
 
 def middle_column_residual(inst, ing: dict) -> Poly:
     """Gradient pairing of the middle column; identically zero on the family."""
-    return gradient_pairing(inst, middle_column(inst.params, ing))
+    return gradient_pairing(inst.f, middle_column(inst.params, ing))
 
 
 def last_column_residual(inst, ing: dict) -> Poly:
-    return gradient_pairing(inst, last_column(inst.params, ing))
+    return gradient_pairing(inst.f, last_column(inst.params, ing))
 
 
 def _z_stratum(p: Poly, k: int) -> Poly:
     """The z^k slice of p, with the z power stripped."""
-    return Poly(p.field, 3, {(m[0], m[1], 0): c for m, c in p.terms.items() if m[2] == k})
+    return Poly(p.field, {(m[0], m[1], 0): c for m, c in p.terms.items() if m[2] == k})
 
 
 def last_column_strata(inst, ing: dict) -> dict:

@@ -65,21 +65,24 @@ def test_verify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-def test_verify_takes_the_gradient_once(monkeypatch, capsys):
-    # the Saito stage and the Jacobian ladder read the instance's gradient
-    from saito_forge.poly import Poly
+def test_verify_differentiates_f_alone(monkeypatch, capsys):
+    # the Saito stage and the Jacobian ladder take the gradient of F itself
+    # and of no other form holding z
+    from saito_forge.field import PrimeField
+    from saito_forge.poly import Poly, parse
     calls = []
     real = Poly.partial
 
-    def counting(self, var):
-        if self.nvars == 3:
-            calls.append(var)
+    def recording(self, var):
+        if not self.is_bivariate():
+            calls.append((self, var))
         return real(self, var)
 
-    monkeypatch.setattr(Poly, "partial", counting)
-    code, _ = run(capsys, "verify", "--d", "8", "--alpha", "0", "--beta", "1",
-                  "--seed", "1", "--field", "fp:1009")
-    assert code == 0 and calls == list("xyz")
+    monkeypatch.setattr(Poly, "partial", recording)
+    code, out = run(capsys, "verify", "--d", "8", "--alpha", "0", "--beta", "1",
+                    "--seed", "1", "--field", "fp:1009")
+    f = parse(json.loads(out)["instance"]["F"], PrimeField(1009))
+    assert code == 0 and {g for g, _ in calls} == {f} and {var for _, var in calls} == set("xyz")
 
 
 def test_verify_oracle_route_even_degree(capsys):

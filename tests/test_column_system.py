@@ -32,7 +32,7 @@ def triple_is_multiple(t1, t2, fld):
 def residual(sys, triple):
     out = []
     for row, rhs in zip(sys.rows, sys.rhs):
-        acc = Poly.zero(sys.params.field, 2)
+        acc = Poly.zero(sys.params.field)
         for entry, h in zip(row, triple):
             acc = acc + entry * h
         out.append(acc - rhs)
@@ -125,7 +125,7 @@ def rref_solve(mat, rhs, fld):
 
 def as_triple(vec, unknowns, fld):
     n = len(unknowns)
-    return tuple(Poly(fld, 2, dict(zip(unknowns, vec[k * n:(k + 1) * n]))) for k in range(3))
+    return tuple(Poly(fld, dict(zip(unknowns, vec[k * n:(k + 1) * n]))) for k in range(3))
 
 
 @pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
@@ -148,7 +148,7 @@ def test_generator_is_a_syzygy(d, a, b):
     gen = column_syzygy_generator(params)
     sys = build_column_system(params, F1009.one)
     for row in sys.rows:
-        acc = Poly.zero(F1009, 2)
+        acc = Poly.zero(F1009)
         for entry, g in zip(row, gen):
             acc = acc + entry * g
         assert acc.is_zero()
@@ -185,7 +185,7 @@ def test_series_closed_form_matches_product_expansion():
     # z^a (1 + ... + z^(v-a-1))^2 + z^(v-a) (1 + ... + z^(a-1)) (1 + ... + z^(v-1))
     for d, a in [(5, 0), (7, 1), (9, 2), (11, 3), (13, 2)]:
         v = d // 2
-        params = FamilyParams(d, a, 0, Poly.zero(QQ, 2), Poly.zero(QQ, 2))
+        params = FamilyParams(d, a, 0, Poly.zero(QQ), Poly.zero(QQ))
         poly = [0] * (3 * v + 2)
         for i in range(v - a):
             for j in range(v - a):

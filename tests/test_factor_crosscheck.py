@@ -23,7 +23,7 @@ def to_sympy(p):
 def random_form(fld, m, rng):
     """A nonzero form of degree m with coefficients in -3..3, zeros included."""
     while True:
-        p = Poly(fld, 2, {(i, m - i, 0): fld.from_int(rng.randint(-3, 3)) for i in range(m + 1)})
+        p = Poly(fld, {(i, m - i, 0): fld.from_int(rng.randint(-3, 3)) for i in range(m + 1)})
         if not p.is_zero():
             return p
 
@@ -32,19 +32,19 @@ def random_factor(fld, rng):
     """x, y or a random form of degree 1..3."""
     r = rng.random()
     if r < 0.3:
-        return Poly.variable(fld, "x" if r < 0.15 else "y", 2)
+        return Poly.variable(fld, "x" if r < 0.15 else "y")
     return random_form(fld, rng.randint(1, 3), rng)
 
 
 def forms(fld, rng, count=80):
     """Forms of degree 0..7: a constant, a linear form, c*y^m (zero x-partial),
     then random products of x, y and random forms, each to the power 1 or 2."""
-    yield Poly.constant(fld, fld.from_int(5), 2)
-    yield Poly.variable(fld, "x", 2) + Poly.variable(fld, "y", 2).scale(fld.from_int(3))
+    yield Poly.constant(fld, fld.from_int(5))
+    yield Poly.variable(fld, "x") + Poly.variable(fld, "y").scale(fld.from_int(3))
     for m in range(1, 8):
-        yield Poly.monomial(fld, (0, m, 0), fld.from_int(-2), nvars=2)
+        yield Poly.monomial(fld, (0, m, 0), fld.from_int(-2))
     for _ in range(count):
-        p = Poly.constant(fld, fld.from_int(rng.randint(1, 4)), 2)
+        p = Poly.constant(fld, fld.from_int(rng.randint(1, 4)))
         for _ in range(rng.randint(1, 3)):
             g = random_factor(fld, rng) ** rng.choice((1, 1, 2))
             if p.degree() + g.degree() <= 7:
@@ -96,7 +96,7 @@ def linear_in_z(fld, rng):
     """F = g*(A + B*z) for a random common factor g (often 1), with B a
     random form, a monomial or zero."""
     k = rng.choice((0, 0, 1, 2))
-    g = Poly.constant(fld, fld.one, 2)
+    g = Poly.constant(fld, fld.one)
     while g.degree() < k:
         g = g * random_factor(fld, rng)
     d = rng.randint(1, 7 - g.degree())
@@ -104,13 +104,13 @@ def linear_in_z(fld, rng):
     r = rng.random()
     if r < 0.2:
         i = rng.randint(0, d - 1)
-        b = Poly.monomial(fld, (i, d - 1 - i, 0), nvars=2)
+        b = Poly.monomial(fld, (i, d - 1 - i, 0))
     elif r < 0.25:
-        b = Poly.zero(fld, 2)
+        b = Poly.zero(fld)
     else:
         b = random_form(fld, d - 1, rng)
     z = Poly.variable(fld, "z")
-    return (g * a).as_trivariate() + (g * b).as_trivariate() * z
+    return g * a + g * b * z
 
 
 @pytest.mark.parametrize("fld,opts", FIELDS)
@@ -123,8 +123,8 @@ def test_is_irreducible_matches_factorization(fld, opts):
     seen = set()
     for _ in range(100):
         f = linear_in_z(fld, rng)
-        a = Poly(fld, 2, {m: c for m, c in f.terms.items() if m[2] == 0})
-        b = Poly(fld, 2, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
+        a = Poly(fld, {m: c for m, c in f.terms.items() if m[2] == 0})
+        b = Poly(fld, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
         if b.is_zero():
             expected = False
         elif opts:

@@ -6,7 +6,7 @@ from saito_forge.family import (FamilyParams, InvalidParams,
                                 pair_bound, random_instance,
                                 random_non_squarefree_instance, validate)
 from saito_forge.field import PrimeField, QQ
-from saito_forge.poly import parse, render
+from saito_forge.poly import Poly, parse, render
 
 F1009 = PrimeField(1009)
 
@@ -46,6 +46,20 @@ def test_validate_square_f1():
     assert validate(p, drop_squarefree=True).ok
 
 
+@pytest.mark.parametrize("fld", [QQ, F1009])
+def test_validate_rejects_a_z_term_in_f1_or_f2(fld):
+    # parse refuses z in F1 and F2, but a form built term by term may hold it
+    f1, f2 = parse("x + y", fld, 2), parse("x^3 + x*y^2 + y^3", fld, 2)
+    assert validate(FamilyParams(9, 1, 0, f1, f2)).ok
+    z_f1 = Poly(fld, {(1, 0, 0): 1, (0, 0, 1): 1})
+    z_f2 = Poly(fld, {(3, 0, 0): 1, (1, 1, 1): 2, (0, 3, 0): 1})
+    for bad in (FamilyParams(9, 1, 0, z_f1, f2), FamilyParams(9, 1, 0, f1, z_f2)):
+        assert validate(bad).failures() == ["f1_bivariate"]
+        with pytest.raises(InvalidParams) as exc:
+            build_divisor(bad)
+        assert exc.value.report.failures() == ["f1_bivariate"]
+
+
 def test_validate_small_characteristic():
     p = worked_params(PrimeField(13))  # 13 < 3*5+1
     assert "char_policy" in validate(p).failures()
@@ -75,7 +89,7 @@ def test_build_rejects_invalid():
 def test_dz_partial_is_the_monomial(d, a, b, fld):
     inst = build_divisor(random_instance(d, a, b, seed=11, field=fld))
     expected = {(b, d - b - 1, 0)}
-    assert set(inst.fz.terms) == expected
+    assert set(inst.f.partial("z").terms) == expected
 
 
 def test_random_instance_reproducible():

@@ -28,8 +28,8 @@ def test_ladder_kernels_match_whole_matrix_on_the_family(d, fld):
     degrees = (v, v) if d % 2 else (v - 1, v)  # the oracle route's (t2, t3)
     for seed in (0, 1):
         for alpha, beta in legal_pairs(d):
-            gens = jacobian_generators(build_divisor(random_instance(d, alpha, beta, seed, fld)))
-            ladder = JacobianLadder(gens)
+            gens = jacobian_generators(build_divisor(random_instance(d, alpha, beta, seed, fld)).f)
+            ladder = JacobianLadder(gens[3])
             for t in degrees:
                 for with_f in (False, True):
                     assert _syzygy_kernel_raw(gens, t, with_f, ladder) == \
@@ -62,8 +62,8 @@ def test_ladder_kernels_match_whole_matrix_on_controls(text, fld):
 @pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
 def test_kernel_asked_before_and_after_a_deeper_degree(fld):
     # a relation found at degree s is read z^(T - s) times at every T >= s
-    gens = jacobian_generators(build_divisor(random_instance(12, 2, 1, 1, fld)))
-    ladder = JacobianLadder(gens)
+    gens = jacobian_generators(build_divisor(random_instance(12, 2, 1, 1, fld)).f)
+    ladder = JacobianLadder(gens[3])
     order = (5, 8, 6, 5, 9, 7)
     got = [_syzygy_kernel_raw(gens, t, with_f, ladder) for t in order for with_f in (False, True)]
     assert got == [whole_matrix_kernel(gens, t, with_f) for t in order for with_f in (False, True)]
@@ -72,7 +72,7 @@ def test_kernel_asked_before_and_after_a_deeper_degree(fld):
 def test_kernel_above_an_untracked_climb_is_refused():
     # the resolution check climbs on untracked: the relations it skipped
     # would be missing from any kernel above the last tracked degree
-    f = build_divisor(random_instance(8, 1, 0, 3, F1009))
+    f = build_divisor(random_instance(8, 1, 0, 3, F1009)).f
     ladder = JacobianLadder(f)
     below = _syzygy_kernel_raw(ladder.gens, 3, False, ladder)
     ladder.hf(14)

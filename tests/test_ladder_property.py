@@ -28,7 +28,7 @@ def draw_form(draw, fld, d: int) -> Poly:
         if not fld.is_zero(c):
             terms[(i, j, d - i - j)] = c
     hypothesis.assume(terms)
-    return Poly(fld, 3, terms)
+    return Poly(fld, terms)
 
 
 @st.composite

@@ -110,7 +110,7 @@ def test_untracked_climb_skips_the_children_of_dependent_shifts():
     # the shifts that have no parent or whose parent joined the basis, in
     # join order, and each joins at the reference's lead
     gens = _eliminated_blocks(jacobian_generators(
-        build_divisor(random_instance(33, 2, 0, 1, PrimeField(32003)))))
+        build_divisor(random_instance(33, 2, 0, 1, PrimeField(32003))).f))
     ladder, ref = IdealLadder(gens), RawLadder(gens)
     add, leads = ladder.echelon.add, []
     ladder.echelon.add = lambda v, rel=None: leads.append(add(v, rel)[0]) or (leads[-1], None)

@@ -1,6 +1,5 @@
 """Polynomial arithmetic over the rationals builds no `Fraction`: sums,
-products, scaling, `dot`, `det3`, partials, `as_trivariate` and the
-integer columns of `shifted_columns`, ranked by `eliminate`, all run on
+products, scaling, `dot`, `det3`, partials and the integer columns of `shifted_columns`, ranked by `eliminate`, all run on
 integer numerators.  Checked on the d = 9 member with true denominators in
 F1 and F2, by counting stand-ins for the `Fraction` the package modules
 construct with."""
@@ -44,16 +43,16 @@ def rational_member():
 def test_arithmetic_builds_no_fraction(built):
     inst, sm = rational_member()
     f1, f2 = inst.params.f1, inst.params.f2
-    assert f1.den > 1 and f2.den > 1 and inst.fx.den > 1
+    fx, fy, fz = (inst.f.partial(v) for v in "xyz")
+    assert f1.den > 1 and f2.den > 1 and fx.den > 1
     col = sm.column(2)
     scalar = Fraction(-5, 6)
     built.clear()
-    lifted = f1.as_trivariate(), f2.as_trivariate()
     results = [
-        inst.fx * inst.fy, f1 * f2, inst.fx + inst.fy, inst.fx - inst.fz, -inst.fy,
-        3 * inst.fz, inst.fx * 2, inst.f.scale(scalar), f2.scale(scalar),
-        dot(col, (inst.fx, inst.fy, inst.fz)), det3(sm.matrix),
-        *(inst.f.partial(v) for v in "xyz"), *lifted, lifted[0] * inst.fz,
+        fx * fy, f1 * f2, fx + fy, fx - fz, -fy,
+        3 * fz, fx * 2, inst.f.scale(scalar), f2.scale(scalar),
+        dot(col, (fx, fy, fz)), det3(sm.matrix),
+        *(inst.f.partial(v) for v in "xyz"), f1 * fz,
     ]
     assert built == []
     assert det3(sm.matrix) == inst.f.scale(sm.unit)
@@ -65,7 +64,7 @@ def test_shifted_columns_and_elimination_build_no_fraction(built):
     f1, f2 = inst.params.f1, inst.params.f2
     built.clear()
     for pairs, degrees, zfree in (
-            ([(1, (inst.fx,)), (1, (inst.fy,)), (1, (inst.fz,))], (9,), False),
+            ([(1, (inst.f.partial(v),)) for v in "xyz"], (9,), False),
             ([(1, (f2,)), (3, (f1,))], (4,), True),
             ([(2, (f1, f2)), (1, (f2.partial("x"), f2 * f1))], (3, 5), True)):
         nrows, cols = shifted_columns(pairs, degrees, zfree)
@@ -77,7 +76,7 @@ def test_shifted_columns_and_elimination_build_no_fraction(built):
 def test_the_counter_counts(built):
     """The stand-ins see what the package builds: reading a rational
     polynomial's terms builds one Fraction per term."""
-    p = Poly(QQ, 2, {(1, 0, 0): 2, (0, 1, 0): 3}).scale(Fraction(1, 5))
+    p = Poly(QQ, {(1, 0, 0): 2, (0, 1, 0): 3}).scale(Fraction(1, 5))
     built.clear()
     assert dict(p.terms) == {(1, 0, 0): Fraction(2, 5), (0, 1, 0): Fraction(3, 5)}
     assert len(built) == 2

@@ -64,7 +64,7 @@ def test_hilbert_quotient_t0():
 def test_rank_stability_redundant_generator():
     # F is an Euler combination of the partials: adjoining it changes nothing
     inst = worked_instance()
-    partials = [inst.fx, inst.fy, inst.fz]
+    partials = list(jacobian_generators(inst.f)[:3])
     with_f = partials + [inst.f]
     for t in range(4, 10):
         assert ladder_rank(partials, t) == ladder_rank(with_f, t) == whole_echelon(with_f, t)[0]
@@ -75,12 +75,12 @@ def test_rank_stability_redundant_generator():
 
 def test_euler_vector_at_degree_one():
     inst = worked_instance()
-    basis = syzygy_kernel(inst, 1)
+    basis = syzygy_kernel(inst.f, 1)
     fld = inst.f.field
     euler = SyzygyVector(parse("x"), parse("y"), parse("z"),
                          Poly.constant(fld, fld.from_int(-5)))
     assert in_kernel_span(basis, euler, fld)
-    assert gradient_pairing(inst, euler.as_polys()).is_zero()
+    assert gradient_pairing(inst.f, euler.as_polys()).is_zero()
     zero = Poly.zero(fld)
     assert not in_kernel_span(basis, SyzygyVector(parse("x"), zero, zero, zero), fld)
 
@@ -88,22 +88,22 @@ def test_euler_vector_at_degree_one():
 def test_kernel_vectors_satisfy_relation():
     inst = build_divisor(random_instance(7, 0, 1, seed=13, field=F1009))
     for t in (1, 2, 3):
-        basis = syzygy_kernel(inst, t)
+        basis = syzygy_kernel(inst.f, t)
         for vec in basis.vectors:
-            assert gradient_pairing(inst, vec.as_polys()).is_zero()
+            assert gradient_pairing(inst.f, vec.as_polys()).is_zero()
 
 
 def test_fresh_syzygy_beyond_euler_at_v():
     inst = worked_instance()
     # at t = v = 2 the kernel exceeds the Euler multiples (dim 3) + nothing else
-    basis = syzygy_kernel(inst, 2)
+    basis = syzygy_kernel(inst.f, 2)
     assert len(basis.vectors) == 3 + 2
 
 
 def test_kernel_determinism():
     inst = build_divisor(random_instance(9, 1, 0, seed=8, field=F1009))
-    b1 = syzygy_kernel(inst, 3)
-    b2 = syzygy_kernel(inst, 3)
+    b1 = syzygy_kernel(inst.f, 3)
+    b2 = syzygy_kernel(inst.f, 3)
     assert b1.vectors == b2.vectors
 
 
@@ -116,13 +116,13 @@ def test_gradient_kernel_is_the_leading_e_zero_part(d, fld):
     inst = build_divisor(random_instance(d, alpha, beta, seed=d, field=fld))
     v = d // 2
     for t in (1, v - 1, v):
-        full = syzygy_kernel(inst, t).vectors
-        grad = gradient_kernel(inst, t).vectors
+        full = syzygy_kernel(inst.f, t).vectors
+        grad = gradient_kernel(inst.f, t).vectors
         assert (len(grad) > 0) == (t >= v - 1)
         assert full[:len(grad)] == grad
         assert all(s.e.is_zero() for s in grad)
         assert not any(s.e.is_zero() for s in full[len(grad):])
-        assert all(gradient_pairing(inst, s.as_polys()).is_zero() for s in grad)
+        assert all(gradient_pairing(inst.f, s.as_polys()).is_zero() for s in grad)
 
 
 # ----- reduced syzygy kernels against the whole elimination ----------------------
@@ -152,10 +152,10 @@ def test_reduced_kernels_match_full_elimination_on_the_family(d, fld):
         inst = build_divisor(random_instance(d, alpha, beta, seed=d + beta, field=fld))
         v = d // 2
         for t in (1, v - 1, v, v + 3):
-            assert syzygy_kernel(inst, t).vectors == \
-                full_elimination_kernel(jacobian_generators(inst), t)
-            assert gradient_kernel(inst, t).vectors == \
-                full_elimination_kernel(jacobian_generators(inst), t, with_f=False)
+            assert syzygy_kernel(inst.f, t).vectors == \
+                full_elimination_kernel(jacobian_generators(inst.f), t)
+            assert gradient_kernel(inst.f, t).vectors == \
+                full_elimination_kernel(jacobian_generators(inst.f), t, with_f=False)
 
 
 @pytest.mark.parametrize("text,fld", [
@@ -193,7 +193,7 @@ def test_predicted_series_values():
 @pytest.mark.parametrize("d,fld", [(5, QQ), (6, F1009), (7, F1009), (8, F1009)])
 def test_resolution_check_family(d, fld):
     inst = build_divisor(random_instance(d, 0, 0, seed=9, field=fld))
-    rep = resolution_check(inst)
+    rep = resolution_check(inst.f)
     assert rep.passed
     assert rep.first_mismatch is None
     assert rep.multiplicity == expected_multiplicity(d)
@@ -206,7 +206,7 @@ def test_resolution_check_control_fails():
 
 
 def test_resolution_json_shape():
-    rep = resolution_check(worked_instance())
+    rep = resolution_check(worked_instance().f)
     data = rep.to_json()
     assert list(data) == ["pass", "d", "t_max", "computed", "predicted",
                           "first_mismatch", "multiplicity", "expected_multiplicity"]
@@ -216,14 +216,14 @@ def test_resolution_json_shape():
 
 
 def test_point_support_worked_instance():
-    res = point_support_check(worked_instance())
+    res = point_support_check(worked_instance().f)
     assert res.certified and res.n <= 8
     assert res.to_json() == {"certified": True, "n": res.n, "bound": 8}
 
 
 def test_point_support_minimal_n_is_genuine():
     inst = worked_instance()
-    res = point_support_check(inst)
+    res = point_support_check(inst.f)
     gens = jacobian_generators(inst.f)
     fld = inst.f.field
     n = res.n
@@ -327,7 +327,7 @@ def shifted_products(pairs, degrees, zfree=False):
     cols = []
     for n, g in pairs:
         for m in monomials(n, 2 if zfree else 3):
-            cols.append([(p * Poly.monomial(p.field, m, nvars=p.nvars)).coeff_of(r) * s
+            cols.append([(p * Poly.monomial(p.field, m)).coeff_of(r) * s
                          for p, u, s in zip(g, degrees, scales) for r in monomials(u, 3)])
     return [list(row) for row in zip(*cols)]
 
@@ -335,7 +335,7 @@ def shifted_products(pairs, degrees, zfree=False):
 def test_syzygy_entries_match_shifted_products():
     for fld in (QQ, F1009):
         inst = build_divisor(random_instance(8, 0, 1, seed=5, field=fld))
-        vectors = [(tg, v) for tg in (1, 2, 3) for v in syzygy_kernel(inst, tg).vectors]
+        vectors = [(tg, v) for tg in (1, 2, 3) for v in syzygy_kernel(inst.f, tg).vectors]
         vectors.append(vectors[0])  # a repeated vector: its shifts come again
         for t in (3, 4, 6):
             nrows, columns = syzygy_columns(vectors, t)
@@ -351,7 +351,7 @@ def test_syzygy_entries_match_shifted_products():
         v = params.v
         for pairs, degrees in (
                 ([(v, col) for col in zip(*system.rows)] + [(0, system.rhs)], system.target_degrees),
-                ([(v - 1, (Poly.variable(fld, "z") * inst.fz,)), (v, (inst.fx,))], (v + 8,))):
+                ([(v - 1, (Poly.variable(fld, "z") * inst.f.partial("z"),)), (v, (inst.f.partial("x"),))], (v + 8,))):
             nrows, columns = shifted_columns(pairs, degrees, zfree=True)
             assert nrows == sum(map(space_dim, degrees))
             assert dense(nrows, columns, fld) == shifted_products(pairs, degrees, zfree=True)

@@ -124,16 +124,16 @@ def reference_parse(text, field=QQ, nvars=3):
     parser = ReferenceParser(text, field, nvars)
     if parser.peek() == "":
         parser.error("empty input")
-    return Poly(field, nvars, parser.expr())
+    return Poly(field, parser.expr())
 
 
 def outcome(fn, text, field, nvars):
-    """("ok", nvars, poly) on success, else (exception class, pos or None)."""
+    """("ok", poly) on success, else (exception class, pos or None)."""
     try:
         p = fn(text, field, nvars)
     except Exception as exc:
         return type(exc), getattr(exc, "pos", None)
-    return "ok", p.nvars, p
+    return "ok", p
 
 
 PIECES = ["x", "y", "z", "w", "0", "1", "2", "3", "7", "17", "/", "^", "*", "+", "-",

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from saito_forge.field import FieldMismatch, PrimeField, QQ
 from saito_forge.poly import (EulerViolation, Poly, PolyError, PolySyntaxError,
                               UnknownVariable, ZeroPolynomial, det3, det_unit, divides, dot,
@@ -22,7 +23,7 @@ def rand_homog(fld, rng, deg, nvars=3):
         c = fld.random(rng)
         if not fld.is_zero(c):
             terms[m] = c
-    return Poly(fld, nvars, terms)
+    return Poly(fld, terms)
 
 
 # ----- parsing and printing -------------------------------------------------
@@ -90,8 +91,9 @@ def test_arith_examples():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         parse("x", QQ) + parse("x", F1009)
-    with pytest.raises(FieldMismatch):
-        parse("x", QQ, nvars=2) * parse("x", QQ, nvars=3)
+    # a z-free form and a form holding z are polynomials of one ring
+    a, b = parse("2/3*x + y", QQ, nvars=2), parse("x*z - 5*y^2 + 1/4*z^2", QQ)
+    assert a * b == Poly(QQ, reference.ref_mul(a.terms, b.terms, QQ))
 
 
 @pytest.mark.parametrize("fld", [QQ, F1009])
@@ -122,7 +124,7 @@ def rand_form(fld, rng, deg, nvars):
         if rng.random() < 0.5:
             terms[m] = (fld.random(rng) if fld.char
                         else Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
-    return Poly(fld, nvars, terms)
+    return Poly(fld, terms)
 
 
 def ref_add(p, q, sign=1):
@@ -130,7 +132,7 @@ def ref_add(p, q, sign=1):
     out = dict(p.terms)
     for m, c in q.terms.items():
         out[m] = f.add(out.get(m, f.zero), c if sign > 0 else f.neg(c))
-    return Poly(f, p.nvars, out)
+    return Poly(f, out)
 
 
 def ref_mul(p, q):
@@ -140,7 +142,7 @@ def ref_mul(p, q):
         for m2, c2 in q.terms.items():
             m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
             out[m] = f.add(out.get(m, f.zero), f.mul(c1, c2))
-    return Poly(f, p.nvars, out)
+    return Poly(f, out)
 
 
 def ref_det3(m):
@@ -171,10 +173,10 @@ def assert_canonical(p):
 
 def rand_matrix(fld, rng, nvars=3):
     # entry (i, j) has degree r_i + s_j, so the determinant is homogeneous;
-    # trivariate matrices mix lifted bivariate forms with trivariate ones
+    # trivariate matrices mix bivariate forms with trivariate ones
     r = [rng.randint(0, 1) for _ in range(3)]
     s = [rng.randint(0, 2) for _ in range(3)]
-    return [[(rand_form(fld, rng, r[i] + s[j], 2).as_trivariate()
+    return [[(rand_form(fld, rng, r[i] + s[j], 2)
               if nvars == 3 and rng.random() < 0.3
               else rand_form(fld, rng, r[i] + s[j], nvars)) for j in range(3)]
             for i in range(3)]
@@ -191,14 +193,14 @@ def test_kernels_match_field_reference(fld, nvars):
                                                                rng.randint(1, 9))
         r = ref_add(q, p, -1)  # p + r cancels every term of p
         results = [(p + q, ref_add(p, q)), (p - q, ref_add(p, q, -1)),
-                   (-p, Poly(fld, nvars, {m: fld.neg(v) for m, v in p.terms.items()})),
+                   (-p, Poly(fld, {m: fld.neg(v) for m, v in p.terms.items()})),
                    (p * q, ref_mul(p, q)), (p * r, ref_mul(p, r)),
-                   (p.scale(c), Poly(fld, nvars, {m: fld.mul(v, c) for m, v in p.terms.items()})),
-                   (p + r, q), (p - p, Poly.zero(fld, nvars)), (p + -p, Poly.zero(fld, nvars)),
-                   (p * Poly.zero(fld, nvars), Poly.zero(fld, nvars))]
+                   (p.scale(c), Poly(fld, {m: fld.mul(v, c) for m, v in p.terms.items()})),
+                   (p + r, q), (p - p, Poly.zero(fld)), (p + -p, Poly.zero(fld)),
+                   (p * Poly.zero(fld), Poly.zero(fld))]
         for got, want in results:
             assert got == want
-            assert got.nvars == nvars
+            assert got.is_bivariate() or nvars == 3
             assert_canonical(got)
 
 
@@ -210,12 +212,12 @@ def test_dot_matches_field_reference(fld, nvars):
         k = rng.randint(1, 4)
         ps = [rand_form(fld, rng, 2, nvars) for _ in range(k)]
         qs = [rand_form(fld, rng, rng.randint(0, 3), nvars) for _ in range(k)]
-        qs[0] = Poly.zero(fld, nvars)  # a zero factor contributes nothing
-        want = Poly.zero(fld, nvars)
+        qs[0] = Poly.zero(fld)  # a zero factor contributes nothing
+        want = Poly.zero(fld)
         for p, q in zip(ps, qs):
             want = ref_add(want, ref_mul(p, q))
         got = dot(ps, qs)
-        assert got == want and got.nvars == nvars
+        assert got == want and (got.is_bivariate() or nvars == 3)
         assert_canonical(got)
     p = rand_form(fld, rng, 2, nvars)
     assert dot([p, p], [p, -p]).is_zero()  # cancels to the zero polynomial
@@ -240,9 +242,11 @@ def test_det3_rejects_mixed_entries():
              [parse("0"), parse("y"), parse("0")],
              [parse("0"), parse("0"), parse("z")]]
     assert det3(ident) == parse("x*y*z")
-    for bad in (parse("x", nvars=2), parse("x", F1009)):
-        with pytest.raises(FieldMismatch):
-            det3([ident[0], ident[1], [parse("0"), bad, parse("z")]])
+    with pytest.raises(FieldMismatch):
+        det3([ident[0], ident[1], [parse("0"), parse("x", F1009), parse("z")]])
+    # a z-free entry among forms holding z is no mismatch
+    mixed = [ident[0], ident[1], [parse("x*z"), parse("x", nvars=2), parse("z")]]
+    assert det3(mixed) == Poly(QQ, reference.ref_det3([[e.terms for e in row] for row in mixed], QQ))
 
 
 @pytest.mark.parametrize("fld", DIFF_FIELDS)
@@ -337,7 +341,7 @@ def test_squarefree_examples():
     assert not is_squarefree_bivariate(x * x * (x + y))
     assert is_squarefree_bivariate(parse("1", nvars=2))
     with pytest.raises(ZeroPolynomial):
-        is_squarefree_bivariate(Poly.zero(QQ, 2))
+        is_squarefree_bivariate(Poly.zero(QQ))
 
 
 def test_squarefree_prime_field():
@@ -384,6 +388,20 @@ def test_split_pure_power():
 
 
 @pytest.mark.parametrize("fld", [QQ, F1009])
+def test_bivariate_preconditions_reject_z_terms(fld):
+    # bivariate is a property of the terms: one z term fails the precondition
+    for p in (parse("x*z", fld), parse("x^2 + x*y + y*z", fld), Poly(fld, {(1, 0, 1): 3, (2, 0, 0): 1})):
+        assert not p.is_bivariate()
+        with pytest.raises(PolyError):
+            split_pure_power(p, "x")
+        with pytest.raises(PolyError):
+            split_pure_power(p, "y")
+        with pytest.raises(PolyError):
+            is_squarefree_bivariate(p)
+    assert parse("x^2 + x*y + y^2", fld).is_bivariate() and Poly.zero(fld).is_bivariate()
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009])
 def test_split_recomposes(fld):
     rng = random.Random(606)
     x = parse("x", fld, nvars=2)
@@ -394,9 +412,9 @@ def test_split_recomposes(fld):
         if p.is_zero():
             continue
         q, c = split_pure_power(p, "x")
-        assert x * q + Poly.monomial(fld, (0, m, 0), c, nvars=2) == p
+        assert x * q + Poly.monomial(fld, (0, m, 0), c) == p
         q, c = split_pure_power(p, "y")
-        assert y * q + Poly.monomial(fld, (m, 0, 0), c, nvars=2) == p
+        assert y * q + Poly.monomial(fld, (m, 0, 0), c) == p
 
 
 def test_monomials_order():
@@ -411,11 +429,11 @@ def test_monomials_order():
 def test_invariant_guards_survive_python_O():
     # the guards are raises, not asserts, so -O cannot strip them
     with pytest.raises(PolyError):
-        Poly(QQ, 4, {})
-    probe = ("from saito_forge.field import QQ\n"
-             "from saito_forge.poly import Poly, PolyError, split_pure_power\n"
-             "for call in (lambda: Poly(QQ, 4, {}),\n"
-             "             lambda: split_pure_power(Poly.variable(QQ, 'x', 2), 'z')):\n"
+        split_pure_power(parse("x*z"), "x")
+    probe = ("from saito_forge.poly import PolyError, is_squarefree_bivariate, parse, split_pure_power\n"
+             "for call in (lambda: split_pure_power(parse('x*z'), 'x'),\n"
+             "             lambda: is_squarefree_bivariate(parse('x*z')),\n"
+             "             lambda: split_pure_power(parse('x'), 'z')):\n"
              "    try:\n"
              "        call()\n"
              "    except PolyError:\n"

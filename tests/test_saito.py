@@ -195,7 +195,7 @@ def test_route_agreement_odd(d, a, b, fld):
     sm_orc = build_saito_matrix(inst, route="oracle")
     assert sm_exp.verify.passed and sm_orc.verify.passed
     v = inst.params.v
-    basis = syzygy_kernel(inst, v)
+    basis = syzygy_kernel(inst.f, v)
     for j in (1, 2):
         col = sm_exp.column(j)
         vec = SyzygyVector(col[0], col[1], col[2], Poly.zero(fld))
@@ -228,8 +228,8 @@ def reference_oracle_search(inst, phases):
     d, v = inst.params.d, inst.params.v
     t2, t3 = (v, v) if d % 2 == 1 else (v - 1, v)
     for kernel, first_only in phases:
-        basis2 = kernel(inst, t2).vectors
-        basis3 = basis2 if t3 == t2 else kernel(inst, t3).vectors
+        basis2 = kernel(inst.f, t2).vectors
+        basis3 = basis2 if t3 == t2 else kernel(inst.f, t3).vectors
         for i, s2 in enumerate(basis2[:1] if first_only else basis2):
             for j, s3 in enumerate(basis3):
                 if t2 == t3 and j <= i:
@@ -297,9 +297,8 @@ def hand_built(factors, fld):
     f = parse(factors[0], fld)
     for text in factors[1:]:
         f = f * parse(text, fld)
-    one = Poly.constant(fld, fld.one, 2)
-    return DivisorInstance(FamilyParams(f.degree(), 0, 0, one, one), f,
-                           *(f.partial(var) for var in "xyz"))
+    one = Poly.constant(fld, fld.one)
+    return DivisorInstance(FamilyParams(f.degree(), 0, 0, one, one), f)
 
 
 HAND_BUILT = [
@@ -316,12 +315,12 @@ HAND_BUILT = [
 ]
 
 
-def empty_gradient_kernel(inst, t, ladder=None):
+def empty_gradient_kernel(f, t, ladder=None):
     return SyzygyBasis(t, ())
 
 
-def useless_gradient_kernel(inst, t, ladder=None):
-    zero = Poly.zero(inst.params.field)
+def useless_gradient_kernel(f, t, ladder=None):
+    zero = Poly.zero(f.field)
     return SyzygyBasis(t, (SyzygyVector(zero, zero, zero, zero),) * 3)
 
 
@@ -392,27 +391,31 @@ def test_verify_rescaled_column_gives_det_f():
 
 
 def test_verify_reads_the_instance_gradient():
+    # the instance's F and the same F parsed bare give one report
     inst = worked_instance()
     sm = build_saito_matrix(inst)
-    assert verify_saito(inst, sm.matrix) == verify_saito(inst.f, sm.matrix) == sm.verify
+    assert verify_saito(inst.f, sm.matrix) == verify_saito(parse(render(inst.f)), sm.matrix) == sm.verify
 
 
-def test_gradient_taken_once_per_instance(monkeypatch):
-    # build_divisor takes the gradient; every route and the verifier read it
+def test_routes_differentiate_f_alone(monkeypatch):
+    # every route and the verifier take the gradient of F itself and of no
+    # other form holding z
     calls = []
     real = Poly.partial
 
-    def counting(self, var):
-        if self.nvars == 3:
-            calls.append(var)
+    def recording(self, var):
+        if not self.is_bivariate():
+            calls.append((self, var))
         return real(self, var)
 
-    monkeypatch.setattr(Poly, "partial", counting)
+    monkeypatch.setattr(Poly, "partial", recording)
     for d, a, b in ((8, 1, 0), (9, 1, 1), (9, 1, 0)):
         inst = build_divisor(random_instance(d, a, b, seed=5, field=F1009))
-        build_saito_matrix(inst)
-        build_saito_matrix(inst, route="oracle")
-    assert calls == list("xyz") * 3
+        for route in ("auto", "oracle"):
+            calls.clear()
+            assert build_saito_matrix(inst, route=route).verify.passed
+            assert {f for f, _ in calls} == {inst.f}
+            assert {var for _, var in calls} == set("xyz")
 
 
 @pytest.mark.parametrize("d,alpha,beta", [(9, 1, 1), (9, 1, 0)], ids=["odd", "beta0"])
@@ -448,7 +451,7 @@ def test_explicit_build_reports_a_column_that_is_no_syzygy(monkeypatch, name, eq
     with pytest.raises(SaitoConstructionFailed) as exc:
         build_saito_matrix(inst)
     assert str(exc.value).endswith(f"({eq}) is not a syzygy")
-    assert exc.value.residual == gradient_pairing(inst, built[-1]) != Poly.zero(inst.f.field)
+    assert exc.value.residual == gradient_pairing(inst.f, built[-1]) != Poly.zero(inst.f.field)
 
 
 def test_verify_reports_failing_column():
@@ -471,7 +474,7 @@ def test_perturbation_sensitivity(d, a, b, fld):
     rng = random.Random(123)
     for key in ("g1", "g2", "g3", "w", "h1", "h2", "h3", "h4", "h5", "h6"):
         ing = dict(sm.ingredients)
-        bump = Poly.constant(fld, fld.from_int(rng.randint(1, 100)), nvars=2)
+        bump = Poly.constant(fld, fld.from_int(rng.randint(1, 100)))
         ing[key] = ing[key] + bump
         col2 = middle_column(inst.params, ing)
         col3 = last_column(inst.params, ing)
@@ -488,7 +491,7 @@ def test_g3_perturbation_breaks_middle_column():
     inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
     ing = middle_ingredients(inst.params)
     assert middle_column_residual(inst, ing).is_zero()
-    ing["g3"] = ing["g3"] + Poly.constant(F1009, 1, nvars=2)
+    ing["g3"] = ing["g3"] + Poly.constant(F1009, 1)
     assert not middle_column_residual(inst, ing).is_zero()
 
 
