@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
+from itertools import count
 
 from .column_system import RouteFailure
 from .family import (DivisorInstance, ExhaustedRetries, InconsistentInstance,
@@ -84,12 +85,14 @@ def _read_instance_file(path: str) -> dict:
     return data
 
 
-def _degree_bound(args, d: int) -> int:
-    if args.degree_bound is None:
+def _degree(name: str, value: int | None, d: int, low: int = 0) -> int:
+    """A --degree or --degree-bound in low..3d, `resolution_bound` if not given: S/J(F)
+    of a reduced curve has a constant Hilbert function from 3(d-2)+1 on, and 3d >= 3v+3."""
+    if value is None:
         return resolution_bound(d)
-    if args.degree_bound < 0:
-        raise CliError("--degree-bound must be >= 0")
-    return args.degree_bound
+    if not low <= value <= 3 * d:
+        raise CliError(f"{name} must lie in {low}..{3 * d} (the ceiling 3d for d={d}), got {value}")
+    return value
 
 
 def _instance_from_args(args) -> DivisorInstance:
@@ -125,13 +128,8 @@ def _verify_bound(args, d: int) -> int:
     """The verify degree bound.  Below the first t where the predicted Hilbert
     function of S/J(F) reaches the multiplicity, the multiplicity check would
     fail on a truncated series, so such a bound is invalid input."""
-    bound = _degree_bound(args, d)
-    stable = 0
-    while predicted_quotient_hilbert(d, stable) < expected_multiplicity(d):
-        stable += 1
-    if bound < stable:
-        raise CliError(f"--degree-bound must be >= {stable} for d={d}")
-    return bound
+    stable = next(t for t in count() if predicted_quotient_hilbert(d, t) >= expected_multiplicity(d))
+    return _degree("--degree-bound", args.degree_bound, d, stable)
 
 
 def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
@@ -146,7 +144,10 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
     # one climb of J(F): the Saito stage tracks it, resolution goes on, point support reads it
     ladder = JacobianLadder(f)
     t0 = time.perf_counter()
-    irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.terms) else None
+    irreducible = is_irreducible(f) if all(m[2] <= 1 for m in f.num) else None
+    timings["irreducible"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if inst is None:
         probe = freeness_probe(f, bound, ladder)
         stage = ("freeness_probe", probe.to_json(), probe.success)
@@ -203,7 +204,7 @@ def cmd_verify(args) -> int:
 
 def cmd_syzygies(args) -> int:
     inst = _instance_from_args(args)
-    basis = syzygy_kernel(inst.f, args.degree)
+    basis = syzygy_kernel(inst.f, _degree("--degree", args.degree, inst.params.d))
     _emit({
         "instance": instance_to_json(inst),
         "degree": args.degree,
@@ -215,7 +216,7 @@ def cmd_syzygies(args) -> int:
 
 def cmd_hilbert(args) -> int:
     inst = _instance_from_args(args)
-    bound = _degree_bound(args, inst.params.d)
+    bound = _degree("--degree-bound", args.degree_bound, inst.params.d)
     values = resolution_check(inst.f, bound).computed
     if args.csv:
         _write("t,hilbert_function\n" + "".join(f"{t},{h}\n" for t, h in enumerate(values)), args.csv)

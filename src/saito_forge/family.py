@@ -3,7 +3,9 @@
 A family member is F = x^(d-a)*F1 + y^(v+a+1)*F2 + x^b*y^(d-b-1)*z with
 v = floor(d/2), built from bivariate forms F1 (degree a, square-free) and F2
 (degree d-v-a-1), neither divisible by x or y, under the parameter bound
-a + b <= floor((d+1)/2) - 3.
+a + b <= floor((d+1)/2) - 3.  Every member is irreducible: B = x^b*y^(d-b-1),
+the coefficient of z, has no factor but x and y, and neither divides
+A = F(x, y, 0), which `is_irreducible` reads off A's terms.
 """
 
 from __future__ import annotations
@@ -208,15 +210,20 @@ def is_irreducible(f: Poly) -> bool:
     Writes f = A(x, y) + B(x, y) z.  Of two factors of f, one is free of z
     and divides both A and B, so f factors exactly when A and B share a
     nonconstant factor: f is irreducible, over K and over its algebraic
-    closure, when A and B are nonzero and `coprime_forms`.  A form with A or
-    B zero, such as the irreducible z itself, comes out reducible.
-    """
-    if not f.is_homogeneous() or any(m[2] > 1 for m in f.terms):
+    closure, when A and B are nonzero and coprime.  A form with A or B
+    zero, such as the irreducible z itself, comes out reducible.  The only
+    factors of a single-term B = c*x^i y^j (every family member's) are x and
+    y, so a term scan decides it: A needs a term free of x if i > 0, and of
+    y if j > 0.  Any other B takes the Sylvester test, `coprime_forms`, on
+    the integer forms den*A and den*B."""
+    if not f.is_homogeneous() or any(m[2] > 1 for m in f.num):
         raise ValueError("expected a form linear in z")
     fld, d = f.field, f.degree()
-    a = Poly(fld, {m: c for m, c in f.terms.items() if m[2] == 0})
-    b = Poly(fld, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
-    return not (a.is_zero() or b.is_zero()) and coprime_forms(a, b, d, d - 1)
+    a = {m: c for m, c in f.num.items() if m[2] == 0}
+    b = {(m[0], m[1], 0): c for m, c in f.num.items() if m[2] == 1}
+    if len(b) == 1:
+        return bool(a) and all(any(not m[k] for m in a) for k in (0, 1) if next(iter(b))[k])
+    return bool(a and b) and coprime_forms(Poly(fld, a), Poly(fld, b), d, d - 1)
 
 
 def instance_to_json(inst: DivisorInstance) -> dict:

@@ -14,8 +14,10 @@ reduces to zero yields a relation with the columns before it, tracked as a
 fresh `Echelon`, left to right, so its pivots are the greedy left-to-right
 column basis and its relations, scaled to 1 at their own column, the RREF
 kernel vectors.  The Jacobian ladder joins columns in another order, and
-`canonical_kernel` turns any basis of a kernel into that RREF basis.  Only
-the reduction step depends on the field:
+`canonical_kernel` turns any basis of a kernel into that RREF basis.  Both
+give a kernel vector as ``(values, den)``: int ``{column: value}`` in column
+order over one den > 0, in lowest terms (den = 1 and values in 0..p-1 over
+a prime field), with no ``Fraction``.  Only the reduction step depends on the field:
 
 * rationals: columns hold Python ints, the caller having cleared
   denominators by a row scaling (which changes neither the column
@@ -27,14 +29,13 @@ the reduction step depends on the field:
   ``% p`` when read (so any p works), visiting its nonzero rows smallest
   first through a heap.
 
-The dense-list front ends ``pivot_columns`` and ``kernel_basis`` take
-field scalars, clear the denominators of each row first (`_dense_columns`),
-and serve the tests and the benchmark's layer tracing.
+The dense-list front ends ``pivot_columns`` and ``kernel_basis`` take and
+give field scalars, clear the denominators of each row first
+(`_dense_columns`), and serve the tests and the benchmark's layer tracing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -55,6 +56,11 @@ def _combine(v: dict, a: int, w: dict, c: int) -> dict:
 
 def _divide(v: dict, g: int) -> dict:
     return {k: x // g for k, x in v.items()}
+
+
+def _over(v: dict, den: int) -> tuple:
+    """The kernel vector v / den as ``(values, den)``, in column order with den > 0."""
+    return ({k: -x for k, x in sorted(v.items())}, -den) if den < 0 else (dict(sorted(v.items())), den)
 
 
 def _qq_reduce(v: dict, rel, basis: dict):
@@ -166,12 +172,11 @@ def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False):
 
     ``pivots`` are the columns not in the span of the columns to their left,
     which is what rank queries need.  With ``kernel``, ``relations`` holds,
-    for each non-pivot column j in order, its RREF kernel vector as a
-    ``{col: value}`` map in column order, with value 1 at j; otherwise it is
-    None.  Over the rationals the columns hold ints (any row scaling of the
-    matrix has the same pivots and relations) and the relations Fractions.
+    for each non-pivot column j in order, its RREF kernel vector, 1 at j, as
+    ``(values, den)`` (see the module docstring); otherwise it is None.  Over
+    the rationals the columns hold ints (any row scaling of the matrix has
+    the same pivots and relations).
     """
-    qq = isinstance(field, Rationals)
     echelon = Echelon(field, nrows)
     pivots: list[int] = []
     relations = [] if kernel else None
@@ -181,13 +186,12 @@ def eliminate(nrows: int, columns: list, field: Field, kernel: bool = False):
         lead, rel = echelon.add(v, {j: 1} if kernel else None)
         if lead is not None:
             pivots.append(j)
-        elif kernel:
-            relations.append({k: Fraction(x, rel[j]) if qq else x
-                              for k, x in sorted(rel.items()) if x})
+        elif kernel:  # rel[j] is the denominator up to sign, 1 over a prime field
+            relations.append(_over({k: x for k, x in rel.items() if x}, rel[j]))
     return pivots, relations
 
 
-def canonical_kernel(vectors: list, field: Field) -> list[dict]:
+def canonical_kernel(vectors: list, field: Field) -> list[tuple]:
     """The relations `eliminate` returns for a matrix whose kernel the sparse
     ``{col: value}`` ``vectors`` span, computed from those vectors alone.
 
@@ -197,9 +201,9 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
     the other free columns.  So the vectors are row-reduced with each pivot
     at a vector's last nonzero column, every pivot column is cleared from the
     other vectors, and each is scaled to 1 at its pivot.  Any vector may be
-    given up to a nonzero factor, and with integer values over the
-    rationals; over the rationals the reduction runs on Python ints,
-    fraction-free as in `_qq_reduce`, and over a prime field ``% p``.
+    given up to a nonzero factor, with integer values over the rationals,
+    where the reduction runs fraction-free as in `_qq_reduce` (``% p`` over a
+    prime field); each comes back as ``(values, den)``, as from `eliminate`.
     """
     qq = isinstance(field, Rationals)
     p = None if qq else field.p
@@ -219,11 +223,7 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
 
     # sparsest first: the later, denser vectors then meet sparse pivots
     for v in sorted(vectors, key=len):
-        if qq:
-            den = lcm(*[x.denominator for x in v.values()])
-            v = {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
-        else:
-            v = {k: r for k, x in v.items() if (r := x % p)}
+        v = {k: r for k, x in v.items() if (r := x if qq else x % p)}
         while v and (k := max(v)) in basis:
             v = clear(v, [k])
         if v and not qq:
@@ -236,7 +236,7 @@ def canonical_kernel(vectors: list, field: Field) -> list[dict]:
         # the vectors with smaller pivots are already cleared of every other
         # pivot column, so all of v's clear in one pass
         v = basis[k] = clear(basis[k], [j for j in basis[k] if j != k and j in basis])
-        out.append({j: Fraction(x, v[k]) if qq else x for j, x in sorted(v.items())})
+        out.append(_over(v, v[k]))  # primitive; over a prime field v[k] is 1
     return out
 
 
@@ -257,12 +257,12 @@ def pivot_columns(rows: list, field: Field) -> list[int]:
 
 
 def kernel_basis(rows: list, ncols: int, field: Field) -> list[list]:
-    """Kernel basis of a dense matrix with ``ncols`` columns: each vector has
-    a 1 in one RREF-free column and zeros in the other free columns."""
+    """Kernel basis of a dense matrix with ``ncols`` columns, in field scalars:
+    each vector has a 1 in one RREF-free column and zeros in the other free columns."""
     if ncols == 0:
         return []
     relations = eliminate(len(rows), _dense_columns(rows, ncols, field), field, kernel=True)[1]
-    return [[rel.get(k, field.zero) for k in range(ncols)] for rel in relations]
+    return [[field.div(rel.get(k, 0), den) for k in range(ncols)] for rel, den in relations]
 
 
 def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):
@@ -271,9 +271,9 @@ def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):
     rationals as in `eliminate` (one row scaling of A and b together keeps
     the solutions).
 
-    Returns (particular, kernel) as sparse ``{col: value}`` maps: the
-    canonical particular solution (free variables pinned to zero), or None
-    when inconsistent, and the RREF kernel basis of A (see `eliminate`).
+    Returns (particular, kernel), each vector as ``(values, den)`` (see
+    `eliminate`): the canonical particular solution (free variables pinned
+    to zero), or None when inconsistent, and the RREF kernel basis of A.
     """
     nc = len(columns)
     pivots, relations = eliminate(nrows, columns + [rhs], field, kernel=True)
@@ -281,4 +281,5 @@ def solve_affine(nrows: int, columns: list, rhs: dict, field: Field):
     # otherwise its relation, the last one, is (-particular, 1)
     if pivots and pivots[-1] == nc:
         return None, relations
-    return {k: field.neg(x) for k, x in relations[-1].items() if k != nc}, relations[:-1]
+    rel, den = relations[-1]
+    return ({k: field.neg(x) for k, x in rel.items() if k != nc}, den), relations[:-1]

@@ -12,7 +12,8 @@ the degree below (F4's "simplify"), and the child of a dependent parent is
 dependent, so it is skipped unless its relation is asked for.  A
 `JacobianLadder` climbs J(F) once per F; the Saito stage reads the syzygy
 kernels off its relations, the resolution and point-support checks its
-ranks and memberships.  Two exact identities shrink the matrices first:
+ranks and memberships, each power x^t, y^t started from the reduced power
+below like a shift.  Two exact identities shrink the matrices first:
 
 * covered rows: a z-free single-term generator c*m (the family's
   Fz = x^beta y^(d-beta-1)) shifted by s is c times the unit column at row
@@ -162,8 +163,7 @@ class IdealLadder:
                 r = parents[(k, a - 1, b) if a else (k, 0, b - 1)] if n else None
                 if r is not None:
                     vec, rel = echelon.basis[r]
-                    up = self._times[not a]  # x times the parent, or y when a = 0
-                    col = {s: x for q, x in vec.items() if (s := up[q]) is not None}
+                    col = self.times(vec, not a)  # x times the parent, or y when a = 0
                     rel = {(k2, a2 + 1, b2) if a else (k2, a2, b2 + 1): x
                            for (k2, a2, b2), x in rel.items()} if track else None
                 elif n and not track:
@@ -191,6 +191,11 @@ class IdealLadder:
         out.update(((kc, i - ci, j - cj), -x * scale_c) for (i, j), x in total.items()
                    if x and i >= ci and j >= cj)
         return out
+
+    def times(self, vec: dict, axis: int) -> dict:
+        """x (axis 0) or y (axis 1) times a column of the degree below, off the covered rows."""
+        up = self._times[axis]
+        return {s: x for q, x in vec.items() if (s := up[q]) is not None}
 
     def rank(self) -> int:
         """dim I_t at the current degree t."""
@@ -290,7 +295,7 @@ def _syzygy_kernel_raw(gens: tuple, t: int, with_f: bool = True,
                   for n, (i, j, k) in enumerate(monomials(t - 1))]
     relations = canonical_kernel(basis, fld)
     if not with_f:
-        relations = [rel for rel in relations if max(rel) < 3 * s]
+        relations = [rel for rel in relations if max(rel[0]) < 3 * s]
     vectors = [SyzygyVector(*polys) for polys in column_polys(relations, shifts, fld)]
     # stable preference: smallest e-support first, then leading monomial order
     vectors.sort(key=lambda s: (len(s.e.num),
@@ -374,26 +379,30 @@ class JacobianLadder:
 
     Degree t gives hf(t) = dim S_t/J(F)_t and whether x^t, y^t lie in J(F),
     the two point-support candidates, reduced against the basis right after
-    degree t's columns join it.  Only those answers are kept per degree.
-    Degrees are reached lazily and in order, each once.  F's block is kept
-    only when p | d (see `_eliminated_blocks`).
+    degree t's columns join it: x^t starts from x times the reduced x^(t-1),
+    equal modulo J_t as x*J_(t-1) lies in J_t (F4's "simplify"), y^t alike.
+    A power in J(F) stays in and is no longer tested, nor is one while
+    J_t = 0.  Only those answers are kept per degree, reached lazily and in
+    order, each once.  F's block is kept only when p | d (`_eliminated_blocks`).
     """
 
     def __init__(self, f: Poly):
         self.gens = jacobian_generators(f)
-        self.f = f
         self.ideal = IdealLadder(_eliminated_blocks(self.gens))
         self._steps: list = []
+        self._powers = [self.ideal._column([(0, 0, 1)])] * 2  # x^t, y^t reduced; None once in J
 
     def climb(self, t: int, track: bool = False) -> tuple:
         """(hf(t), powers_in(t)); the degrees climbed to reach t are tracked with ``track``."""
-        ladder, fld = self.ideal, self.f.field
+        ladder = self.ideal
         while len(self._steps) <= t:
             ladder.advance(track)
-            s = ladder.degree
-            self._steps.append((space_dim(s) - ladder.rank(),
-                                all(ladder.contains(Poly.monomial(fld, m))
-                                    for m in ((s, 0, 0), (0, s, 0)))))
+            s, rank = ladder.degree, ladder.rank()
+            for axis, vec in enumerate(self._powers):
+                if vec is not None:
+                    vec = ladder.times(vec, axis) if s else vec
+                    self._powers[axis] = ladder.echelon.reduce(vec)[1] if rank else vec
+            self._steps.append((space_dim(s) - rank, self._powers == [None, None]))
         return self._steps[t]
 
     def hf(self, t: int) -> int:

@@ -17,16 +17,16 @@ with ``*`` between coefficient and variables, no ``^1`` and ASCII digits;
 order, and ``shifted_columns`` builds every linear system the package solves
 from shifted forms, as sparse columns indexed in that order.
 
-Sums, products, negation, scaling, partials, ``dot`` and ``det3`` run on
-the numerators, with the denominators multiplied (or, for sums, their lcm
-taken), and each result is normalised once: one gcd divided out of its
-content and ``den``, or ``% p``.  No ``Fraction`` is built.  ``det_unit``
-tests det == c*F with c = det[lm F] / lc F, the same predicate as F | det
-with a constant quotient.
+Sums, products, negation, scaling, partials, ``dot``, ``det3`` and
+``divides`` run on the numerators, as ``column_polys`` reads `linalg`'s
+integer kernel vectors, and each result is normalised once: one gcd divided
+out of its content and ``den``, or ``% p``.  No ``Fraction`` is built.
+``det_unit`` tests det == c*F with c = det[lm F] / lc F, the same
+predicate as F | det with a constant quotient.
 
 Common factors of binary forms are one Sylvester-rank test, ``coprime_forms``
 (two forms share a factor exactly when their resultant vanishes); it decides
-square-freeness here and irreducibility in ``family``.
+square-freeness here, and irreducibility in ``family`` unless a term scan can.
 """
 
 from __future__ import annotations
@@ -300,35 +300,34 @@ def _from_ints(field: Field, ints: dict, den: int) -> "Poly":
 def divides(d: "Poly", p: "Poly"):
     """Exact multivariate division test: (True, q) with p = d*q, else (False, None).
 
-    Iterated leading-term elimination under the graded-lex order; for
-    homogeneous d and p the first non-eliminable leading term certifies
-    non-divisibility.
+    Iterated leading-term elimination under the graded-lex order on the
+    numerators, d's made primitive over the rationals; for homogeneous d and
+    p the first non-eliminable leading term certifies non-divisibility, as
+    does, by Gauss's lemma, a quotient term that is not an integer.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if d.field != p.field:
         raise FieldMismatch(f"{d.field} vs {p.field}")
-    f = p.field
-    dm, dc = d.leading_term()
-    dc_inv = f.inv(dc)
-    rem = dict(p.terms)
-    quot: dict = {}
+    char, g = p.field.char, 1 if p.field.char else gcd(*d.num.values())
+    dnum = {m: c // g for m, c in d.num.items()}
+    dm = max(dnum, key=grlex_key)
+    inv = pow(dnum[dm], char - 2, char) if char else None
+    rem, quot = dict(p.num), {}
     while rem:
         m = max(rem, key=grlex_key)
-        c = rem[m]
         q = (m[0] - dm[0], m[1] - dm[1], m[2] - dm[2])
-        if min(q) < 0:
+        qc, r = (rem[m] * inv % char, 0) if char else divmod(rem[m], dnum[dm])
+        if r or min(q) < 0:
             return False, None
-        qc = f.mul(c, dc_inv)
         quot[q] = qc
-        for tm, tc in d.terms.items():
+        for tm, tc in dnum.items():
             mm = (q[0] + tm[0], q[1] + tm[1], q[2] + tm[2])
-            s = f.sub(rem.get(mm, f.zero), f.mul(qc, tc))
-            if f.is_zero(s):
-                rem.pop(mm, None)
-            else:
+            s = rem.pop(mm, 0) - qc * tc
+            if s := s % char if char else s:
                 rem[mm] = s
-    return True, Poly(f, quot)
+    # p / d = (P / p.den) / (g * D / d.den) with P = D * quot
+    return True, _from_ints(p.field, {m: c * d.den for m, c in quot.items()}, g * p.den)
 
 
 def dot(ps, qs) -> Poly:
@@ -592,16 +591,16 @@ def shifted_columns(pairs, degrees, zfree: bool = False) -> tuple[int, list[dict
 
 
 def column_polys(vectors, shifts, field: Field, zfree: bool = False) -> list[tuple]:
-    """Read sparse ``{column: value}`` vectors over the columns that
-    `shifted_columns` builds from pairs of shift degrees ``shifts`` back into
-    polynomials: per vector, one polynomial per pair, the sum of value * m
-    over the pair's columns m*g (bivariate with ``zfree``)."""
+    """Read vectors ``(values, den)`` as `linalg.eliminate` gives them, over
+    the columns that `shifted_columns` builds from pairs of shift degrees
+    ``shifts``, back into polynomials: per vector, one polynomial per pair,
+    the sum of value/den * m over the pair's columns m*g (bivariate with ``zfree``)."""
     index = [(k, m) for k, n in enumerate(shifts) for m in monomials(n, 2 if zfree else 3)]
     out = []
-    for vec in vectors:
+    for vec, den in vectors:
         blocks = [{} for _ in shifts]
         for col, c in vec.items():
             k, m = index[col]
             blocks[k][m] = c
-        out.append(tuple(Poly(field, b) for b in blocks))
+        out.append(tuple(_from_ints(field, b, den) for b in blocks))
     return out

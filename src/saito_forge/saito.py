@@ -17,9 +17,9 @@ from .column_system import (RouteFailure, base_pair, build_column_system,
                             column_syzygy_generator, solve_column_system, y_bracket)
 from .family import DivisorInstance
 from .linalg import solve_affine
-from .oracle import JacobianLadder, SyzygyBasis, gradient_kernel, gradient_pairing
+from .oracle import JacobianLadder, SyzygyBasis, gradient_kernel, gradient_pairing, jacobian_generators
 # det3 is re-exported: callers take the determinant from this module
-from .poly import (Poly, column_polys, det3, det_unit, divides, render, shifted_columns,
+from .poly import (Poly, column_polys, det3, det_unit, divides, dot, render, shifted_columns,
                    split_pure_power)
 
 ROUTE_EXPLICIT_ODD = "explicit_odd"
@@ -95,15 +95,12 @@ def verify_saito(f: Poly, matrix) -> VerifyReport:
 
 def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
     """`verify_saito` given ``(det, unit)`` = ``det_unit(F, matrix)``."""
-    quotients = []
-    failures = []
+    quotients, failures = [], []
+    grad = jacobian_generators(f)[:3]  # once per call, paired with each column by one `dot`
     for j in range(3):
-        dot = gradient_pairing(f, [row[j] for row in matrix])
-        ok, q = (True, dot) if dot.is_zero() else divides(f, dot)
-        if ok:
-            quotients.append(q)
-        else:
-            quotients.append(None)
+        pairing = dot([row[j] for row in matrix], grad)
+        quotients.append(pairing if pairing.is_zero() else divides(f, pairing)[1])
+        if quotients[-1] is None:
             failures.append(f"column {j + 1}: gradient pairing is not a multiple of F")
     if unit is None:
         failures.append("det is not a nonzero scalar multiple of F")
@@ -248,14 +245,15 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     sol = solve_column_system(build_column_system(params, mu))
     h1, h3, h5 = sol.h1, sol.h3, sol.h5
     hs = [h1, h3, h5]
-    base = gradient_pairing(inst.f, hs)
+    grad = jacobian_generators(inst.f)[:3]
+    base = dot(hs, grad)
     # the last column is (h1, h3, h5 + z*u) + lambda * lam_col
     lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1),
                -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2),
                (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2))
-    lam_vec = gradient_pairing(inst.f, lam_col)
+    lam_vec = dot(lam_col, grad)
     # unknowns: the tail u of degree v - 1, entering as u * z * Fz, and lambda
-    tail = Poly.variable(fld, "z") * inst.f.partial("z")
+    tail = Poly.variable(fld, "z") * grad[2]
     nrows, cols = shifted_columns([(v - 1, (tail,)), (0, (lam_vec,)), (0, (-base,))],
                                   (v + d - 1,), zfree=True)
     particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)

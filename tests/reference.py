@@ -10,7 +10,9 @@ deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
 one linear system over the blocks a, b, c (degree t') and e (degree t' - 1).
 """
 
+from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from saito_forge.column_system import _module_columns, build_column_system
 from saito_forge.field import Field, QQ
@@ -138,13 +140,24 @@ def whole_echelon(gens, t: int, degrees=None) -> tuple:
     rows = dict(zip([r for r in range(nrows) if r not in unit], range(nrows)))
     pivots, relations = eliminate(len(rows), [{rows[r]: c for r, c in cols[j].items() if r in rows}
                                               for j in kept], fld, kernel=True)
-    relations = [{kept[i]: x for i, x in rel.items()} for rel in relations]
+    relations = [({kept[i]: x for i, x in rel.items()}, den) for rel, den in relations]
     if k is not None:
         scale = fld.neg(fld.inv(next(iter(gens[k].terms.values()))))
-        for rel, polys in zip(relations, column_polys(relations, shifts, fld)):
-            for m, c in dot(polys, gens).terms.items():
-                rel[unit[monomial_index(m)]] = fld.mul(c, scale)
-    return len(cover) + len(pivots), relations
+        for (rel, den), polys in zip(relations, column_polys(relations, shifts, fld)):
+            # the covered entries of den times the relation, integral up to
+            # the denominators of the generators' terms
+            rel.update((unit[monomial_index(m)], fld.mul(fld.mul(c, scale), den))
+                       for m, c in dot(polys, gens).terms.items())
+    return len(cover) + len(pivots), [integral(rel, fld) for rel, _ in relations]
+
+
+def integral(vec: dict, fld) -> dict:
+    """A sparse vector of field scalars up to a factor, as `linalg` takes it:
+    over the rationals scaled to integers."""
+    if fld.char:
+        return vec
+    den = lcm(*[Fraction(x).denominator for x in vec.values()])
+    return {j: int(x * den) for j, x in vec.items()}
 
 
 def whole_matrix_kernel(gens, t: int, with_f: bool = True) -> SyzygyBasis:

@@ -343,6 +343,13 @@ def test_import_leaves_numpy_out():
     (["verify", "--in", "{tmp}/high.json"], {},
      {"high.json": '{"d": 5, "alpha": 0, "beta": 0, "field": "q", "F1": "1", '
                    '"F2": "x^2 + x*y + y^2", "F": "x^1000"}'}),
+    # a negative degree means nothing; one above the ceiling 3d only costs
+    # time and memory (these bounds ran for more than 10 s without one)
+    (["syzygies", *WORKED, "--degree", "-1"], {}, {}),
+    (["syzygies", *WORKED, "--degree", "16"], {}, {}),
+    (["verify", "--d", "9", "--degree-bound", "100000"], {}, {}),
+    (["hilbert", "--d", "9", "--degree-bound", "100000"], {}, {}),
+    (["hilbert", *WORKED, "--degree-bound", "-1"], {}, {}),
 ], ids=["negative-degree-bound", "missing-file", "missing-keys", "not-json", "bad-threads",
         "low-degree-bound", "low-degree-bound-raw-f", "point-support-bound",
         "point-support-bound-raw-f", "raw-f-not-a-form",
@@ -350,7 +357,8 @@ def test_import_leaves_numpy_out():
         "unwritable-out", "unwritable-csv", "unwritable-export", "range-not-a-number",
         "range-open", "range-reversed", "no-trials", "negative-trials", "alpha-out-of-range",
         "superscript-form", "superscript-exponent", "over-long-exponent", "superscript-stored-f",
-        "raw-f-wrong-degree"])
+        "raw-f-wrong-degree", "negative-degree", "degree-over-ceiling",
+        "verify-bound-over-ceiling", "hilbert-bound-over-ceiling", "negative-hilbert-bound"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -366,6 +374,15 @@ def test_over_long_exponent_without_int_string_limit_fails_validation():
                           {"PYTHONINTMAXSTRDIGITS": "0"})
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "f2_degree" in proc.stderr
+
+
+def test_degree_ceiling_is_3d_and_named(capsys):
+    # the ceiling itself is accepted; one above it is named in the message
+    assert main(["hilbert", *WORKED, "--degree-bound", "15"]) == 0
+    assert main(["syzygies", *WORKED, "--degree", "15"]) == 0
+    capsys.readouterr()
+    assert main(["syzygies", *WORKED, "--degree", "16"]) == 2
+    assert "0..15" in capsys.readouterr().err
 
 
 def test_point_support_bound_below_n_is_inconclusive(capsys):
@@ -530,7 +547,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
     shared = reports(fresh=False)
     assert shared == reports(fresh=True)
-    assert [timed for _, timed, _ in shared] == [["point_support", "resolution", "saito"], [], [], []]
+    assert [timed for _, timed, _ in shared] == [
+        ["irreducible", "point_support", "resolution", "saito"], [], [], []]
 
 
 def test_input_errors_share_one_base():

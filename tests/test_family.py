@@ -6,7 +6,7 @@ from saito_forge.family import (FamilyParams, InvalidParams,
                                 pair_bound, random_instance,
                                 random_non_squarefree_instance, validate)
 from saito_forge.field import PrimeField, QQ
-from saito_forge.poly import Poly, parse, render
+from saito_forge.poly import Poly, coprime_forms, parse, render
 
 F1009 = PrimeField(1009)
 
@@ -151,6 +151,54 @@ def test_is_irreducible():
     for d, a, b in [(7, 0, 1), (9, 2, 0), (10, 1, 1)]:
         i = build_divisor(random_instance(d, a, b, seed=2, field=F1009))
         assert is_irreducible(i.f)
+
+
+def sylvester_irreducible(f: Poly) -> bool:
+    """`is_irreducible` by the Sylvester test alone, whatever B is."""
+    fld, d = f.field, f.degree()
+    a = Poly(fld, {m: c for m, c in f.terms.items() if m[2] == 0})
+    b = Poly(fld, {(m[0], m[1], 0): c for m, c in f.terms.items() if m[2] == 1})
+    return not (a.is_zero() or b.is_zero()) and coprime_forms(a, b, d, d - 1)
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+def test_term_scan_matches_sylvester_on_every_member(fld):
+    # every legal member at d = 5..25, seeds 1 and 2: B = x^beta y^(d-beta-1)
+    for d in range(5, 26):
+        for alpha, beta in legal_pairs(d):
+            for seed in (1, 2):
+                f = build_divisor(random_instance(d, alpha, beta, seed, fld)).f
+                assert is_irreducible(f) is sylvester_irreducible(f) is True, (d, alpha, beta, seed)
+
+
+HAND_MADE = [
+    ("x^5 + x^2*y^3 + x*y^3*z", False),     # x | A and x | B
+    ("x^5 + x*y^4 + 3*x^2*y^2*z", False),   # x | A and x | B = 3*x^2*y^2
+    ("x^4*y + y^5 + x^2*y^2*z", False),     # y | A and y | B
+    ("x^5 + x*y^4 + y^4*z", True),          # x | A but x does not divide B
+    ("x^5 + y^5 + y^4*z", True),            # beta = 0: B = y^(d-1)
+    ("x^4*y + y^5 + y^4*z", False),         # beta = 0 and y | A
+    ("x^5 + x*y^4 - 3/2*y^4*z", True),      # B = c*y^(d-1)
+    ("x*y^4 + y^5 + 7*y^4*z", False),       # B = c*y^(d-1) and y | A
+    ("x^5 + y^5 + 2*x^4*z", True),          # B = c*x^(d-1)
+    ("x + 2*z", True),                      # B constant
+    ("x^5 + y^5 + x^4*z + x^2*y^2*z", True),    # B with several terms
+    ("x^5 + 2*x^4*y + x*y^3*z + 2*y^4*z", False),
+]
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009], ids=["q", "fp1009"])
+@pytest.mark.parametrize("text,irreducible", HAND_MADE)
+def test_term_scan_matches_sylvester_by_hand(monkeypatch, fld, text, irreducible):
+    # only a B with several terms takes the Sylvester path
+    from saito_forge import family
+
+    calls = []
+    monkeypatch.setattr(family, "coprime_forms", lambda *args: calls.append(args) or coprime_forms(*args))
+    f = parse(text, fld)
+    several = sum(m[2] == 1 for m in f.num) > 1
+    assert is_irreducible(f) is sylvester_irreducible(f) is irreducible
+    assert len(calls) == several
 
 
 def test_json_roundtrip():

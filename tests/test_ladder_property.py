@@ -1,15 +1,17 @@
 """`oracle.JacobianLadder` against dense ranks of unreduced Macaulay
 matrices, on random sparse forms of degree 3..7: hf(t) = dim S_t - rank M_t,
 and x^t, y^t lie in J(F) exactly when appending each alone to M_t keeps the
-rank.  And `oracle.IdealLadder`, whose z-free shifts start from their
-parents' reduced vectors, against `reference.RawLadder`, which reduces each
-from its own column, on random tuples of sparse generators."""
+rank.  Its powers, each carried up from the reduced power below, against
+`IdealLadder.contains` on the raw columns of x^t and y^t at every degree.
+And `oracle.IdealLadder`, whose z-free shifts start from their parents'
+reduced vectors, against `reference.RawLadder`, which reduces each from its
+own column, on random tuples of sparse generators."""
 
 import pytest
 
 from saito_forge.field import PrimeField, QQ
 from saito_forge.oracle import IdealLadder, JacobianLadder, _eliminated_blocks, jacobian_generators
-from saito_forge.poly import Poly, space_dim
+from saito_forge.poly import Poly, parse, space_dim
 from reference import RawLadder, dense_echelon
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -75,6 +77,52 @@ def test_ladder_matches_dense_ranks_on_sparse_forms(f):
         powers = (Poly.monomial(fld, (t, 0, 0)), Poly.monomial(fld, (0, t, 0)))
         rank, members = dense_echelon(gens, t, powers, fld)
         assert (ladder.hf(t), ladder.powers_in(t)) == (space_dim(t) - rank, all(members)), t
+
+
+def raw_steps(f: Poly, top: int) -> list:
+    """(hf(t), powers_in(t)) for t = 0..top, each power reduced from its own
+    raw column by `IdealLadder.contains`, both tested at every degree."""
+    fld, ladder, out = f.field, IdealLadder(_eliminated_blocks(jacobian_generators(f))), []
+    for t in range(top + 1):
+        ladder.advance()
+        members = [ladder.contains(Poly.monomial(fld, m)) for m in ((t, 0, 0), (0, t, 0))]
+        out.append((space_dim(t) - ladder.rank(), all(members)))
+    return out
+
+
+@st.composite
+def forms_q_or_1009(draw):
+    """A sparse form of degree 3..7 over the rationals or fp:1009, and a
+    degree up to which its ladder is climbed tracked first (-1: none)."""
+    fld = FIELDS[draw(st.sampled_from(["q", "fp:1009"]))]
+    return draw_form(draw, fld, draw(st.integers(3, 7))), draw(st.integers(-1, 12))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(forms_q_or_1009())
+@hypothesis.example((parse("x^5 + y^5 + z^5"), -1))
+@hypothesis.example((parse("x^5 + y^5 + z^5", PrimeField(1009)), 6))
+@hypothesis.example((parse("x*y*z"), -1))
+@hypothesis.example((parse("x*y*z", PrimeField(1009)), 4))
+def test_incremental_powers_match_raw_columns(case):
+    f, tracked = case
+    top = 3 * f.degree()
+    ladder = JacobianLadder(f)
+    if tracked >= 0:
+        ladder.climb(tracked, track=True)
+    steps = [ladder.climb(t) for t in range(top + 1)]
+    assert steps == raw_steps(f, top)
+    powers = [p for _, p in steps]
+    assert powers == sorted(powers)  # monotone: once in J(F), always in
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(1009)], ids=["q", "fp1009"])
+def test_power_controls(fld):
+    # smooth Fermat quintic: J(F) = (x^4, y^4, z^4); the coordinate triangle
+    # x*y*z is singular at (1:0:0) and (0:1:0), so no power of x or y enters
+    fermat, triangle = JacobianLadder(parse("x^5 + y^5 + z^5", fld)), JacobianLadder(parse("x*y*z", fld))
+    assert [fermat.powers_in(t) for t in range(16)] == [False] * 4 + [True] * 12
+    assert not any(triangle.powers_in(t) for t in range(10))
 
 
 def expand(gens, t: int, rel: dict) -> Poly:

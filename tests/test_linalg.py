@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -31,8 +31,20 @@ def mat_vec(rows, vec, fld):
 
 
 def densify(vec, ncols, fld=QQ):
-    """A sparse ``{col: value}`` map as a dense list."""
-    return [vec.get(k, fld.zero) for k in range(ncols)]
+    """A vector ``(values, den)`` as `linalg` returns it, as a dense list of
+    field scalars."""
+    values, den = vec
+    return [fld.div(values.get(k, 0), den) for k in range(ncols)]
+
+
+def integer_over_one_denominator(vectors, fld=QQ) -> bool:
+    """Each vector is ``(values, den)``: int values in column order over one
+    den > 0, in lowest terms over the rationals and den 1 over a prime field."""
+    return all(type(den) is int and den > 0 and list(values) == sorted(values)
+               and all(type(x) is int and x for x in values.values())
+               and (gcd(den, *values.values()) == 1 if fld is QQ
+                    else den == 1 and all(0 < x < fld.p for x in values.values()))
+               for values, den in vectors)
 
 
 def solve_dense(rows, ncols, rhs, fld):
@@ -193,7 +205,7 @@ def test_rational_solve_affine_matches_rref(nr, nc):
         particular, kern = solve_dense(rows, nc, rhs, QQ)
         pivots, reduced = rref_reference([r + [b] for r, b in zip(rows, rhs)])
         assert [densify(k, nc) for k in kern] == rref_kernel(rows, nc)
-        assert all_fractions(k.values() for k in kern)
+        assert integer_over_one_denominator(kern)
         if pivots and pivots[-1] == nc:
             assert particular is None
             outcomes.add("inconsistent")
@@ -202,7 +214,7 @@ def test_rational_solve_affine_matches_rref(nr, nc):
         for i, pc in enumerate(pivots):
             expected[pc] = reduced[i][nc]
         assert densify(particular, nc) == expected
-        assert all(particular.values()) and all_fractions([particular.values()])
+        assert integer_over_one_denominator([particular])
         assert mat_vec(rows, densify(particular, nc), QQ) == rhs
         outcomes.add("consistent")
     assert "consistent" in outcomes
@@ -215,7 +227,7 @@ def test_rational_engine_without_rows():
     basis = kernel_basis([], 3, QQ)
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert all_fractions(basis)
-    assert solve_affine(0, [], {}, QQ) == ({}, [])
+    assert solve_affine(0, [], {}, QQ) == (({}, 1), [])
 
 
 def test_rational_engine_on_jacobian_macaulay_matrix():
@@ -269,10 +281,10 @@ def test_modp_echelon_matches_rref(p):
         assert got == pivots
         free = [j for j in range(nc) if j not in pivots]
         # each relation is sparse, in column order, and 1 at its own column
-        for j, rel in zip(free, relations, strict=True):
-            assert rel[j] == 1 and list(rel) == sorted(rel) and all(rel.values())
-        assert [[rel.get(k, 0) for k in range(nc)] for rel in relations] == \
-            rref_kernel(rows, nc, fld)
+        assert integer_over_one_denominator(relations, fld)
+        for j, (rel, _) in zip(free, relations, strict=True):
+            assert rel[j] == 1
+        assert [densify(rel, nc, fld) for rel in relations] == rref_kernel(rows, nc, fld)
         assert pivot_columns(rows, fld) == pivots
 
 

@@ -1,8 +1,10 @@
 """`canonical_kernel` recovers `eliminate`'s RREF kernel from any basis of
 the same kernel: random matrices, their relations recombined by random
-invertible matrices and rescaled vector by vector."""
+invertible matrices and rescaled vector by vector (to integers over the
+rationals)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -46,10 +48,14 @@ def recombined_kernel(draw):
     for row in mix:
         factor = scalar(fld, draw(nonzero))  # each vector only up to a factor
         vec = {}
-        for c, rel in zip(row, relations):
+        for c, (rel, den) in zip(row, relations):
             for col, x in rel.items():
-                vec[col] = fld.add(vec.get(col, fld.zero), fld.mul(fld.mul(factor, c), x))
-        vectors.append({col: x for col, x in vec.items() if not fld.is_zero(x)})
+                vec[col] = fld.add(vec.get(col, fld.zero), fld.mul(fld.mul(factor, c), fld.div(x, den)))
+        vec = {col: x for col, x in vec.items() if not fld.is_zero(x)}
+        if fld is QQ:  # canonical_kernel takes integer values over the rationals
+            den = lcm(*[x.denominator for x in vec.values()])
+            vec = {col: int(x * den) for col, x in vec.items()}
+        vectors.append(vec)
     return fld, relations, vectors
 
 

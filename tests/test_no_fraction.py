@@ -1,8 +1,10 @@
 """Polynomial arithmetic over the rationals builds no `Fraction`: sums,
-products, scaling, `dot`, `det3`, partials and the integer columns of `shifted_columns`, ranked by `eliminate`, all run on
-integer numerators.  Checked on the d = 9 member with true denominators in
-F1 and F2, by counting stand-ins for the `Fraction` the package modules
-construct with."""
+products, scaling, `dot`, `det3`, partials and the integer columns of
+`shifted_columns`, ranked by `eliminate`, all run on integer numerators, as
+do the kernel relations (`eliminate` with ``kernel``, `canonical_kernel`,
+`solve_affine`, read back by `column_polys`) and `divides`.  Checked on the
+d = 9 member with true denominators in F1 and F2, by counting stand-ins for
+the `Fraction` the package modules construct with."""
 
 from fractions import Fraction
 
@@ -11,8 +13,8 @@ import pytest
 from saito_forge import field, linalg, poly
 from saito_forge.family import FamilyParams, build_divisor
 from saito_forge.field import QQ
-from saito_forge.linalg import eliminate
-from saito_forge.poly import Poly, det3, dot, parse, shifted_columns
+from saito_forge.linalg import canonical_kernel, eliminate, solve_affine
+from saito_forge.poly import Poly, column_polys, det3, divides, dot, parse, shifted_columns
 from saito_forge.saito import build_saito_matrix
 
 
@@ -29,7 +31,8 @@ def built():
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (poly, linalg, field):
-            mp.setattr(mod, "Fraction", Counting)
+            if hasattr(mod, "Fraction"):  # linalg builds none and imports none
+                mp.setattr(mod, "Fraction", Counting)
         yield made
 
 
@@ -71,6 +74,30 @@ def test_shifted_columns_and_elimination_build_no_fraction(built):
         assert all(type(c) is int for col in cols for c in col.values())
         eliminate(nrows, cols, QQ)
     assert built == []
+
+
+def test_kernel_relations_and_division_build_no_fraction(built):
+    inst, _ = rational_member()
+    grad = [inst.f.partial(v) for v in "xyz"]
+    t = 4  # AR(F) of the d = 9 member starts in degree v = 4
+    nrows, cols = shifted_columns([(t, (g,)) for g in grad], (t + 8,))
+    rhs = {r: c for r, c in cols[0].items()}
+    for r, c in cols[7].items():
+        rhs[r] = rhs.get(r, 0) - 2 * c
+    built.clear()
+    relations = eliminate(nrows, cols, QQ, kernel=True)[1]
+    canonical = canonical_kernel([rel for rel, _ in relations], QQ)
+    syzygies = column_polys(relations, (t, t, t), QQ)
+    particular, kernel = solve_affine(nrows, cols, rhs, QQ)
+    (a, b, c), = column_polys([particular], (t, t, t), QQ)
+    quotients = [divides(inst.f, inst.f * grad[0]), divides(grad[0], inst.f)]
+    assert built == []
+    assert relations and canonical == relations and kernel == relations
+    assert any(den > 1 for _, den in relations)
+    assert all(dot(s, grad).is_zero() for s in syzygies)
+    assert dot((a, b, c), grad) == grad[0] * Poly.monomial(QQ, (t, 0, 0)) - 2 * dot(
+        column_polys([({7: 1}, 1)], (t, t, t), QQ)[0], grad)
+    assert quotients == [(True, grad[0]), (False, None)]
 
 
 def test_the_counter_counts(built):

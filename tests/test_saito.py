@@ -420,19 +420,27 @@ def test_routes_differentiate_f_alone(monkeypatch):
 
 @pytest.mark.parametrize("d,alpha,beta", [(9, 1, 1), (9, 1, 0)], ids=["odd", "beta0"])
 def test_explicit_build_pairs_each_column_once(monkeypatch, d, alpha, beta):
-    # eq3 and eq4 are read off the verifier's quotients, not paired again
+    # eq3 and eq4 are read off the verifier's quotients, not paired again;
+    # the verifier pairs each column with F's gradient, taken once per call
     import saito_forge.saito as saito
     paired = []
-    real = saito.gradient_pairing
+    real = saito.dot
 
-    def counting(f, col):
-        paired.append(tuple(col))
-        return real(f, col)
+    def counting(ps, qs):
+        paired.append(tuple(ps))
+        return real(ps, qs)
 
-    monkeypatch.setattr(saito, "gradient_pairing", counting)
-    sm = build_saito_matrix(build_divisor(random_instance(d, alpha, beta, seed=5, field=F1009)))
+    monkeypatch.setattr(saito, "dot", counting)
+    inst = build_divisor(random_instance(d, alpha, beta, seed=5, field=F1009))
+    sm = build_saito_matrix(inst)
     assert sm.residuals["eq3"].is_zero() and sm.residuals["eq4"].is_zero()
     assert [paired.count(sm.column(j)) for j in range(3)] == [1, 1, 1]
+    differentiated = []
+    real_partial = Poly.partial
+    monkeypatch.setattr(Poly, "partial",
+                        lambda self, var: differentiated.append(var) or real_partial(self, var))
+    assert verify_saito(inst.f, sm.matrix) == sm.verify
+    assert sorted(differentiated) == ["x", "y", "z"]
 
 
 @pytest.mark.parametrize("name,eq", [("middle_column", "eq3"), ("last_column", "eq4")])
