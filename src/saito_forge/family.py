@@ -105,7 +105,7 @@ def validate(params: FamilyParams, drop_squarefree: bool = False) -> ValidationR
         # a variable divides a form exactly when it divides each of its terms
         for name, form in (("f1", f1), ("f2", f2)):
             for i, var in enumerate("xy"):
-                rep.add(f"{var}_ndiv_{name}", any(m[i] == 0 for m in form.terms),
+                rep.add(f"{var}_ndiv_{name}", any(m[i] == 0 for m in form.num),
                         f"{var} must not divide {name.upper()}")
         if not drop_squarefree:
             rep.add("f1_squarefree", is_squarefree_bivariate(f1), "F1 must be square-free")
@@ -130,7 +130,7 @@ def build_divisor(params: FamilyParams, drop_squarefree: bool = False) -> Diviso
     block2 = Poly.monomial(fld, (0, v + a + 1, 0)) * params.f2
     block_z = Poly.monomial(fld, (b, d - b - 1, 1))
     # the two bivariate support blocks may never share a monomial
-    if set(block1.terms) & set(block2.terms):
+    if block1.num.keys() & block2.num.keys():
         raise InvalidParams("support blocks of x^(d-a)*F1 and y^(v+a+1)*F2 overlap")
     f = block1 + block2 + block_z
     if not (f.is_homogeneous() and f.degree() == d):

@@ -115,8 +115,9 @@ class IdealLadder:
         self._gens = {k: (g.degree(), _xy_terms(g), g.den) for k, g in live if k != kc}
         # the cover c*x^i y^j as (index, i, j, c, scale)
         self._cover = None if kc is None else (kc, *_xy_terms(gens[kc])[0], gens[kc].den)
-        # (k, a, b) -> the lead its column joined at (None: dependent) at the
-        # degree below; row key -> x, y times it (None: covered), grown per degree
+        # index k -> the leads the shifts x^a y^b * g_k joined at, by a (None:
+        # dependent), at the degree below; row key -> x, y times it (None:
+        # covered), grown per degree
         self._leads: dict = {}
         self._times: tuple = ([], [])
 
@@ -152,27 +153,29 @@ class IdealLadder:
         track = self.tracked == t
         echelon, parents, leads, rows = self.echelon, self._leads, {}, space_dim(t)
         echelon.grow(rows)
+        xs, ys = self._times
         ci, cj = self._cover[1:3] if self._cover else (t + 2, t + 2)  # (t + 2, t + 2): none
         for j in range(t + 1):  # x, y times x^(t-j) y^j; rows is the key of x^(t+1)
-            self._times[0].append(None if t - j + 1 >= ci and j >= cj else rows + j)
-            self._times[1].append(None if t - j >= ci and j + 1 >= cj else rows + j + 1)
+            xs.append(None if t - j + 1 >= ci and j >= cj else rows + j)
+            ys.append(None if t - j >= ci and j + 1 >= cj else rows + j + 1)
         for k, (dg, terms, _) in self._gens.items():
             n = t - dg
+            own = leads[k] = [None] * (n + 1)
             for a in range(n, -1, -1):
                 b = n - a
-                r = parents[(k, a - 1, b) if a else (k, 0, b - 1)] if n else None
+                r = parents[k][max(a - 1, 0)] if n else None
                 if r is not None:
                     vec, rel = echelon.basis[r]
-                    col = self.times(vec, not a)  # x times the parent, or y when a = 0
+                    up = xs if a else ys  # x times the parent, or y when a = 0
+                    col = {s: x for q, x in vec.items() if (s := up[q]) is not None}
                     rel = {(k2, a2 + 1, b2) if a else (k2, a2, b2 + 1): x
                            for (k2, a2, b2), x in rel.items()} if track else None
                 elif n and not track:
-                    leads[k, a, b] = None
                     continue
                 else:
                     col, rel = self._column(terms, a, b), {(k, a, b): 1} if track else None
-                leads[k, a, b], rel = echelon.add(col, rel)
-                if track and leads[k, a, b] is None:
+                own[a], rel = echelon.add(col, rel)
+                if track and own[a] is None:
                     self.relations.append((t, self._relation(rel)))
         self._leads = leads
 

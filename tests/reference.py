@@ -1,5 +1,6 @@
 """Reference computations shared by the test modules: the generic list
-RREF, dense ranks of whole Macaulay matrices, the ideal ladder that reduces
+RREF, dense ranks of whole Macaulay matrices, the mod-p echelon step that
+sends every column through its accumulator, the ideal ladder that reduces
 every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
 diagnostics of the closed-form Saito columns and of the column system's
@@ -11,12 +12,13 @@ one linear system over the blocks a, b, c (degree t') and e (degree t' - 1).
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 
 from saito_forge.column_system import _module_columns, build_column_system
 from saito_forge.field import Field, QQ
-from saito_forge.linalg import canonical_kernel, eliminate, pivot_columns
+from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
                                 gradient_pairing, macaulay_matrix)
 from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
@@ -71,6 +73,47 @@ def dense_echelon(gens, t, candidates, fld):
     rank = dense_rank(gens, t, fld, generic=small)
     return rank, [dense_rank(tuple(gens) + (c,), t, fld, generic=small) == rank
                   for c in candidates]
+
+
+class AccumulatorEchelon(Echelon):
+    """`linalg.Echelon` with its mod-p step as it was before an already
+    reduced column could join directly: every column, however reduced,
+    goes through the heap and the dense accumulator."""
+
+    def _fp_reduce(self, v: dict, rel):
+        basis, acc, p = self.basis, self._acc, self._p
+        for r, x in v.items():
+            acc[r] = x
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            r = heappop(heap)
+            c = acc[r] = acc[r] % p
+            if not c:
+                continue
+            hit = basis.get(r)
+            if hit is None:
+                inv = pow(c, p - 2, p)
+                acc[r] = 0
+                out = {r: 1}
+                for k in heap:
+                    x = acc[k] % p
+                    if x:
+                        out[k] = x * inv % p
+                    acc[k] = 0
+                if rel is not None:
+                    rel = {k: x * inv % p for k, x in rel.items() if x}
+                return r, out, rel
+            w, wrel = hit
+            for k, y in w.items():
+                x = acc[k]
+                if not x:
+                    heappush(heap, k)
+                acc[k] = x - c * y
+            if rel is not None:
+                for k, y in wrel.items():
+                    rel[k] = (rel.get(k, 0) - c * y) % p
+        return None, None, rel
 
 
 class RawLadder(IdealLadder):

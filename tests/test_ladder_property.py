@@ -17,7 +17,8 @@ from reference import RawLadder, dense_echelon
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-FIELDS = {"q": QQ, "fp:1009": PrimeField(1009), "fp:5": PrimeField(5), "fp:7": PrimeField(7)}
+FIELDS = {"q": QQ, "fp:1009": PrimeField(1009), "fp:5": PrimeField(5), "fp:7": PrimeField(7),
+          "fp:32003": PrimeField(32003)}
 
 
 def draw_form(draw, fld, d: int) -> Poly:
