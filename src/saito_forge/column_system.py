@@ -121,8 +121,9 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
 
 
 def column_syzygy_generator(params: FamilyParams):
-    """The closed-form generator of the system's solution-line direction;
-    its last entry is the g3 of the middle Saito column."""
+    """The closed-form generator of the system's solution-line direction.
+    Its last entry is the paper's g3, a reference for the middle Saito
+    column's c3, which `saito.middle_column` builds by one division by Fz."""
     a, b = params.alpha, params.beta
     v = params.v
     fld = params.field

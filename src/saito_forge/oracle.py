@@ -155,9 +155,9 @@ class IdealLadder:
         echelon.grow(rows)
         xs, ys = self._times
         ci, cj = self._cover[1:3] if self._cover else (t + 2, t + 2)  # (t + 2, t + 2): none
-        for j in range(t + 1):  # x, y times x^(t-j) y^j; rows is the key of x^(t+1)
-            xs.append(None if t - j + 1 >= ci and j >= cj else rows + j)
-            ys.append(None if t - j >= ci and j + 1 >= cj else rows + j + 1)
+        # x, y times x^(t-j) y^j; rows is the key of x^(t+1)
+        xs.extend(None if t - j + 1 >= ci and j >= cj else rows + j for j in range(t + 1))
+        ys.extend(None if t - j >= ci and j + 1 >= cj else rows + j + 1 for j in range(t + 1))
         for k, (dg, terms, _) in self._gens.items():
             n = t - dg
             own = leads[k] = [None] * (n + 1)

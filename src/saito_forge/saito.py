@@ -2,10 +2,13 @@
 
 For odd degree the matrix is assembled from explicit formulas; a residual
 elimination, on sparse columns from `poly.shifted_columns` like every other
-linear system, pins the one remaining scalar on the beta = 0 variant.  Even
-degree (and cross-checks) go through the syzygy-kernel oracle.  Every route
-verifies Saito's criterion before returning: the gradient annihilates each
-column modulo F and det equals F up to a nonzero scalar.
+linear system, pins the one remaining scalar on the beta = 0 variant.  The
+entries that exist only to close one identity are each one exact division
+by a monomial: the middle column's c3 by Fz (eq3) and the last column's h6
+by x*y (eq2); an inexact division is a route failure.  Even degree (and
+cross-checks) go through the syzygy-kernel oracle.  Every route verifies
+Saito's criterion before returning: the gradient annihilates each column
+modulo F and det equals F up to a nonzero scalar.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .column_system import (RouteFailure, base_pair, build_column_system,
-                            column_syzygy_generator, solve_column_system, y_bracket)
+from .column_system import RouteFailure, base_pair, build_column_system, solve_column_system, y_bracket
 from .family import DivisorInstance
 from .linalg import solve_affine
 from .oracle import JacobianLadder, SyzygyBasis, gradient_kernel, gradient_pairing, jacobian_generators
 # det3 is re-exported: callers take the determinant from this module
-from .poly import (Poly, column_polys, det3, det_unit, divides, dot, render, shifted_columns,
-                   split_pure_power)
+from .poly import Poly, column_polys, det3, det_unit, divides, dot, render, shifted_columns
 
 ROUTE_EXPLICIT_ODD = "explicit_odd"
 ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
@@ -110,23 +111,20 @@ def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
 # ----- closed-form ingredients ----------------------------------------------
 
 
-def middle_ingredients(params) -> dict:
-    """Everything the middle column needs: g1, g2, g3 and the z-multiplier w.
-    g3 is the last entry of the column system's generator."""
-    d, b = params.d, params.beta
-    g1, g2 = base_pair(params)
-    g3 = column_syzygy_generator(params)[2]
-    w = b * (Poly.variable(params.field, "y") * g1) + (d - b - 1) * g2
-    return {"g1": g1, "g2": g2, "g3": g3, "w": w}
-
-
-def middle_column(params, ing) -> tuple:
-    """The degree-(d-v-1) syzygy column (exponent-safe for beta = 0)."""
+def middle_column(params, ing, grad) -> tuple:
+    """The degree-(d-v-1) syzygy column (exponent-safe for beta = 0) from
+    ing's g1, g2 and ``grad`` = F's (Fx, Fy, Fz): c1 = x^(beta+1) y^(gamma+2) g1,
+    c2 = x^beta y^(gamma+2) g2 and c3 = -(c1*Fx + c2*Fy)/Fz, one division by
+    the monomial Fz = x^beta y^(d-beta-1) that makes the column a syzygy (eq3).
+    An inexact division raises with c1*Fx + c2*Fy as its residual."""
     b, gm = params.beta, params.gamma
     fld = params.field
     c1 = Poly.monomial(fld, (b + 1, gm + 2, 0)) * ing["g1"]
     c2 = Poly.monomial(fld, (b, gm + 2, 0)) * ing["g2"]
-    c3 = ing["g3"] - Poly.monomial(fld, (b, gm + 1, 1)) * ing["w"]
+    rest = dot((c1, c2), grad[:2])
+    exact, c3 = divides(grad[2], -rest)
+    if not exact:
+        raise SaitoConstructionFailed("middle column (eq3): Fz does not divide c1*Fx + c2*Fy", rest)
     return (c1, c2, c3)
 
 
@@ -199,49 +197,39 @@ def last_column(params, ing) -> tuple:
 
 
 def _build_explicit_odd(inst: DivisorInstance) -> SaitoMatrix:
+    """The beta >= 1 route: h1, h3, h5 from the column system, h2 and h4 from
+    g1, g2 and the linear form e = a*x + b*y, and h6 = -(eq2 with h6 = 0)/(x*y),
+    one monomial division that closes the coupling identity."""
     params = inst.params
-    d, al, be = params.d, params.alpha, params.beta
-    v = params.v
     fld = params.field
-    f1, f2 = params.f1, params.f2
     consts = compute_constants(params)
     a, b, mu = consts["a"], consts["b"], consts["mu"]
-    x = Poly.variable(fld, "x")
-    y = Poly.variable(fld, "y")
-    e = x.scale(a) + y.scale(b)
-    ing = middle_ingredients(params)
-    g1, g2 = ing["g1"], ing["g2"]
+    e = Poly.variable(fld, "x").scale(a) + Poly.variable(fld, "y").scale(b)
+    g1, g2 = base_pair(params)
     sol = solve_column_system(build_column_system(params, mu))
-    h1, h3, h5 = sol.h1, sol.h3, sol.h5
-    h2 = g1 * e
-    h4 = g2 * e
-    v1, _ = split_pure_power(h1, "x")
-    u1, _ = split_pure_power(h3, "y")
-    bracket_y = y_bracket(params)
-    bracket_x = -g2
-    w1, _ = split_pure_power((f2 * bracket_x).scale(fld.mul(a, fld.from_int(d - v + al))), "y")
-    w2, _ = split_pure_power((f1 * bracket_y).scale(fld.mul(b, fld.from_int(d - al))), "x")
-    h6 = (-(be * v1) - (d - be - 1) * u1 - f2.partial("x") * h2
-          + (f2.partial("y") * bracket_x).scale(a)
-          + (f1.partial("x") * bracket_y).scale(b)
-          + w1 + w2)
-    ing.update({"h1": h1, "h2": h2, "h3": h3, "h4": h4, "h5": h5, "h6": h6,
-                "e": e, "v1": v1, "u1": u1, "w1": w1, "w2": w2, "f": inst.f})
-    eq2 = coupling_residual(params, ing)
-    if not eq2.is_zero():
-        raise SaitoConstructionFailed("coupling identity (eq2) has a nonzero residual", eq2)
-    return _finish_explicit(inst, ing, last_column(params, ing), ROUTE_EXPLICIT_ODD,
-                            {"a": a, "b": b, "mu": mu, "lambda": None}, eq2, sol)
+    ing = {"g1": g1, "g2": g2, "h1": sol.h1, "h2": g1 * e, "h3": sol.h3, "h4": g2 * e,
+           "h5": sol.h5, "e": e, "f": inst.f}
+    xy = Poly.monomial(fld, (1, 1, 0))
+    rest = coupling_residual(params, {**ing, "h6": Poly.zero(fld)})
+    exact, h6 = divides(xy, -rest)
+    if not exact:
+        raise SaitoConstructionFailed("coupling identity (eq2): x*y does not divide it at h6 = 0", rest)
+    ing["h6"] = h6
+    col2 = middle_column(params, ing, jacobian_generators(inst.f)[:3])
+    return _finish_explicit(inst, ing, col2, last_column(params, ing), ROUTE_EXPLICIT_ODD,
+                            {"a": a, "b": b, "mu": mu, "lambda": None}, rest + xy * h6, sol)
 
 
 def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
+    """The beta = 0 route: the middle column as on the beta >= 1 route, and the
+    last column (h1, h3, h5 + z*u) + lambda * lam_col with the tail u and the
+    scalar lambda from one residual solve."""
     params = inst.params
     d, al = params.d, params.alpha
     v = params.v
     fld = params.field
     mu = fld.one
-    ing = middle_ingredients(params)
-    g1, g2 = ing["g1"], ing["g2"]
+    g1, g2 = base_pair(params)
     sol = solve_column_system(build_column_system(params, mu))
     h1, h3, h5 = sol.h1, sol.h3, sol.h5
     hs = [h1, h3, h5]
@@ -264,9 +252,9 @@ def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
     lam_unique = all(k[1].is_zero() for k in kernel)
     hs[2] = hs[2] + Poly.variable(fld, "z") * u_poly
     col3 = tuple(h + c.scale(lam) for h, c in zip(hs, lam_col))
-    ing.update({"h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
-                "lambda_unique": lam_unique})
-    return _finish_explicit(inst, ing, col3, ROUTE_EXPLICIT_BETA0,
+    ing = {"g1": g1, "g2": g2, "h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
+           "lambda_unique": lam_unique}
+    return _finish_explicit(inst, ing, middle_column(params, ing, grad), col3, ROUTE_EXPLICIT_BETA0,
                             {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
 
 
@@ -324,10 +312,9 @@ def _assemble(fld, col2, col3):
     ]
 
 
-def _finish_explicit(inst, ing, col3, route, constants, eq2, sol) -> SaitoMatrix:
+def _finish_explicit(inst, ing, col2, col3, route, constants, eq2, sol) -> SaitoMatrix:
     """Both closed-form columns must pair with the gradient to zero exactly,
     read off the `verify_saito` report: a zero pairing is its own quotient."""
-    col2 = middle_column(inst.params, ing)
     matrix = _assemble(inst.params.field, col2, col3)
     report = verify_saito(inst.f, matrix)
     eq3, eq4 = report.quotients[1:]

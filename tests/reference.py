@@ -4,7 +4,8 @@ sends every column through its accumulator, the ideal ladder that reduces
 every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
 diagnostics of the closed-form Saito columns and of the column system's
-cokernel, and polynomial arithmetic on plain ``{mono: scalar}`` maps.
+cokernel, the paper's formulas for the entries the routes divide out, and
+polynomial arithmetic on plain ``{mono: scalar}`` maps.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
 deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
@@ -16,13 +17,14 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 
-from saito_forge.column_system import _module_columns, build_column_system
+from saito_forge.column_system import (_module_columns, base_pair, build_column_system,
+                                       column_syzygy_generator, y_bracket)
 from saito_forge.field import Field, QQ
 from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
-                                gradient_pairing, macaulay_matrix)
+                                gradient_pairing, jacobian_generators, macaulay_matrix)
 from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
-                              shifted_columns, space_dim)
+                              shifted_columns, space_dim, split_pure_power)
 from saito_forge.saito import last_column, middle_column
 
 
@@ -232,7 +234,8 @@ def whole_matrix_kernel(gens, t: int, with_f: bool = True) -> SyzygyBasis:
 
 def middle_column_residual(inst, ing: dict) -> Poly:
     """Gradient pairing of the middle column; identically zero on the family."""
-    return gradient_pairing(inst.f, middle_column(inst.params, ing))
+    grad = jacobian_generators(inst.f)[:3]
+    return gradient_pairing(inst.f, middle_column(inst.params, ing, grad))
 
 
 def last_column_residual(inst, ing: dict) -> Poly:
@@ -250,6 +253,36 @@ def last_column_strata(inst, ing: dict) -> dict:
     res = last_column_residual(inst, ing)
     top = max((m[2] for m in res.terms), default=2)
     return {k: _z_stratum(res, k) for k in range(max(top, 2) + 1)}
+
+
+def paper_middle_ingredients(params) -> dict:
+    """g1, g2, g3 and the z-multiplier w of the paper's middle column: g3 is
+    the last entry of `column_syzygy_generator` and w = beta*y*g1 + (d-beta-1)*g2."""
+    d, b = params.d, params.beta
+    g1, g2 = base_pair(params)
+    w = b * (Poly.variable(params.field, "y") * g1) + (d - b - 1) * g2
+    return {"g1": g1, "g2": g2, "g3": column_syzygy_generator(params)[2], "w": w}
+
+
+def paper_middle_c3(params, ing: dict) -> Poly:
+    """The paper's c3 = g3 - x^beta y^(gamma+1) z*w of the middle column."""
+    return ing["g3"] - Poly.monomial(params.field, (params.beta, params.gamma + 1, 1)) * ing["w"]
+
+
+def paper_h6(params, ing: dict, a, b) -> Poly:
+    """The paper's h6 of the beta >= 1 last column, from ing's h1, h2, h3 and
+    the scalars of e = a*x + b*y, by splitting the pure powers off h1, h3 and
+    the bracket products F2*[x] and F1*[y]."""
+    d, al, be, v = params.d, params.alpha, params.beta, params.v
+    fld, f1, f2 = params.field, params.f1, params.f2
+    bracket_y, bracket_x = y_bracket(params), -base_pair(params)[1]
+    v1, _ = split_pure_power(ing["h1"], "x")
+    u1, _ = split_pure_power(ing["h3"], "y")
+    w1, _ = split_pure_power((f2 * bracket_x).scale(fld.mul(a, fld.from_int(d - v + al))), "y")
+    w2, _ = split_pure_power((f1 * bracket_y).scale(fld.mul(b, fld.from_int(d - al))), "x")
+    return (-(be * v1) - (d - be - 1) * u1 - f2.partial("x") * ing["h2"]
+            + (f2.partial("y") * bracket_x).scale(a) + (f1.partial("x") * bracket_y).scale(b)
+            + w1 + w2)
 
 
 def column_cokernel_hilbert(params, i: int) -> int:

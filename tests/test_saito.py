@@ -1,4 +1,6 @@
+import json
 import random
+from itertools import product
 
 import pytest
 
@@ -7,16 +9,16 @@ from saito_forge.family import (DivisorInstance, FamilyParams, build_divisor, le
                                 random_instance)
 from saito_forge.field import PrimeField, QQ, _is_prime
 from saito_forge.oracle import (SyzygyBasis, SyzygyVector, gradient_kernel, gradient_pairing,
-                                syzygy_kernel)
-from saito_forge.poly import Poly, det_unit, parse, render, split_pure_power
+                                jacobian_generators, syzygy_kernel)
+from saito_forge.poly import Poly, det_unit, parse, render
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
                                SaitoConstructionFailed, base_pair,
                                build_saito_matrix, compute_constants,
                                coupling_residual, det3, last_column, middle_column,
-                               middle_ingredients, verify_saito)
+                               verify_saito)
 from reference import (in_kernel_span, last_column_residual, last_column_strata,
-                       middle_column_residual)
+                       middle_column_residual, paper_h6, paper_middle_c3, paper_middle_ingredients)
 
 F1009 = PrimeField(1009)
 
@@ -90,18 +92,8 @@ def test_mu_needs_the_squared_edge_factor():
         y = parse("y", QQ, nvars=2)
         e = x.scale(a_const) + y
         sol = solve_column_system(build_column_system(params, mu))
-        bracket_y = y * params.f2.partial("y") + (d - v + al) * params.f2
-        bracket_x = x * params.f1.partial("x") + (d - al) * params.f1
-        v1, _ = split_pure_power(sol.h1, "x")
-        u1, _ = split_pure_power(sol.h3, "y")
-        w1, _ = split_pure_power((params.f2 * bracket_x).scale(
-            QQ.mul(a_const, QQ.from_int(d - v + al))), "y")
-        w2, _ = split_pure_power((params.f1 * bracket_y).scale(QQ.from_int(d - al)), "x")
-        h2 = g1 * e
-        h6 = (-(be * v1) - (d - be - 1) * u1 - params.f2.partial("x") * h2
-              + (params.f2.partial("y") * bracket_x).scale(a_const)
-              + params.f1.partial("x") * bracket_y + w1 + w2)
-        ing = {"h1": sol.h1, "h2": h2, "h3": sol.h3, "h4": g2 * e, "h6": h6}
+        ing = {"h1": sol.h1, "h2": g1 * e, "h3": sol.h3, "h4": g2 * e}
+        ing["h6"] = paper_h6(params, ing, a_const, QQ.one)
         return coupling_residual(params, ing)
 
     assert coupling_for(good["mu"]).is_zero()
@@ -449,8 +441,8 @@ def test_explicit_build_reports_a_column_that_is_no_syzygy(monkeypatch, name, eq
     import saito_forge.saito as saito
     real, built = getattr(saito, name), []
 
-    def broken(params, ing):
-        c1, c2, c3 = real(params, ing)
+    def broken(params, ing, *grad):
+        c1, c2, c3 = real(params, ing, *grad)
         built.append((2 * c1, c2, c3))
         return built[-1]
 
@@ -480,27 +472,97 @@ def test_perturbation_sensitivity(d, a, b, fld):
     inst = build_divisor(random_instance(d, a, b, seed=77, field=fld))
     sm = build_saito_matrix(inst)
     rng = random.Random(123)
-    for key in ("g1", "g2", "g3", "w", "h1", "h2", "h3", "h4", "h5", "h6"):
+    grad = jacobian_generators(inst.f)[:3]
+    for key in ("g1", "g2", "h1", "h2", "h3", "h4", "h5", "h6"):
         ing = dict(sm.ingredients)
         bump = Poly.constant(fld, fld.from_int(rng.randint(1, 100)))
         ing[key] = ing[key] + bump
-        col2 = middle_column(inst.params, ing)
-        col3 = last_column(inst.params, ing)
-        eq3 = middle_column_residual(inst, ing)
-        eq4 = last_column_residual(inst, ing)
-        matrix = [[parse("x", fld), col2[0], col3[0]],
-                  [parse("y", fld), col2[1], col3[1]],
-                  [parse("z", fld), col2[2], col3[2]]]
-        det_ok = verify_saito(inst.f, matrix).passed
-        assert (not eq3.is_zero()) or (not eq4.is_zero()) or (not det_ok), key
+        try:
+            col2 = middle_column(inst.params, ing, grad)
+        except SaitoConstructionFailed:  # the c3 division is inexact
+            detected = True
+        else:
+            col3 = last_column(inst.params, ing)
+            matrix = [[parse("x", fld), col2[0], col3[0]],
+                      [parse("y", fld), col2[1], col3[1]],
+                      [parse("z", fld), col2[2], col3[2]]]
+            detected = (not gradient_pairing(inst.f, col2).is_zero()
+                        or not last_column_residual(inst, ing).is_zero()
+                        or not verify_saito(inst.f, matrix).passed)
+        # at alpha = 0, g1 = 0 and g2 is a scalar: a bump of g2 only rescales the
+        # middle column, its c3 = -c2*Fy/Fz included, so Saito's criterion holds
+        assert detected != (key == "g2" and ing["g1"].is_zero()), key
 
 
 def test_g3_perturbation_breaks_middle_column():
+    # the paper's c3, next to the route's c1 and c2
     inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
-    ing = middle_ingredients(inst.params)
-    assert middle_column_residual(inst, ing).is_zero()
+    ing = paper_middle_ingredients(inst.params)
+    c1, c2, _ = middle_column(inst.params, ing, jacobian_generators(inst.f)[:3])
+    assert gradient_pairing(inst.f, (c1, c2, paper_middle_c3(inst.params, ing))).is_zero()
     ing["g3"] = ing["g3"] + Poly.constant(F1009, 1)
-    assert not middle_column_residual(inst, ing).is_zero()
+    assert not gradient_pairing(inst.f, (c1, c2, paper_middle_c3(inst.params, ing))).is_zero()
+
+
+# ----- the divided-out entries ------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(5, 22, 2))
+def test_divided_entries_are_the_papers(d):
+    # c3 = -(c1*Fx + c2*Fy)/Fz is the paper's g3 - x^beta y^(gamma+1) z*w, and
+    # h6 = -(eq2 with h6 = 0)/(x*y) is the paper's split formula
+    for (a, b), fld, seed in product(legal_pairs(d), (QQ, F1009), (1, 2)):
+        inst = build_divisor(random_instance(d, a, b, seed=seed, field=fld))
+        sm = build_saito_matrix(inst)
+        params = inst.params
+        assert sm.matrix[2][1] == paper_middle_c3(params, paper_middle_ingredients(params))
+        if b >= 1:
+            assert sm.ingredients["h6"] == paper_h6(params, sm.ingredients,
+                                                    sm.constants["a"], sm.constants["b"])
+
+
+@pytest.mark.parametrize("d", range(6, 15, 2))
+def test_middle_column_is_a_syzygy_at_even_degree(d):
+    # the division by Fz is exact at even d too, for the oracle's degree v - 1
+    for (a, b), fld, seed in product(legal_pairs(d), (QQ, F1009), (1, 2)):
+        inst = build_divisor(random_instance(d, a, b, seed=seed, field=fld))
+        g1, g2 = base_pair(inst.params)
+        col = middle_column(inst.params, {"g1": g1, "g2": g2}, jacobian_generators(inst.f)[:3])
+        assert gradient_pairing(inst.f, col).is_zero()
+        assert max(e.degree() for e in col) == inst.params.v - 1
+
+
+def wrong_mu(monkeypatch):
+    import saito_forge.saito as saito
+    real = saito.compute_constants
+    fld = F1009
+    monkeypatch.setattr(saito, "compute_constants", lambda params: {
+        **real(params), "mu": fld.mul(real(params)["mu"], fld.from_int(2))})
+
+
+def perturbed_g1(monkeypatch):
+    import saito_forge.saito as saito
+    real = saito.middle_column
+    monkeypatch.setattr(saito, "middle_column", lambda params, ing, grad: real(
+        params, {**ing, "g1": ing["g1"] + Poly.constant(params.field, params.field.one)}, grad))
+
+
+@pytest.mark.parametrize("breaks,beta,eq", [(wrong_mu, 1, "eq2"), (perturbed_g1, 1, "eq3"),
+                                            (perturbed_g1, 0, "eq3")])
+def test_inexact_division_is_a_route_failure(monkeypatch, capsys, breaks, beta, eq):
+    from saito_forge.cli import main
+
+    breaks(monkeypatch)
+    inst = build_divisor(random_instance(9, 1, beta, seed=5, field=F1009))
+    with pytest.raises(SaitoConstructionFailed) as exc:
+        build_saito_matrix(inst)
+    assert f"({eq})" in str(exc.value) and not exc.value.residual.is_zero()
+    code = main(["verify", "--d", "9", "--alpha", "1", "--beta", str(beta), "--seed", "5",
+                 "--field", "fp:1009"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["pass"] is False and data["saito"] == {"pass": False, "error": str(exc.value)}
 
 
 # ----- report shape ----------------------------------------------------------------
