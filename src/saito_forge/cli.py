@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import count
 
@@ -264,6 +263,15 @@ def _sweep_task(task) -> dict:
     return entry
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported with multiprocessing on first use and then bound here."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _worker_count(ntasks: int) -> int:
     """Sweep worker processes: SAITO_FORGE_THREADS (default 8), clamped to
     the CPU count and to the number of tasks."""
@@ -297,7 +305,7 @@ def cmd_sweep(args) -> int:
                        "and the --alpha/--beta filters")
     workers = _worker_count(len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:  # `__getattr__`
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]

@@ -1,14 +1,15 @@
 """Saito matrices for the divisor family: closed-form routes and verifier.
 
-For odd degree the matrix is assembled from explicit formulas; a residual
-elimination, on sparse columns from `poly.shifted_columns` like every other
-linear system, pins the one remaining scalar on the beta = 0 variant.  The
-entries that exist only to close one identity are each one exact division
-by a monomial: the middle column's c3 by Fz (eq3) and the last column's h6
-by x*y (eq2); an inexact division is a route failure.  Even degree (and
-cross-checks) go through the syzygy-kernel oracle.  Every route verifies
-Saito's criterion before returning: the gradient annihilates each column
-modulo F and det equals F up to a nonzero scalar.
+For odd degree the matrix is assembled from explicit formulas by one
+builder for both variants: the column system's solve is its only linear
+solve, and the linear form e = a*x + b*y (beta >= 1) or -lambda*x
+(beta = 0) comes from closed-form scalars, lambda a ratio of two
+coefficients.  The entries that exist only to close one identity are each
+one exact division by a monomial: the middle column's c3 by Fz (eq3) and
+the last column's h6 by x*y (eq2); an inexact division is a route failure.
+Even degree (and cross-checks) go through the syzygy-kernel oracle.  Every
+route verifies Saito's criterion before returning: the gradient annihilates
+each column modulo F and det equals F up to a nonzero scalar.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from itertools import product
 
 from .column_system import RouteFailure, base_pair, build_column_system, solve_column_system, y_bracket
 from .family import DivisorInstance
-from .linalg import solve_affine
 from .oracle import JacobianLadder, SyzygyBasis, gradient_kernel, gradient_pairing, jacobian_generators
 # det3 is re-exported: callers take the determinant from this module
-from .poly import Poly, column_polys, det3, det_unit, divides, dot, render, shifted_columns
+from .poly import Poly, det3, det_unit, divides, dot, render
 
 ROUTE_EXPLICIT_ODD = "explicit_odd"
 ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
@@ -111,21 +111,27 @@ def _verify(f: Poly, matrix, det: Poly, unit) -> VerifyReport:
 # ----- closed-form ingredients ----------------------------------------------
 
 
+def _divide(divisor: Poly, p: Poly, what: str) -> Poly:
+    """p / divisor, an exact division by a monomial that closes an identity;
+    an inexact one raises with p as its residual."""
+    exact, q = divides(divisor, p)
+    if not exact:
+        raise SaitoConstructionFailed(what, p)
+    return q
+
+
 def middle_column(params, ing, grad) -> tuple:
     """The degree-(d-v-1) syzygy column (exponent-safe for beta = 0) from
     ing's g1, g2 and ``grad`` = F's (Fx, Fy, Fz): c1 = x^(beta+1) y^(gamma+2) g1,
     c2 = x^beta y^(gamma+2) g2 and c3 = -(c1*Fx + c2*Fy)/Fz, one division by
     the monomial Fz = x^beta y^(d-beta-1) that makes the column a syzygy (eq3).
-    An inexact division raises with c1*Fx + c2*Fy as its residual."""
+    An inexact division raises with -(c1*Fx + c2*Fy) as its residual."""
     b, gm = params.beta, params.gamma
     fld = params.field
     c1 = Poly.monomial(fld, (b + 1, gm + 2, 0)) * ing["g1"]
     c2 = Poly.monomial(fld, (b, gm + 2, 0)) * ing["g2"]
     rest = dot((c1, c2), grad[:2])
-    exact, c3 = divides(grad[2], -rest)
-    if not exact:
-        raise SaitoConstructionFailed("middle column (eq3): Fz does not divide c1*Fx + c2*Fy", rest)
-    return (c1, c2, c3)
+    return (c1, c2, _divide(grad[2], -rest, "middle column (eq3): Fz does not divide c1*Fx + c2*Fy"))
 
 
 def compute_constants(params) -> dict:
@@ -167,6 +173,22 @@ def compute_constants(params) -> dict:
     return {"a": a, "b": b, "mu": mu}
 
 
+def beta0_lambda(params, h3: Poly):
+    """The scalar of the beta = 0 route's e = -lambda*x: eq2 at h6 = 0 is then
+    x*((d-1)*h3 + lambda*g3), g3 the last entry of `column_syzygy_generator`,
+    and y divides it for lambda = -(d-1)*[h3|x^v] / [g3|x^v] alone, where
+    [g3|x^v] = d*(d-v+a)*[F1|x^a]*[F2|x^(v-a)] is nonzero for validated params."""
+    d, al, v = params.d, params.alpha, params.v
+    if params.beta != 0:
+        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
+    fld = params.field
+    g3_edge = fld.mul(fld.from_int(d * (d - v + al)),
+                      fld.mul(params.f1.coeff_of((al, 0, 0)), params.f2.coeff_of((v - al, 0, 0))))
+    if fld.is_zero(g3_edge):
+        raise DegenerateConstant("vanishing edge coefficient [g3|x^v]")
+    return fld.div(fld.neg(fld.mul(fld.from_int(d - 1), h3.coeff_of((v, 0, 0)))), g3_edge)
+
+
 def coupling_residual(params, ing: dict) -> Poly:
     """The bivariate identity tying h6 to the graded triple:
     b*y*h1 + x*y*F2x*h2 + (d-b-1)*x*h3 + (y*F2y + (d-v+a)*F2)*h4 + x*y*h6."""
@@ -180,82 +202,60 @@ def coupling_residual(params, ing: dict) -> Poly:
 
 
 def last_column(params, ing) -> tuple:
-    """Third column of the odd-degree beta >= 1 route."""
+    """Third column of both odd-degree routes.  Its x^(beta-1) terms are each
+    one exact division by x: at beta = 0 they carry h4 = -lambda*x*g2."""
     be, gm = params.beta, params.gamma
     d = params.d
     fld = params.field
+    x = Poly.variable(fld, "x")
     h2, h4 = ing["h2"], ing["h4"]
-    c1 = ing["h1"] + Poly.monomial(fld, (be, gm + 1, 1)) * h2
-    c2 = ing["h3"] + Poly.monomial(fld, (be - 1, gm + 1, 1)) * h4
     tail = be * (Poly.variable(fld, "y") * h2) + (d - be - 1) * h4
+    c1 = ing["h1"] + Poly.monomial(fld, (be, gm + 1, 1)) * h2
+    c2 = ing["h3"] + _divide(x, Poly.monomial(fld, (be, gm + 1, 1)) * h4,
+                             "last column: x does not divide its h4 term")
     c3 = (ing["h5"] + Poly.variable(fld, "z") * ing["h6"]
-          - Poly.monomial(fld, (be - 1, gm, 2)) * tail)
+          - _divide(x, Poly.monomial(fld, (be, gm, 2)) * tail,
+                    "last column: x does not divide its tail term"))
     return (c1, c2, c3)
 
 
 # ----- build routes ----------------------------------------------------------
 
 
-def _build_explicit_odd(inst: DivisorInstance) -> SaitoMatrix:
-    """The beta >= 1 route: h1, h3, h5 from the column system, h2 and h4 from
-    g1, g2 and the linear form e = a*x + b*y, and h6 = -(eq2 with h6 = 0)/(x*y),
-    one monomial division that closes the coupling identity."""
+def _build_explicit(inst: DivisorInstance, route: str) -> SaitoMatrix:
+    """Both odd-degree routes: h1, h3, h5 from the column system, h2 = g1*e,
+    h4 = g2*e and h6 = -(eq2 with h6 = 0)/(x*y), with e = a*x + b*y from
+    `compute_constants` (explicit_odd) or mu = 1 and e = -lambda*x from
+    `beta0_lambda` (explicit_beta0).  Both closed-form columns must pair with
+    the gradient to zero, read off the `verify_saito` report."""
     params = inst.params
     fld = params.field
-    consts = compute_constants(params)
-    a, b, mu = consts["a"], consts["b"], consts["mu"]
-    e = Poly.variable(fld, "x").scale(a) + Poly.variable(fld, "y").scale(b)
+    x, y = Poly.variable(fld, "x"), Poly.variable(fld, "y")
+    beta0 = route == ROUTE_EXPLICIT_BETA0
+    consts = {"a": None, "b": None, "mu": fld.one} if beta0 else compute_constants(params)
+    sol = solve_column_system(build_column_system(params, consts["mu"]))
+    if beta0:
+        consts["lambda"] = beta0_lambda(params, sol.h3)
+        e = x.scale(fld.neg(consts["lambda"]))
+    else:
+        consts["lambda"] = None
+        e = x.scale(consts["a"]) + y.scale(consts["b"])
     g1, g2 = base_pair(params)
-    sol = solve_column_system(build_column_system(params, mu))
     ing = {"g1": g1, "g2": g2, "h1": sol.h1, "h2": g1 * e, "h3": sol.h3, "h4": g2 * e,
            "h5": sol.h5, "e": e, "f": inst.f}
-    xy = Poly.monomial(fld, (1, 1, 0))
+    xy = x * y
     rest = coupling_residual(params, {**ing, "h6": Poly.zero(fld)})
-    exact, h6 = divides(xy, -rest)
-    if not exact:
-        raise SaitoConstructionFailed("coupling identity (eq2): x*y does not divide it at h6 = 0", rest)
-    ing["h6"] = h6
+    ing["h6"] = _divide(xy, -rest, "coupling identity (eq2): x*y does not divide it at h6 = 0")
     col2 = middle_column(params, ing, jacobian_generators(inst.f)[:3])
-    return _finish_explicit(inst, ing, col2, last_column(params, ing), ROUTE_EXPLICIT_ODD,
-                            {"a": a, "b": b, "mu": mu, "lambda": None}, rest + xy * h6, sol)
-
-
-def _build_explicit_beta0(inst: DivisorInstance) -> SaitoMatrix:
-    """The beta = 0 route: the middle column as on the beta >= 1 route, and the
-    last column (h1, h3, h5 + z*u) + lambda * lam_col with the tail u and the
-    scalar lambda from one residual solve."""
-    params = inst.params
-    d, al = params.d, params.alpha
-    v = params.v
-    fld = params.field
-    mu = fld.one
-    g1, g2 = base_pair(params)
-    sol = solve_column_system(build_column_system(params, mu))
-    h1, h3, h5 = sol.h1, sol.h3, sol.h5
-    hs = [h1, h3, h5]
-    grad = jacobian_generators(inst.f)[:3]
-    base = dot(hs, grad)
-    # the last column is (h1, h3, h5 + z*u) + lambda * lam_col
-    lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1),
-               -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2),
-               (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2))
-    lam_vec = dot(lam_col, grad)
-    # unknowns: the tail u of degree v - 1, entering as u * z * Fz, and lambda
-    tail = Poly.variable(fld, "z") * grad[2]
-    nrows, cols = shifted_columns([(v - 1, (tail,)), (0, (lam_vec,)), (0, (-base,))],
-                                  (v + d - 1,), zfree=True)
-    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
-    if particular is None:
-        raise SaitoConstructionFailed("no scalar/tail choice closes the beta=0 last column", base)
-    (u_poly, lam_poly), *kernel = column_polys([particular, *kernel], (v - 1, 0), fld, zfree=True)
-    lam = lam_poly.coeff_of((0, 0, 0))
-    lam_unique = all(k[1].is_zero() for k in kernel)
-    hs[2] = hs[2] + Poly.variable(fld, "z") * u_poly
-    col3 = tuple(h + c.scale(lam) for h, c in zip(hs, lam_col))
-    ing = {"g1": g1, "g2": g2, "h1": h1, "h3": h3, "h5": h5, "u": u_poly, "f": inst.f,
-           "lambda_unique": lam_unique}
-    return _finish_explicit(inst, ing, middle_column(params, ing, grad), col3, ROUTE_EXPLICIT_BETA0,
-                            {"a": None, "b": None, "mu": mu, "lambda": lam}, None, sol)
+    col3 = last_column(params, ing)
+    matrix = _assemble(fld, col2, col3)
+    report = verify_saito(inst.f, matrix)
+    eq3, eq4 = report.quotients[1:]
+    for name, q, col in (("middle column (eq3)", eq3, col2), ("last column (eq4)", eq4, col3)):
+        if q is None or not q.is_zero():
+            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst.f, col))
+    eq2 = None if beta0 else rest + xy * ing["h6"]
+    return _finish(inst, matrix, route, ing, consts, {"eq2": eq2, "eq3": eq3, "eq4": eq4}, report)
 
 
 def _saito_pair(f: Poly, kernel2: SyzygyBasis, t3: int, ladder: JacobianLadder):
@@ -301,7 +301,7 @@ def _build_oracle(inst: DivisorInstance, ladder: JacobianLadder | None) -> Saito
     matrix, report, s2, s3 = pair
     return _finish(inst, matrix, ROUTE_ORACLE, {"f": inst.f, "syz2": s2, "syz3": s3},
                    {"a": None, "b": None, "mu": None, "lambda": None},
-                   {"eq2": None, "eq3": None, "eq4": None}, None, report)
+                   {"eq2": None, "eq3": None, "eq4": None}, report)
 
 
 def _assemble(fld, col2, col3):
@@ -312,45 +312,28 @@ def _assemble(fld, col2, col3):
     ]
 
 
-def _finish_explicit(inst, ing, col2, col3, route, constants, eq2, sol) -> SaitoMatrix:
-    """Both closed-form columns must pair with the gradient to zero exactly,
-    read off the `verify_saito` report: a zero pairing is its own quotient."""
-    matrix = _assemble(inst.params.field, col2, col3)
-    report = verify_saito(inst.f, matrix)
-    eq3, eq4 = report.quotients[1:]
-    for name, q, col in (("middle column (eq3)", eq3, col2), ("last column (eq4)", eq4, col3)):
-        if q is None or not q.is_zero():
-            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst.f, col))
-    return _finish(inst, matrix, route, ing, constants, {"eq2": eq2, "eq3": eq3, "eq4": eq4},
-                   sol, report)
-
-
-def _finish(inst, matrix, route, ing, constants, residuals, sol, report=None) -> SaitoMatrix:
+def _finish(inst, matrix, route, ing, constants, residuals, report=None) -> SaitoMatrix:
     """Verify and wrap a built matrix, reusing its `_verify` ``report`` if given."""
     report = report or verify_saito(inst.f, matrix)
     if not report.passed:
         raise SaitoConstructionFailed("; ".join(report.failures), report.det)
-    if sol is not None:
-        ing["solution_dimension"] = sol.dimension
     return SaitoMatrix(matrix, route, report.unit, ing, constants, residuals, report)
 
 
 def build_saito_matrix(inst: DivisorInstance, route: str = "auto", ladder=None) -> SaitoMatrix:
     """Construct and verify a Saito matrix for a validated family member.
 
-    Route selection: odd d with beta >= 1 uses the fully explicit formulas;
-    odd d with beta = 0 the explicit shape with one eliminated scalar; even d
-    the syzygy-kernel oracle.  Pass route="oracle" to force the kernel route
+    Route selection: odd d uses the explicit formulas, with the constants
+    (a, b, mu) for beta >= 1 and the scalar lambda for beta = 0; even d the
+    syzygy-kernel oracle.  Pass route="oracle" to force the kernel route
     (any parity), or an explicit route name to insist on it.  The oracle
     reads its kernels off ``ladder``, the `JacobianLadder` of inst, if given."""
     d, be = inst.params.d, inst.params.beta
     if route == "auto":
         route = (ROUTE_ORACLE if d % 2 == 0
                  else (ROUTE_EXPLICIT_ODD if be >= 1 else ROUTE_EXPLICIT_BETA0))
-    if route == ROUTE_EXPLICIT_ODD:
-        return _build_explicit_odd(inst)
-    if route == ROUTE_EXPLICIT_BETA0:
-        return _build_explicit_beta0(inst)
+    if route in (ROUTE_EXPLICIT_ODD, ROUTE_EXPLICIT_BETA0):
+        return _build_explicit(inst, route)
     if route == ROUTE_ORACLE:
         return _build_oracle(inst, ladder)
     raise ValueError(f"unknown route {route!r}")

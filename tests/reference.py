@@ -3,9 +3,10 @@ RREF, dense ranks of whole Macaulay matrices, the mod-p echelon step that
 sends every column through its accumulator, the ideal ladder that reduces
 every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
-diagnostics of the closed-form Saito columns and of the column system's
-cokernel, the paper's formulas for the entries the routes divide out, and
-polynomial arithmetic on plain ``{mono: scalar}`` maps.
+beta = 0 route's residual solve, the diagnostics of the closed-form Saito
+columns and of the column system's cokernel, the paper's formulas for the
+entries the routes divide out, and polynomial arithmetic on plain
+``{mono: scalar}`` maps.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
 deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
@@ -18,9 +19,9 @@ from itertools import accumulate
 from math import lcm
 
 from saito_forge.column_system import (_module_columns, base_pair, build_column_system,
-                                       column_syzygy_generator, y_bracket)
+                                       column_syzygy_generator, solve_column_system, y_bracket)
 from saito_forge.field import Field, QQ
-from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns
+from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns, solve_affine
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
                                 gradient_pairing, jacobian_generators, macaulay_matrix)
 from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
@@ -253,6 +254,36 @@ def last_column_strata(inst, ing: dict) -> dict:
     res = last_column_residual(inst, ing)
     top = max((m[2] for m in res.terms), default=2)
     return {k: _z_stratum(res, k) for k in range(max(top, 2) + 1)}
+
+
+def beta0_residual_solve(inst) -> tuple:
+    """The beta = 0 route's last column as it was built before lambda became
+    a ratio of two coefficients: (h1, h3, h5 + z*u) + lambda*lam_col, with
+    lam_col = (-x y^(v-a-1) z g1, -y^(v-a-1) z g2, (d-1) y^(v-a-2) z^2 g2), the
+    column system's h1, h3, h5 at mu = 1, and the tail u (z-free, degree
+    v - 1) and the scalar lambda from one solve that makes the column's
+    gradient pairing vanish.  Returns (lambda, column, unique), unique
+    telling whether the solve pins lambda; (None, None, False) when no
+    choice closes the column."""
+    params = inst.params
+    d, al, v, fld = params.d, params.alpha, params.v, params.field
+    g1, g2 = base_pair(params)
+    sol = solve_column_system(build_column_system(params, fld.one))
+    grad = jacobian_generators(inst.f)[:3]
+    lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1),
+               -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2),
+               (d - 1) * (Poly.monomial(fld, (0, v - al - 2, 2)) * g2))
+    z = Poly.variable(fld, "z")
+    nrows, cols = shifted_columns([(v - 1, (z * grad[2],)), (0, (dot(lam_col, grad),)),
+                                   (0, (-dot((sol.h1, sol.h3, sol.h5), grad),))],
+                                  (v + d - 1,), zfree=True)
+    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
+    if particular is None:
+        return None, None, False
+    (u, lam), *kernel = column_polys([particular, *kernel], (v - 1, 0), fld, zfree=True)
+    lam = lam.coeff_of((0, 0, 0))
+    column = tuple(h + c.scale(lam) for h, c in zip((sol.h1, sol.h3, sol.h5 + z * u), lam_col))
+    return lam, column, all(k[1].is_zero() for k in kernel)
 
 
 def paper_middle_ingredients(params) -> dict:

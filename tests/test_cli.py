@@ -259,6 +259,16 @@ def test_forced_route_mismatch_exits_1(capsys):
     assert data["saito"]["pass"] is False and "error" in data["saito"]
 
 
+def test_forced_beta0_route_on_beta_one_exits_1():
+    # the beta = 0 route's scalar lambda exists only at beta = 0
+    proc = run_subprocess(["verify", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "1",
+                           "--field", "fp:1009", "--route", "explicit_beta0"])
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["pass"] is False
+    assert data["saito"] == {"pass": False, "error": "the explicit_beta0 route needs beta = 0"}
+
+
 def test_missing_arguments(capsys):
     code = main(["verify"])
     assert code == 2
@@ -293,6 +303,14 @@ def test_runs_without_numpy(argv):
 def test_import_leaves_numpy_out():
     proc = run_subprocess([], code="import sys, saito_forge.cli\n"
                                    "sys.exit('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_process_pool_out():
+    # multiprocessing is imported by a pooled sweep, or a read of the name, only
+    proc = run_subprocess([], code="import sys, concurrent.futures as cf, saito_forge.cli as cli\n"
+                                   "loaded = 'concurrent.futures.process' in sys.modules\n"
+                                   "sys.exit(loaded or cli.ProcessPoolExecutor is not cf.ProcessPoolExecutor)")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -17,7 +17,7 @@ from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                build_saito_matrix, compute_constants,
                                coupling_residual, det3, last_column, middle_column,
                                verify_saito)
-from reference import (in_kernel_span, last_column_residual, last_column_strata,
+from reference import (beta0_residual_solve, in_kernel_span, last_column_residual, last_column_strata,
                        middle_column_residual, paper_h6, paper_middle_c3, paper_middle_ingredients)
 
 F1009 = PrimeField(1009)
@@ -154,8 +154,23 @@ def test_beta0_route(d, a, b, fld):
     # mu is normalized to 1 on this route, so the unit is d itself
     assert sm.unit == fld.from_int(d)
     assert sm.constants["lambda"] is not None
-    assert sm.ingredients["lambda_unique"]
+    # the ratio closes the coupling identity that the beta >= 1 route closes
+    assert coupling_residual(inst.params, sm.ingredients).is_zero()
     assert sm.column_degrees() == [1, inst.params.v, inst.params.v]
+
+
+@pytest.mark.parametrize("d", range(5, 32, 2))
+def test_beta0_lambda_and_last_column_match_residual_solve(d):
+    # lambda as a ratio of two coefficients and the tail by the x*y division
+    # give the unique (u, lambda) of the residual solve they replaced
+    for (a, b), fld, seed in product(legal_pairs(d), (QQ, F1009), (1, 2)):
+        if b:
+            continue
+        inst = build_divisor(random_instance(d, a, b, seed=seed, field=fld))
+        sm = build_saito_matrix(inst)
+        lam, column, unique = beta0_residual_solve(inst)
+        assert unique and sm.route == ROUTE_EXPLICIT_BETA0, (d, a, fld, seed)
+        assert sm.constants["lambda"] == lam and sm.column(2) == column, (d, a, fld, seed)
 
 
 def test_worked_instance_full_matrix():
@@ -492,6 +507,15 @@ def test_perturbation_sensitivity(d, a, b, fld):
         # at alpha = 0, g1 = 0 and g2 is a scalar: a bump of g2 only rescales the
         # middle column, its c3 = -c2*Fy/Fz included, so Saito's criterion holds
         assert detected != (key == "g2" and ing["g1"].is_zero()), key
+
+
+def test_beta0_last_column_needs_h4_a_multiple_of_x():
+    # at beta = 0 the x^(beta-1) terms are divisions by x, exact for h4 = -lambda*x*g2
+    inst = build_divisor(random_instance(9, 1, 0, seed=5, field=F1009))
+    ing = dict(build_saito_matrix(inst).ingredients)
+    ing["h4"] = ing["h4"] + Poly.monomial(F1009, (0, 2, 0))
+    with pytest.raises(SaitoConstructionFailed, match="x does not divide its h4 term"):
+        last_column(inst.params, ing)
 
 
 def test_g3_perturbation_breaks_middle_column():
