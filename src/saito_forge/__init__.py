@@ -7,7 +7,7 @@ from .family import (DivisorInstance, ExhaustedRetries, FamilyParams,
                      InvalidParams, build_divisor, instance_from_json,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, validate)
-from .poly import Poly, divides, is_squarefree_bivariate, parse, render, split_pure_power
+from .poly import Poly, divides, is_squarefree_bivariate, parse, render
 from .column_system import (ColumnSystem, build_column_system, column_syzygy_generator,
                             solve_column_system)
 from .saito import (SaitoConstructionFailed, SaitoMatrix, build_saito_matrix,

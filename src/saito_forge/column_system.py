@@ -1,11 +1,32 @@
 """Graded bivariate linear system behind the last Saito column.
 
 The z-free stratum of the degree-v syzygy that becomes the third matrix
-column is a triple (h1, h3, h5) of bivariate forms of degree v solving a
-2x3 system with polynomial entries built from F1 and F2.  Each unknown
-coefficient is the column of one z-free shift of a matrix column, built
-sparse by `poly.shifted_columns` with one row block per equation, so the
-solve is one exact elimination.
+column is a triple (h1, h3, h5) of bivariate forms of degree v solving
+eq1: -g2*h1 + x*g1*h3 = mu*y^(v+a) and eq2: y*F2x*h1 + [y]*h3 +
+x^b y^(v-a-b)*h5 = -mu*x^(2v-a), with g1, g2 from `base_pair`,
+[y] = `y_bracket` and (a, b) = (alpha, beta).  Its solutions are one point
+plus the line of g = `column_syzygy_generator`, found in three steps:
+
+1. Eq1 by a Bezout identity: for a >= 1, one 2a x 2a Sylvester solve gives
+   (p, q) of degree a-1 with -g2*p + x*g1*q = y^(2a-1), and
+   (p1, p3) = mu*y^(v-a+1)*(p, q); at a = 0, p1 = -mu*y^v/g2 and p3 = 0.
+   Every solution of eq1 is (p1 + m*x*g1, p3 + m*g2), m of degree v-a.
+2. Eq2 fixes m: x^b y^(v-a-b)*h5 = R + m*g3, with R = -mu*x^(2v-a) -
+   y*F2x*p1 - [y]*p3 and g3 the last entry of g.  One solve on the v-a+1
+   coefficients of m makes R + m*g3 vanish on the v-a monomials of degree
+   2v-a that x^b y^(v-a-b) does not divide; h5 is one exact division.
+3. Canonicalise: h - (h[j*]/g[j*])*g, where j*, g's last nonzero unknown in
+   `shifted_columns` order, is h5's y^v coefficient (x does not divide g3):
+   the solution whose free unknown a left-to-right elimination of the
+   whole system pins to zero.  The kernel is g scaled to 1 at j*.
+
+For validated parameters each premise is a theorem, and a failed one
+raises `NoSolution`: the Sylvester matrix is nonsingular, as g2 =
+y*g1 - d*F1 gives gcd(g1, g2) = gcd(F1y, F1) = 1 for a square-free F1 that
+x does not divide, and x does not divide g2; the residual kernel is exactly
+the span of x^b y^(v-a-b), as neither x nor y divides g3 (by its edge
+coefficients), so the residual rows have full rank and are consistent; and
+the h5 division is exact, by those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +35,7 @@ from dataclasses import dataclass
 
 from .family import FamilyParams
 from .linalg import solve_affine
-from .poly import Poly, column_polys, shifted_columns
+from .poly import Poly, column_polys, divides, dot, monomial_index, shifted_columns
 
 
 class RouteFailure(Exception):
@@ -24,8 +45,8 @@ class RouteFailure(Exception):
 
 class NoSolution(RouteFailure):
     """The graded system has no solution: F2 does not have the degree its
-    row grading needs (an even-degree member), or, with validated odd-degree
-    parameters, it is inconsistent, which signals an implementation bug."""
+    row grading needs (an even-degree member), or a premise of the solve
+    fails, which with validated odd-degree parameters signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -96,34 +117,47 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
     return ColumnSystem(params, rows, rhs, mu)
 
 
-def _module_columns(sys: ColumnSystem, n: int, extra=()) -> tuple[int, list[dict]]:
-    """The sparse columns m * (column j of the 2x3 matrix), for j = 1..3 and
-    m of degree n, then the ``extra`` pairs; rows are the two equations'
-    monomials of degrees n + alpha and n + v - alpha."""
-    a, v = sys.params.alpha, sys.params.v
-    pairs = [(n, col) for col in zip(*sys.rows)] + list(extra)
-    return shifted_columns(pairs, (n + a, n + v - a), zfree=True)
-
-
 def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
-    """One exact solution plus the kernel of the solution space.
-
-    The canonical representative pins every elimination-free coefficient to
-    zero under the fixed monomial order, so repeated runs agree.
-    """
-    fld, v = sys.params.field, sys.params.v
-    nrows, cols = _module_columns(sys, v, [(0, sys.rhs)])
-    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
-    if particular is None:
-        raise NoSolution("graded column system is inconsistent")
-    (h1, h3, h5), *kern = column_polys([particular, *kernel], (v,) * 3, fld, zfree=True)
-    return ColumnSolution(h1, h3, h5, tuple(kern))
+    """The canonical solution and the kernel, by the module docstring's steps."""
+    params, mu = sys.params, sys.mu
+    fld, a, v, b = params.field, params.alpha, params.v, params.beta
+    (ng2, xg1, _), (yf2x, bracket, mono) = sys.rows
+    if a == 0:  # g1 = 0 and -g2 = d*F1 is a nonzero constant
+        p1, p3 = sys.rhs[0].scale(fld.inv(ng2.coeff_of((0, 0, 0)))), Poly.zero(fld)
+    else:
+        nrows, cols = shifted_columns([(a - 1, (ng2,)), (a - 1, (xg1,)),
+                                       (0, (Poly.monomial(fld, (0, 2 * a - 1, 0)),))],
+                                      (2 * a - 1,), zfree=True)
+        particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
+        if particular is None or kernel:
+            raise NoSolution("column system: the Sylvester matrix of g2 and x*g1 is singular")
+        lift = Poly.monomial(fld, (0, v - a + 1, 0), mu)
+        p1, p3 = (lift * p for p in column_polys([particular], (a - 1, a - 1), fld, zfree=True)[0])
+    gen = column_syzygy_generator(params)
+    r, g3, u = sys.rhs[1] - dot((yf2x, bracket), (p1, p3)), gen[2], 2 * v - a
+    # the rows of the monomials of degree u that x^b y^(v-a-b) does not divide
+    rows = {monomial_index((i, u - i, 0)): k
+            for k, i in enumerate(i for i in range(u + 1) if i < b or u - i < v - a - b)}
+    cols = [{rows[i]: c for i, c in col.items() if i in rows}
+            for col in shifted_columns([(v - a, (g3,)), (0, (-r,))], (u,), zfree=True)[1]]
+    particular, kernel = solve_affine(len(rows), cols[:-1], cols[-1], fld)
+    edge = g3.coeff_of((0, v, 0))
+    if particular is None or len(kernel) != 1 or fld.is_zero(edge):
+        raise NoSolution("column system: x divides g3, or the residual kernel is not "
+                         "spanned by x^beta y^(v-alpha-beta)")
+    m = column_polys([particular], (v - a,), fld, zfree=True)[0][0]
+    exact, h5 = divides(mono, r + m * g3)
+    if not exact:
+        raise NoSolution("column system: x^beta y^(v-alpha-beta) does not divide h5's multiple")
+    kern, c = tuple(g.scale(fld.inv(edge)) for g in gen), h5.coeff_of((0, v, 0))
+    h1, h3, h5 = (h - k.scale(c) for h, k in zip((p1 + m * xg1, p3 - m * ng2, h5), kern))
+    return ColumnSolution(h1, h3, h5, (kern,))
 
 
 def column_syzygy_generator(params: FamilyParams):
-    """The closed-form generator of the system's solution-line direction.
-    Its last entry is the paper's g3, a reference for the middle Saito
-    column's c3, which `saito.middle_column` builds by one division by Fz."""
+    """The closed-form generator g of the system's solution line, the
+    direction `solve_column_system` canonicalises along.  Its last entry is
+    the paper's g3, which the solve's residual step shifts."""
     a, b = params.alpha, params.beta
     v = params.v
     fld = params.field

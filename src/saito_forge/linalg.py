@@ -25,10 +25,11 @@ a prime field), with no ``Fraction``.  Only the reduction step depends on the fi
   are reduced with two-term fraction-free integer combinations, dividing
   out the content after each step;
 * prime fields: entries lie in 1..p-1 and each basis vector is scaled to 1
-  at its leading row.  A column already reduced, 1 at a leading row no
-  basis vector has, joins (or comes back) as it is; any other is reduced
-  in one reused dense accumulator of Python ints, taken ``% p`` when read
-  (so any p works), visiting its nonzero rows smallest first through a heap.
+  at its leading row.  A column already reduced, at a leading row no basis
+  vector has, joins (or comes back) as it is, scaled to 1 there; any other
+  is reduced in one reused dense accumulator of Python ints, taken ``% p``
+  when read (so any p works), visiting its nonzero rows smallest first
+  through a heap.
 
 The dense-list front ends ``pivot_columns`` and ``kernel_basis`` take and
 give field scalars, clear the denominators of each row first
@@ -130,11 +131,15 @@ class Echelon:
     def _fp_reduce(self, v: dict, rel):
         """The mod-p counterpart of `_qq_reduce`, in the dense accumulator;
         every vector and relation it returns is scaled to 1 at ``lead``.
-        Entries must lie in 1..p-1, so a column already reduced, 1 at a
-        leading row no basis vector has, comes back as it is."""
+        Entries must lie in 1..p-1, so a column already reduced, at a
+        leading row no basis vector has, comes back as it is, scaled there."""
         basis, acc, p = self.basis, self._acc, self._p
-        if v and (r := min(v)) not in basis and v[r] == 1:
-            return r, v, rel
+        if v and (r := min(v)) not in basis:
+            if (c := v[r]) == 1:
+                return r, v, rel
+            inv = pow(c, p - 2, p)
+            return r, {k: x * inv % p for k, x in v.items()}, (
+                None if rel is None else {k: x * inv % p for k, x in rel.items() if x})
         # entries are reduced mod p only when read; every row whose entry is
         # a nonzero int is on the heap
         for r, x in v.items():

@@ -387,25 +387,6 @@ def det_unit(f: Poly, matrix):
     return det, (c if f.scale(c) == det else None)
 
 
-def split_pure_power(p: "Poly", axis: str):
-    """Decompose a bivariate homogeneous p of degree m as p = x*q + c*y^m
-    (axis 'x') or p = y*q + c*x^m (axis 'y'); returns (q, c).  Every other
-    term of p holds the axis variable, so q is p's rest with its exponent
-    of that variable lowered by one."""
-    if axis not in ("x", "y"):
-        raise UnknownVariable(f"split axis must be 'x' or 'y', got {axis!r}")
-    f = p.field
-    if p.is_zero():
-        return Poly.zero(f), f.zero
-    if not (p.is_homogeneous() and p.is_bivariate()):
-        raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
-    m = p.degree()
-    pure = (0, m, 0) if axis == "x" else (m, 0, 0)
-    dx, dy = (1, 0) if axis == "x" else (0, 1)
-    q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.num.items() if (ex, ey, 0) != pure}
-    return _from_ints(f, q, p.den), p.coeff_of(pure)
-
-
 def coprime_forms(a: "Poly", b: "Poly", m: int, n: int) -> bool:
     """Whether the z-free forms a and b, of degrees m and n (a form may be
     zero), share no nonconstant factor, over K and over its algebraic closure.

@@ -3,9 +3,10 @@ RREF, dense ranks of whole Macaulay matrices, the mod-p echelon step that
 sends every column through its accumulator, the ideal ladder that reduces
 every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
-beta = 0 route's residual solve, the diagnostics of the closed-form Saito
-columns and of the column system's cokernel, the paper's formulas for the
-entries the routes divide out, and polynomial arithmetic on plain
+beta = 0 route's residual solve, the column system solved whole, the
+diagnostics of the closed-form Saito columns and of the column system's
+cokernel, the paper's formulas for the entries the routes divide out with
+the pure-power split they use, and polynomial arithmetic on plain
 ``{mono: scalar}`` maps.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
@@ -18,14 +19,15 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 
-from saito_forge.column_system import (_module_columns, base_pair, build_column_system,
-                                       column_syzygy_generator, solve_column_system, y_bracket)
+from saito_forge.column_system import (ColumnSolution, NoSolution, base_pair,
+                                       build_column_system, column_syzygy_generator,
+                                       solve_column_system, y_bracket)
 from saito_forge.field import Field, QQ
 from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns, solve_affine
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
                                 gradient_pairing, jacobian_generators, macaulay_matrix)
-from saito_forge.poly import (Poly, column_polys, dot, grlex_key, monomial_index, monomials,
-                              shifted_columns, space_dim, split_pure_power)
+from saito_forge.poly import (Poly, PolyError, UnknownVariable, _from_ints, column_polys, dot,
+                              grlex_key, monomial_index, monomials, shifted_columns, space_dim)
 from saito_forge.saito import last_column, middle_column
 
 
@@ -230,6 +232,52 @@ def whole_matrix_kernel(gens, t: int, with_f: bool = True) -> SyzygyBasis:
     return SyzygyBasis(t, tuple(vectors))
 
 
+# ----- the column system solved whole ---------------------------------------
+
+
+def _module_columns(sys, n: int, extra=()) -> tuple[int, list[dict]]:
+    """The sparse columns m * (column j of the 2x3 matrix), for j = 1..3 and
+    m of degree n, then the ``extra`` pairs; rows are the two equations'
+    monomials of degrees n + alpha and n + v - alpha."""
+    a, v = sys.params.alpha, sys.params.v
+    pairs = [(n, col) for col in zip(*sys.rows)] + list(extra)
+    return shifted_columns(pairs, (n + a, n + v - a), zfree=True)
+
+
+def whole_system_solve(sys) -> ColumnSolution:
+    """`column_system.solve_column_system` as it was before its Bezout
+    steps: one `solve_affine` on all 3(v+1) unknown coefficients, whose
+    canonical particular solution pins every free unknown to zero."""
+    fld, v = sys.params.field, sys.params.v
+    nrows, cols = _module_columns(sys, v, [(0, sys.rhs)])
+    particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
+    if particular is None:
+        raise NoSolution("graded column system is inconsistent")
+    (h1, h3, h5), *kern = column_polys([particular, *kernel], (v,) * 3, fld, zfree=True)
+    return ColumnSolution(h1, h3, h5, tuple(kern))
+
+
+def column_solve_mismatches(degrees, fields, seeds=(1, 2)) -> list:
+    """The instances (d, alpha, beta, field, seed), over every legal pair of
+    each odd d in ``degrees``, on which `solve_column_system` and
+    `whole_system_solve` differ in h1, h3, h5 or the kernel.  mu is the
+    route's: 1 at beta = 0, else `saito.compute_constants`."""
+    from saito_forge.family import legal_pairs, random_instance
+    from saito_forge.saito import compute_constants
+
+    out = []
+    for d in degrees:
+        for a, b in legal_pairs(d):
+            for fld in fields:
+                for seed in seeds:
+                    params = random_instance(d, a, b, seed=seed, field=fld)
+                    mu = fld.one if b == 0 else compute_constants(params)["mu"]
+                    sys = build_column_system(params, mu)
+                    if solve_column_system(sys) != whole_system_solve(sys):
+                        out.append((d, a, b, str(fld), seed))
+    return out
+
+
 # ----- diagnostics of the closed-form routes ---------------------------------
 
 
@@ -298,6 +346,25 @@ def paper_middle_ingredients(params) -> dict:
 def paper_middle_c3(params, ing: dict) -> Poly:
     """The paper's c3 = g3 - x^beta y^(gamma+1) z*w of the middle column."""
     return ing["g3"] - Poly.monomial(params.field, (params.beta, params.gamma + 1, 1)) * ing["w"]
+
+
+def split_pure_power(p: Poly, axis: str):
+    """Decompose a bivariate homogeneous p of degree m as p = x*q + c*y^m
+    (axis 'x') or p = y*q + c*x^m (axis 'y'); returns (q, c).  Every other
+    term of p holds the axis variable, so q is p's rest with its exponent
+    of that variable lowered by one."""
+    if axis not in ("x", "y"):
+        raise UnknownVariable(f"split axis must be 'x' or 'y', got {axis!r}")
+    f = p.field
+    if p.is_zero():
+        return Poly.zero(f), f.zero
+    if not (p.is_homogeneous() and p.is_bivariate()):
+        raise PolyError("split_pure_power needs a homogeneous bivariate polynomial")
+    m = p.degree()
+    pure = (0, m, 0) if axis == "x" else (m, 0, 0)
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    q = {(ex - dx, ey - dy, 0): c for (ex, ey, _), c in p.num.items() if (ex, ey, 0) != pure}
+    return _from_ints(f, q, p.den), p.coeff_of(pure)
 
 
 def paper_h6(params, ing: dict, a, b) -> Poly:

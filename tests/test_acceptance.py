@@ -19,10 +19,11 @@ from saito_forge.family import _random_form
 from saito_forge.field import PrimeField, QQ
 from saito_forge.oracle import (SyzygyVector, expected_multiplicity, point_support_check,
                                 resolution_check, syzygy_kernel)
-from saito_forge.poly import Poly, monomials, parse, render, split_pure_power
+from saito_forge.poly import Poly, monomials, parse, render
 from saito_forge.saito import build_saito_matrix, freeness_probe
 from reference import (cokernel_series_coefficient, column_cokernel_hilbert, in_kernel_span,
-                       last_column_residual, last_column_strata, middle_column_residual)
+                       last_column_residual, last_column_strata, middle_column_residual,
+                       split_pure_power)
 
 F1009 = PrimeField(1009)
 FP_SEEDS = (101, 102, 103)

@@ -1,13 +1,18 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from saito_forge import column_system
+from saito_forge.cli import main
 from saito_forge.column_system import (NoSolution, build_column_system, column_syzygy_generator,
                                        solve_column_system)
 from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.poly import Poly, monomials, parse
-from reference import cokernel_series_coefficient, column_cokernel_hilbert, rref
+from reference import (cokernel_series_coefficient, column_cokernel_hilbert,
+                       column_solve_mismatches, rref)
 
 F1009 = PrimeField(1009)
 
@@ -140,6 +145,48 @@ def test_solve_matches_rref_of_dense_layout(fld):
             sol = solve_column_system(sys)
             assert (sol.h1, sol.h3, sol.h5) == as_triple(particular, unknowns, fld)
             assert sol.kernel == tuple(as_triple(k, unknowns, fld) for k in kernel)
+
+
+def test_solve_matches_whole_system_solve():
+    # the Bezout steps against one solve on all 3(v+1) unknowns: every legal
+    # pair of the odd degrees 5..31, over both fields, two seeds each
+    assert column_solve_mismatches(range(5, 32, 2), (QQ, F1009)) == []
+
+
+def break_solve(monkeypatch, call: int, tamper):
+    """Make the ``call``-th `solve_affine` of each column solve (0 for the
+    Sylvester one, 1 for the residual one at alpha >= 1) answer
+    ``tamper(particular, kernel)`` in place of its own answer; returns the
+    list of calls, to be cleared before a solve that follows a failed one."""
+    real, calls = column_system.solve_affine, []
+
+    def solve_affine(nrows, columns, rhs, field):
+        calls.append(nrows)
+        answer = real(nrows, columns, rhs, field)
+        return tamper(*answer) if (len(calls) - 1) % 2 == call else answer
+
+    monkeypatch.setattr(column_system, "solve_affine", solve_affine)
+    return calls
+
+
+@pytest.mark.parametrize("call,tamper,premise", [
+    (0, lambda part, kern: (part, [({0: 1}, 1)]), "Sylvester matrix of g2 and x*g1 is singular"),
+    (1, lambda part, kern: (part, kern + kern), "residual kernel is not spanned"),
+    (1, lambda part, kern: (part, []), "residual kernel is not spanned"),
+], ids=["singular-sylvester", "residual-kernel-2", "residual-kernel-0"])
+def test_failed_premise_raises_and_verify_exits_1(monkeypatch, capsys, call, tamper, premise):
+    params = random_instance(9, 1, 1, seed=3, field=F1009)
+    sys = build_column_system(params, F1009.from_int(3))
+    calls = break_solve(monkeypatch, call, tamper)
+    with pytest.raises(NoSolution, match=re.escape(premise)):
+        solve_column_system(sys)
+    calls.clear()
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    code = main(["verify", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "3",
+                 "--field", "fp:1009"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1 and data["pass"] is False
+    assert data["saito"]["pass"] is False and premise in data["saito"]["error"]
 
 
 @pytest.mark.parametrize("d,a,b", [(5, 0, 0), (7, 0, 1), (9, 2, 0), (9, 1, 1)])

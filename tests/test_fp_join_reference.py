@@ -1,11 +1,12 @@
 """`linalg.Echelon` over prime fields against `reference.AccumulatorEchelon`,
 whose mod-p step sends every column through the heap and the dense
-accumulator: a column already reduced (1 at a leading row no basis vector
-has) joins the basis, or comes back from `reduce`, as it is, and must give
-exactly what the accumulator builds.  Random sparse columns with entries in
-1..p-1, as every caller passes them, over fp:5, fp:1009, fp:32003 and
-fp:(2^31 - 1): monic and non-monic fresh leads, repeated columns,
-combinations of earlier columns and, in tracked runs, relations."""
+accumulator: a column already reduced (at a leading row no basis vector
+has) joins the basis, or comes back from `reduce`, as it is, scaled to 1
+there, and must give exactly what the accumulator builds.  Random sparse
+columns with entries in 1..p-1, as every caller passes them, over fp:5,
+fp:1009, fp:32003 and fp:(2^31 - 1): monic and non-monic fresh leads,
+repeated columns, combinations of earlier columns and, in tracked runs,
+relations."""
 
 import pytest
 
@@ -84,3 +85,20 @@ def test_reduced_columns_come_back_as_they_are(p):
     # a non-monic lead is scaled, and a lead the basis has is reduced, as before
     assert echelon.add({0: 2}) == (0, None) and echelon.basis[0][0] == {0: 1}
     assert echelon.reduce({1: 1, 2: 1}) == (2, {2: 1, 3: 1}, None)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+def test_non_monic_fresh_leads_match_the_accumulator(p, track):
+    # each column's smallest row has no basis vector and an entry there
+    # other than 1: it is scaled directly, with its relation, and must
+    # equal the accumulator's vector and relation
+    fld = PrimeField(p)
+    fast, ref = Echelon(fld, 6), AccumulatorEchelon(fld, 6)
+    columns = [{2: 2, 4: p - 1}, {0: p - 1, 5: 3}, {3: p - 2, 4: 1, 5: 2}, {1: 3, 2: 1}]
+    for j, col in enumerate(columns):
+        rel = {j: 1, -1 - j: p - 1} if track else None
+        assert run(fast, "reduce", col, rel) == run(ref, "reduce", col, rel)
+        assert run(fast, "add", col, rel) == run(ref, "add", col, rel)
+        assert not any(fast._acc)
+    assert fast.basis == ref.basis
