@@ -2,16 +2,19 @@
 
 The z-free stratum of the degree-v syzygy that becomes the third matrix
 column is a triple (h1, h3, h5) of bivariate forms of degree v solving
-eq1: -g2*h1 + x*g1*h3 = mu*y^(v+a) and eq2: y*F2x*h1 + [y]*h3 +
-x^b y^(v-a-b)*h5 = -mu*x^(2v-a), with g1, g2 from `base_pair`,
-[y] = `y_bracket` and (a, b) = (alpha, beta).  Its solutions are one point
-plus the line of g = `column_syzygy_generator`, found in three steps:
+eq1: -g2*h1 + x*g1*h3 = y^(v+a) and eq2: y*F2x*h1 + [y]*h3 +
+x^b y^(v-a-b)*h5 = -x^(2v-a), with g1, g2 from `base_pair`,
+[y] = `y_bracket` and (a, b) = (alpha, beta); the explicit_odd route
+scales the solution by the mu it reads off it.  Its solutions are one point
+plus the line of g, the cross product of the two rows (Cramer's rule for a
+2x3 system): g = (x^(b+1) y^(v-a-b)*g1, x^b y^(v-a-b)*g2,
+-(x*y*F2x*g1 + [y]*g2)).  They are found in three steps:
 
 1. Eq1 by a Bezout identity: for a >= 1, one 2a x 2a Sylvester solve gives
    (p, q) of degree a-1 with -g2*p + x*g1*q = y^(2a-1), and
-   (p1, p3) = mu*y^(v-a+1)*(p, q); at a = 0, p1 = -mu*y^v/g2 and p3 = 0.
+   (p1, p3) = y^(v-a+1)*(p, q); at a = 0, p1 = -y^v/g2 and p3 = 0.
    Every solution of eq1 is (p1 + m*x*g1, p3 + m*g2), m of degree v-a.
-2. Eq2 fixes m: x^b y^(v-a-b)*h5 = R + m*g3, with R = -mu*x^(2v-a) -
+2. Eq2 fixes m: x^b y^(v-a-b)*h5 = R + m*g3, with R = -x^(2v-a) -
    y*F2x*p1 - [y]*p3 and g3 the last entry of g.  One solve on the v-a+1
    coefficients of m makes R + m*g3 vanish on the v-a monomials of degree
    2v-a that x^b y^(v-a-b) does not divide; h5 is one exact division.
@@ -56,7 +59,6 @@ class ColumnSystem:
     params: FamilyParams
     rows: tuple
     rhs: tuple
-    mu: object
 
     @property
     def target_degrees(self) -> tuple[int, int]:
@@ -90,7 +92,7 @@ def y_bracket(params: FamilyParams) -> Poly:
     return Poly.variable(params.field, "y") * f2.partial("y") + c * f2
 
 
-def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
+def build_column_system(params: FamilyParams) -> ColumnSystem:
     """Assemble the 2x3 coefficient matrix and right-hand side exactly.
 
     The system's own premise is deg F2 = v - alpha (automatic for odd-degree
@@ -111,15 +113,15 @@ def build_column_system(params: FamilyParams, mu) -> ColumnSystem:
         (y * f2.partial("x"), y_bracket(params), Poly.monomial(fld, (b, v - a - b, 0))),
     )
     rhs = (
-        Poly.monomial(fld, (0, v + a, 0), mu),
-        Poly.monomial(fld, (2 * v - a, 0, 0), fld.neg(mu)),
+        Poly.monomial(fld, (0, v + a, 0)),
+        -Poly.monomial(fld, (2 * v - a, 0, 0)),
     )
-    return ColumnSystem(params, rows, rhs, mu)
+    return ColumnSystem(params, rows, rhs)
 
 
 def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
     """The canonical solution and the kernel, by the module docstring's steps."""
-    params, mu = sys.params, sys.mu
+    params = sys.params
     fld, a, v, b = params.field, params.alpha, params.v, params.beta
     (ng2, xg1, _), (yf2x, bracket, mono) = sys.rows
     if a == 0:  # g1 = 0 and -g2 = d*F1 is a nonzero constant
@@ -131,9 +133,9 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
         particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
         if particular is None or kernel:
             raise NoSolution("column system: the Sylvester matrix of g2 and x*g1 is singular")
-        lift = Poly.monomial(fld, (0, v - a + 1, 0), mu)
+        lift = Poly.monomial(fld, (0, v - a + 1, 0))
         p1, p3 = (lift * p for p in column_polys([particular], (a - 1, a - 1), fld, zfree=True)[0])
-    gen = column_syzygy_generator(params)
+    gen = (xg1 * mono, -ng2 * mono, dot((ng2, xg1), (bracket, -yf2x)))
     r, g3, u = sys.rhs[1] - dot((yf2x, bracket), (p1, p3)), gen[2], 2 * v - a
     # the rows of the monomials of degree u that x^b y^(v-a-b) does not divide
     rows = {monomial_index((i, u - i, 0)): k
@@ -153,19 +155,3 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
     h1, h3, h5 = (h - k.scale(c) for h, k in zip((p1 + m * xg1, p3 - m * ng2, h5), kern))
     return ColumnSolution(h1, h3, h5, (kern,))
 
-
-def column_syzygy_generator(params: FamilyParams):
-    """The closed-form generator g of the system's solution line, the
-    direction `solve_column_system` canonicalises along.  Its last entry is
-    the paper's g3, which the solve's residual step shifts."""
-    a, b = params.alpha, params.beta
-    v = params.v
-    fld = params.field
-    g1, g2 = base_pair(params)
-    x = Poly.variable(fld, "x")
-    y = Poly.variable(fld, "y")
-    return (
-        Poly.monomial(fld, (b + 1, v - a - b, 0)) * g1,
-        Poly.monomial(fld, (b, v - a - b, 0)) * g2,
-        -(x * y * params.f2.partial("x") * g1 + y_bracket(params) * g2),
-    )

@@ -2,11 +2,12 @@
 
 For odd degree the matrix is assembled from explicit formulas by one
 builder for both variants: the column system's solve is its only linear
-solve, and the linear form e = a*x + b*y (beta >= 1) or -lambda*x
-(beta = 0) comes from closed-form scalars, lambda a ratio of two
-coefficients.  The entries that exist only to close one identity are each
-one exact division by a monomial: the middle column's c3 by Fz (eq3) and
-the last column's h6 by x*y (eq2); an inexact division is a route failure.
+solve, and the scalars of the linear form e = a*x + b*y (beta >= 1) or
+-lambda*x (beta = 0), with the scale mu of the solution, are read off the
+two pure-power edges of the coupling identity that h6 closes.  The entries
+that exist only to close one identity are each one exact division by a
+monomial: the middle column's c3 by Fz (eq3) and the last column's h6 by
+x*y (eq2); an inexact division is a route failure.
 Even degree (and cross-checks) go through the syzygy-kernel oracle.  Every
 route verifies Saito's criterion before returning: the gradient annihilates
 each column modulo F and det equals F up to a nonzero scalar.
@@ -29,7 +30,8 @@ ROUTE_ORACLE = "oracle"
 
 
 class DegenerateConstant(RouteFailure):
-    """A closed-form denominator vanished; impossible for validated params."""
+    """An odd route's scalars cannot be read (an edge vanished, impossible for
+    validated params), or a forced odd route is off its parity or beta."""
 
 
 class SaitoConstructionFailed(RouteFailure):
@@ -134,59 +136,29 @@ def middle_column(params, ing, grad) -> tuple:
     return (c1, c2, _divide(grad[2], -rest, "middle column (eq3): Fz does not divide c1*Fx + c2*Fy"))
 
 
-def compute_constants(params) -> dict:
-    """The scalars (a, b, mu) of the odd-degree, beta >= 1 route.
-
-    b is a free scale and is normalized to 1.  mu and a are forced by matching
-    the pure x- and y-power edge coefficients between the graded system and
-    the coupling identity; all denominators are nonzero for validated
-    parameters under the characteristic policy.
-    """
-    d, al, be = params.d, params.alpha, params.beta
-    v = params.v
-    if d % 2 == 0 or be < 1:
-        raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
-    fld = params.field
-    f1, f2 = params.f1, params.f2
-    bracket_y = y_bracket(params)
-    bracket_x = -base_pair(params)[1]
-    f1_yedge = f1.coeff_of((0, al, 0))
-    f2_xedge = f2.coeff_of((v - al, 0, 0))
-    by_edge = bracket_y.coeff_of((0, v - al, 0))
-    bx_edge = bracket_x.coeff_of((al, 0, 0))
-    for name, val in (("[F1|y^a]", f1_yedge), ("[F2|x^(v-a)]", f2_xedge),
-                      ("y-bracket edge", by_edge), ("x-bracket edge", bx_edge)):
-        if fld.is_zero(val):
-            raise DegenerateConstant(f"vanishing edge coefficient {name}")
-    b = fld.one
-    # mu carries a second [F1|y^a] factor so both pure-power matches close
-    mu = fld.div(
-        fld.mul(fld.mul(b, fld.from_int((d - al) ** 2)), fld.mul(fld.mul(f1_yedge, by_edge), f1_yedge)),
-        fld.from_int(be),
-    )
-    a = fld.div(
-        fld.neg(fld.mul(mu, fld.from_int(d - be - 1))),
-        fld.mul(fld.from_int((d - v + al) ** 2), fld.mul(fld.mul(f2_xedge, f2_xedge), bx_edge)),
-    )
-    if fld.is_zero(mu):
-        raise DegenerateConstant("mu vanished")
-    return {"a": a, "b": b, "mu": mu}
-
-
-def beta0_lambda(params, h3: Poly):
-    """The scalar of the beta = 0 route's e = -lambda*x: eq2 at h6 = 0 is then
-    x*((d-1)*h3 + lambda*g3), g3 the last entry of `column_syzygy_generator`,
-    and y divides it for lambda = -(d-1)*[h3|x^v] / [g3|x^v] alone, where
-    [g3|x^v] = d*(d-v+a)*[F1|x^a]*[F2|x^(v-a)] is nonzero for validated params."""
-    d, al, v = params.d, params.alpha, params.v
-    if params.beta != 0:
-        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
-    fld = params.field
-    g3_edge = fld.mul(fld.from_int(d * (d - v + al)),
-                      fld.mul(params.f1.coeff_of((al, 0, 0)), params.f2.coeff_of((v - al, 0, 0))))
-    if fld.is_zero(g3_edge):
-        raise DegenerateConstant("vanishing edge coefficient [g3|x^v]")
-    return fld.div(fld.neg(fld.mul(fld.from_int(d - 1), h3.coeff_of((v, 0, 0)))), g3_edge)
+def edge_constants(sys, sol) -> dict:
+    """The scalars of e = a*x + b*y, read off the column system ``sys`` and
+    its solution ``sol`` at mu = 1.  x*y divides eq2 at h6 = 0 exactly when
+    its two pure-power edges vanish:
+    beta*[h1|y^v] + [[y]|y^(v-alpha)]*[g2|y^alpha]*b = 0 modulo x and
+    (d-beta-1)*[h3|x^v] + [[y]|x^(v-alpha)]*[g2|x^alpha]*a = 0 modulo y,
+    with -g2 and [y] the rows' first and second entries.  At beta = 0,
+    b = 0, mu = 1 and lambda = -a; at beta >= 1, mu = 1/b scales the
+    solution and a to b = 1, as the canonical solution is linear in the
+    right-hand side.  Every edge here is nonzero for validated parameters."""
+    p = sys.params
+    fld, d, al, be, v = p.field, p.d, p.alpha, p.beta, p.v
+    (ng2, _, _), (_, bracket, _) = sys.rows
+    kx = fld.mul(bracket.coeff_of((v - al, 0, 0)), ng2.coeff_of((al, 0, 0)))
+    ky = fld.mul(bracket.coeff_of((0, v - al, 0)), ng2.coeff_of((0, al, 0)))
+    b_ky = fld.mul(fld.from_int(be), sol.h1.coeff_of((0, v, 0)))  # b * ky at mu = 1
+    if fld.is_zero(kx) or fld.is_zero(ky) or (be >= 1 and fld.is_zero(b_ky)):
+        raise DegenerateConstant("vanishing edge coefficient: a, b or mu cannot be read")
+    a = fld.div(fld.mul(fld.from_int(d - be - 1), sol.h3.coeff_of((v, 0, 0))), kx)
+    if be == 0:
+        return {"a": None, "b": None, "mu": fld.one, "lambda": fld.neg(a)}
+    mu = fld.div(ky, b_ky)
+    return {"a": fld.mul(mu, a), "b": fld.one, "mu": mu, "lambda": None}
 
 
 def coupling_residual(params, ing: dict) -> Poly:
@@ -223,26 +195,27 @@ def last_column(params, ing) -> tuple:
 
 
 def _build_explicit(inst: DivisorInstance, route: str) -> SaitoMatrix:
-    """Both odd-degree routes: h1, h3, h5 from the column system, h2 = g1*e,
-    h4 = g2*e and h6 = -(eq2 with h6 = 0)/(x*y), with e = a*x + b*y from
-    `compute_constants` (explicit_odd) or mu = 1 and e = -lambda*x from
-    `beta0_lambda` (explicit_beta0).  Both closed-form columns must pair with
-    the gradient to zero, read off the `verify_saito` report."""
+    """Both odd-degree routes: h1, h3, h5 from the column system scaled by
+    mu, h2 = g1*e, h4 = g2*e and h6 = -(eq2 with h6 = 0)/(x*y), with
+    e = a*x + b*y (explicit_odd) or e = -lambda*x (explicit_beta0) from
+    `edge_constants`.  Both closed-form columns must pair with the gradient
+    to zero, read off the `verify_saito` report."""
     params = inst.params
     fld = params.field
     x, y = Poly.variable(fld, "x"), Poly.variable(fld, "y")
     beta0 = route == ROUTE_EXPLICIT_BETA0
-    consts = {"a": None, "b": None, "mu": fld.one} if beta0 else compute_constants(params)
-    sol = solve_column_system(build_column_system(params, consts["mu"]))
-    if beta0:
-        consts["lambda"] = beta0_lambda(params, sol.h3)
-        e = x.scale(fld.neg(consts["lambda"]))
-    else:
-        consts["lambda"] = None
-        e = x.scale(consts["a"]) + y.scale(consts["b"])
+    if not beta0 and (params.d % 2 == 0 or params.beta < 1):
+        raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
+    sys = build_column_system(params)
+    sol = solve_column_system(sys)
+    if beta0 and params.beta != 0:
+        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
+    consts = edge_constants(sys, sol)
+    h1, h3, h5 = (h.scale(consts["mu"]) for h in (sol.h1, sol.h3, sol.h5))
+    e = x.scale(fld.neg(consts["lambda"])) if beta0 else x.scale(consts["a"]) + y.scale(consts["b"])
     g1, g2 = base_pair(params)
-    ing = {"g1": g1, "g2": g2, "h1": sol.h1, "h2": g1 * e, "h3": sol.h3, "h4": g2 * e,
-           "h5": sol.h5, "e": e, "f": inst.f}
+    ing = {"g1": g1, "g2": g2, "h1": h1, "h2": g1 * e, "h3": h3, "h4": g2 * e,
+           "h5": h5, "e": e, "f": inst.f}
     xy = x * y
     rest = coupling_residual(params, {**ing, "h6": Poly.zero(fld)})
     ing["h6"] = _divide(xy, -rest, "coupling identity (eq2): x*y does not divide it at h6 = 0")
@@ -323,8 +296,8 @@ def _finish(inst, matrix, route, ing, constants, residuals, report=None) -> Sait
 def build_saito_matrix(inst: DivisorInstance, route: str = "auto", ladder=None) -> SaitoMatrix:
     """Construct and verify a Saito matrix for a validated family member.
 
-    Route selection: odd d uses the explicit formulas, with the constants
-    (a, b, mu) for beta >= 1 and the scalar lambda for beta = 0; even d the
+    Route selection: odd d uses the explicit formulas, with the scalars
+    (a, b, mu) for beta >= 1 and lambda for beta = 0; even d the
     syzygy-kernel oracle.  Pass route="oracle" to force the kernel route
     (any parity), or an explicit route name to insist on it.  The oracle
     reads its kernels off ``ladder``, the `JacobianLadder` of inst, if given."""

@@ -4,10 +4,12 @@ sends every column through its accumulator, the ideal ladder that reduces
 every z-free shift from its own column, span tests on syzygy vectors,
 the syzygy kernels eliminated one whole Macaulay matrix per degree, the
 beta = 0 route's residual solve, the column system solved whole, the
-diagnostics of the closed-form Saito columns and of the column system's
-cokernel, the paper's formulas for the entries the routes divide out with
-the pure-power split they use, and polynomial arithmetic on plain
-``{mono: scalar}`` maps.
+paper's formulas for the odd routes' scalars (a, b, mu, lambda) and for the
+generator g of the column system's solution line, which the routes read
+off the column system instead, the diagnostics of the closed-form Saito
+columns and of the column system's cokernel, the paper's formulas for the
+entries the routes divide out with the pure-power split they use, and
+polynomial arithmetic on plain ``{mono: scalar}`` maps.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
 deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
@@ -20,15 +22,15 @@ from itertools import accumulate
 from math import lcm
 
 from saito_forge.column_system import (ColumnSolution, NoSolution, base_pair,
-                                       build_column_system, column_syzygy_generator,
-                                       solve_column_system, y_bracket)
+                                       build_column_system, solve_column_system, y_bracket)
+from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import Field, QQ
 from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns, solve_affine
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
                                 gradient_pairing, jacobian_generators, macaulay_matrix)
 from saito_forge.poly import (Poly, PolyError, UnknownVariable, _from_ints, column_polys, dot,
                               grlex_key, monomial_index, monomials, shifted_columns, space_dim)
-from saito_forge.saito import last_column, middle_column
+from saito_forge.saito import DegenerateConstant, edge_constants, last_column, middle_column
 
 
 def rref(rows: list, field: Field) -> list[int]:
@@ -257,25 +259,123 @@ def whole_system_solve(sys) -> ColumnSolution:
     return ColumnSolution(h1, h3, h5, tuple(kern))
 
 
-def column_solve_mismatches(degrees, fields, seeds=(1, 2)) -> list:
-    """The instances (d, alpha, beta, field, seed), over every legal pair of
-    each odd d in ``degrees``, on which `solve_column_system` and
-    `whole_system_solve` differ in h1, h3, h5 or the kernel.  mu is the
-    route's: 1 at beta = 0, else `saito.compute_constants`."""
-    from saito_forge.family import legal_pairs, random_instance
-    from saito_forge.saito import compute_constants
-
-    out = []
+def _odd_instances(degrees, fields, seeds):
+    """(key, params) over every legal pair of each odd d in ``degrees``, each
+    field and seed, key = (d, alpha, beta, field, seed)."""
     for d in degrees:
         for a, b in legal_pairs(d):
             for fld in fields:
                 for seed in seeds:
-                    params = random_instance(d, a, b, seed=seed, field=fld)
-                    mu = fld.one if b == 0 else compute_constants(params)["mu"]
-                    sys = build_column_system(params, mu)
-                    if solve_column_system(sys) != whole_system_solve(sys):
-                        out.append((d, a, b, str(fld), seed))
+                    yield (d, a, b, str(fld), seed), random_instance(d, a, b, seed=seed, field=fld)
+
+
+def column_solve_mismatches(degrees, fields, seeds=(1, 2)) -> list:
+    """The instances (d, alpha, beta, field, seed), over every legal pair of
+    each odd d in ``degrees``, on which `solve_column_system` and
+    `whole_system_solve` differ in h1, h3, h5 or the kernel."""
+    out = []
+    for key, params in _odd_instances(degrees, fields, seeds):
+        sys = build_column_system(params)
+        if solve_column_system(sys) != whole_system_solve(sys):
+            out.append(key)
     return out
+
+
+def paper_constant_mismatches(degrees, fields, seeds=(1, 2)) -> list:
+    """The instances (d, alpha, beta, field, seed), over every legal pair of
+    each odd d in ``degrees``, on which `saito.edge_constants` differs from
+    the paper's scalars (`compute_constants` at beta >= 1, mu = 1 and
+    `beta0_lambda` at beta = 0), or the solution's kernel from the paper's
+    g = `column_syzygy_generator` scaled to 1 at h5's y^v coefficient."""
+    out = []
+    for key, params in _odd_instances(degrees, fields, seeds):
+        fld, v = params.field, params.v
+        sys = build_column_system(params)
+        sol = solve_column_system(sys)
+        if params.beta == 0:
+            paper = {"a": None, "b": None, "mu": fld.one, "lambda": beta0_lambda(params, sol.h3)}
+        else:
+            paper = {**compute_constants(params), "lambda": None}
+        gen = column_syzygy_generator(params)
+        kern = tuple(g.scale(fld.inv(gen[2].coeff_of((0, v, 0)))) for g in gen)
+        if edge_constants(sys, sol) != paper or sol.kernel != (kern,):
+            out.append(key)
+    return out
+
+
+# ----- the paper's scalars and solution line of the odd routes -----------------
+
+
+def compute_constants(params) -> dict:
+    """The scalars (a, b, mu) of the odd-degree, beta >= 1 route.
+
+    b is a free scale and is normalized to 1.  mu and a are forced by matching
+    the pure x- and y-power edge coefficients between the graded system and
+    the coupling identity; all denominators are nonzero for validated
+    parameters under the characteristic policy.
+    """
+    d, al, be = params.d, params.alpha, params.beta
+    v = params.v
+    if d % 2 == 0 or be < 1:
+        raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
+    fld = params.field
+    f1, f2 = params.f1, params.f2
+    bracket_y = y_bracket(params)
+    bracket_x = -base_pair(params)[1]
+    f1_yedge = f1.coeff_of((0, al, 0))
+    f2_xedge = f2.coeff_of((v - al, 0, 0))
+    by_edge = bracket_y.coeff_of((0, v - al, 0))
+    bx_edge = bracket_x.coeff_of((al, 0, 0))
+    for name, val in (("[F1|y^a]", f1_yedge), ("[F2|x^(v-a)]", f2_xedge),
+                      ("y-bracket edge", by_edge), ("x-bracket edge", bx_edge)):
+        if fld.is_zero(val):
+            raise DegenerateConstant(f"vanishing edge coefficient {name}")
+    b = fld.one
+    # mu carries a second [F1|y^a] factor so both pure-power matches close
+    mu = fld.div(
+        fld.mul(fld.mul(b, fld.from_int((d - al) ** 2)), fld.mul(fld.mul(f1_yedge, by_edge), f1_yedge)),
+        fld.from_int(be),
+    )
+    a = fld.div(
+        fld.neg(fld.mul(mu, fld.from_int(d - be - 1))),
+        fld.mul(fld.from_int((d - v + al) ** 2), fld.mul(fld.mul(f2_xedge, f2_xedge), bx_edge)),
+    )
+    if fld.is_zero(mu):
+        raise DegenerateConstant("mu vanished")
+    return {"a": a, "b": b, "mu": mu}
+
+
+def beta0_lambda(params, h3: Poly):
+    """The scalar of the beta = 0 route's e = -lambda*x: eq2 at h6 = 0 is then
+    x*((d-1)*h3 + lambda*g3), g3 the last entry of `column_syzygy_generator`,
+    and y divides it for lambda = -(d-1)*[h3|x^v] / [g3|x^v] alone, where
+    [g3|x^v] = d*(d-v+a)*[F1|x^a]*[F2|x^(v-a)] is nonzero for validated params."""
+    d, al, v = params.d, params.alpha, params.v
+    if params.beta != 0:
+        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
+    fld = params.field
+    g3_edge = fld.mul(fld.from_int(d * (d - v + al)),
+                      fld.mul(params.f1.coeff_of((al, 0, 0)), params.f2.coeff_of((v - al, 0, 0))))
+    if fld.is_zero(g3_edge):
+        raise DegenerateConstant("vanishing edge coefficient [g3|x^v]")
+    return fld.div(fld.neg(fld.mul(fld.from_int(d - 1), h3.coeff_of((v, 0, 0)))), g3_edge)
+
+
+def column_syzygy_generator(params: FamilyParams):
+    """The closed-form generator g of the system's solution line, the
+    direction `solve_column_system` canonicalises along.  Its last entry is
+    the paper's g3, which the solve's residual step shifts."""
+    a, b = params.alpha, params.beta
+    v = params.v
+    fld = params.field
+    g1, g2 = base_pair(params)
+    x = Poly.variable(fld, "x")
+    y = Poly.variable(fld, "y")
+    return (
+        Poly.monomial(fld, (b + 1, v - a - b, 0)) * g1,
+        Poly.monomial(fld, (b, v - a - b, 0)) * g2,
+        -(x * y * params.f2.partial("x") * g1 + y_bracket(params) * g2),
+    )
 
 
 # ----- diagnostics of the closed-form routes ---------------------------------
@@ -316,7 +416,7 @@ def beta0_residual_solve(inst) -> tuple:
     params = inst.params
     d, al, v, fld = params.d, params.alpha, params.v, params.field
     g1, g2 = base_pair(params)
-    sol = solve_column_system(build_column_system(params, fld.one))
+    sol = solve_column_system(build_column_system(params))
     grad = jacobian_generators(inst.f)[:3]
     lam_col = (-(Poly.monomial(fld, (1, v - al - 1, 1)) * g1),
                -(Poly.monomial(fld, (0, v - al - 1, 1)) * g2),
@@ -389,7 +489,7 @@ def column_cokernel_hilbert(params, i: int) -> int:
     if i < 0:
         return 0
     a, v, fld = params.alpha, params.v, params.field
-    sys = build_column_system(params, fld.one)
+    sys = build_column_system(params)
     ambient = max(0, i - (v - a) + 1) + max(0, i - a + 1)
     if i < v:
         return ambient

@@ -11,8 +11,7 @@ import random
 import pytest
 
 from saito_forge.cli import main as cli_main
-from saito_forge.column_system import (build_column_system, column_syzygy_generator,
-                                       solve_column_system)
+from saito_forge.column_system import build_column_system, solve_column_system
 from saito_forge.family import (FamilyParams, build_divisor, is_irreducible,
                                 legal_pairs, random_instance, validate)
 from saito_forge.family import _random_form
@@ -21,9 +20,9 @@ from saito_forge.oracle import (SyzygyVector, expected_multiplicity, point_suppo
                                 resolution_check, syzygy_kernel)
 from saito_forge.poly import Poly, monomials, parse, render
 from saito_forge.saito import build_saito_matrix, freeness_probe
-from reference import (cokernel_series_coefficient, column_cokernel_hilbert, in_kernel_span,
-                       last_column_residual, last_column_strata, middle_column_residual,
-                       split_pure_power)
+from reference import (cokernel_series_coefficient, column_cokernel_hilbert,
+                       column_syzygy_generator, in_kernel_span, last_column_residual,
+                       last_column_strata, middle_column_residual, split_pure_power)
 
 F1009 = PrimeField(1009)
 FP_SEEDS = (101, 102, 103)
@@ -94,7 +93,7 @@ def test_criterion_2_graded_system(fleet):
         params = _system_premise_params(inst.params)
         fld = params.field
         v = params.v
-        sys = build_column_system(params, fld.from_int(2))
+        sys = build_column_system(params)
         sol = solve_column_system(sys)
         # solvable with a one-dimensional solution space
         assert sol.dimension == 1

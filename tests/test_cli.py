@@ -269,6 +269,16 @@ def test_forced_beta0_route_on_beta_one_exits_1():
     assert data["saito"] == {"pass": False, "error": "the explicit_beta0 route needs beta = 0"}
 
 
+def test_forced_odd_route_on_beta_zero_exits_1(capsys):
+    # the explicit_odd route's scalars exist only at beta >= 1
+    code, out = run(capsys, "verify", "--d", "9", "--alpha", "1", "--beta", "0", "--seed", "1",
+                    "--field", "fp:1009", "--route", "explicit_odd")
+    data = json.loads(out)
+    assert code == 1 and data["pass"] is False
+    assert data["saito"] == {"pass": False,
+                             "error": "closed-form constants need odd d and beta >= 1"}
+
+
 def test_missing_arguments(capsys):
     code = main(["verify"])
     assert code == 2

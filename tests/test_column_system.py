@@ -1,18 +1,17 @@
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
 from saito_forge import column_system
 from saito_forge.cli import main
-from saito_forge.column_system import (NoSolution, build_column_system, column_syzygy_generator,
-                                       solve_column_system)
+from saito_forge.column_system import NoSolution, build_column_system, solve_column_system
 from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.poly import Poly, monomials, parse
 from reference import (cokernel_series_coefficient, column_cokernel_hilbert,
-                       column_solve_mismatches, rref)
+                       column_solve_mismatches, column_syzygy_generator,
+                       paper_constant_mismatches, rref)
 
 F1009 = PrimeField(1009)
 
@@ -46,7 +45,7 @@ def residual(sys, triple):
 
 def test_system_entries_worked_instance():
     # d=5, alpha=0: g1 = 0 and g2 = -5, so row 1 is (5, 0, 0)
-    sys = build_column_system(worked_params(), Fraction(1))
+    sys = build_column_system(worked_params())
     assert sys.rows[0][0] == parse("5", nvars=2)
     assert sys.rows[0][1].is_zero()
     assert sys.rows[0][2].is_zero()
@@ -57,7 +56,7 @@ def test_system_entries_worked_instance():
 
 def test_row_degrees():
     params = random_instance(9, 1, 1, seed=8, field=F1009)
-    sys = build_column_system(params, F1009.one)
+    sys = build_column_system(params)
     a, v = params.alpha, params.v
     assert all(e.is_zero() or e.degree() == a for e in sys.rows[0][:2])
     assert all(e.degree() == v - a for e in sys.rows[1])
@@ -67,11 +66,11 @@ def test_row_degrees():
 def test_wrong_f2_degree_rejected():
     params = random_instance(6, 0, 0, seed=1, field=F1009)  # even d: deg F2 = v-a-1
     with pytest.raises(NoSolution):
-        build_column_system(params, F1009.one)
+        build_column_system(params)
 
 
 def test_solve_worked_instance():
-    sys = build_column_system(worked_params(), Fraction(1))
+    sys = build_column_system(worked_params())
     sol = solve_column_system(sys)
     # alpha=0 collapses row 1 to 5*h1 = y^2
     assert sol.h1 == parse("1/5*y^2", nvars=2)
@@ -85,7 +84,7 @@ def test_solve_worked_instance():
 ])
 def test_solve_random_instances(d, a, b, fld):
     params = random_instance(d, a, b, seed=21, field=fld)
-    sys = build_column_system(params, fld.from_int(3))
+    sys = build_column_system(params)
     sol = solve_column_system(sys)
     assert all(r.is_zero() for r in residual(sys, (sol.h1, sol.h3, sol.h5)))
     assert sol.dimension == 1
@@ -138,7 +137,7 @@ def test_solve_matches_rref_of_dense_layout(fld):
     # every legal (alpha, beta) of the odd degrees 7..13 (even d has no system)
     for d in range(7, 14, 2):
         for a, b in legal_pairs(d):
-            sys = build_column_system(random_instance(d, a, b, seed=2, field=fld), fld.from_int(3))
+            sys = build_column_system(random_instance(d, a, b, seed=2, field=fld))
             mat, rhs, unknowns = dense_layout(sys)
             pivots, particular, kernel = rref_solve(mat, rhs, fld)
             assert pivots[-1] != len(unknowns) * 3  # b is in the column span
@@ -151,6 +150,13 @@ def test_solve_matches_whole_system_solve():
     # the Bezout steps against one solve on all 3(v+1) unknowns: every legal
     # pair of the odd degrees 5..31, over both fields, two seeds each
     assert column_solve_mismatches(range(5, 32, 2), (QQ, F1009)) == []
+
+
+def test_read_scalars_and_kernel_match_the_papers():
+    # the scalars read off the system's edges and the kernel's cross product
+    # against the paper's formulas: every legal pair of the odd degrees 5..31,
+    # over both fields, two seeds each
+    assert paper_constant_mismatches(range(5, 32, 2), (QQ, F1009)) == []
 
 
 def break_solve(monkeypatch, call: int, tamper):
@@ -176,7 +182,7 @@ def break_solve(monkeypatch, call: int, tamper):
 ], ids=["singular-sylvester", "residual-kernel-2", "residual-kernel-0"])
 def test_failed_premise_raises_and_verify_exits_1(monkeypatch, capsys, call, tamper, premise):
     params = random_instance(9, 1, 1, seed=3, field=F1009)
-    sys = build_column_system(params, F1009.from_int(3))
+    sys = build_column_system(params)
     calls = break_solve(monkeypatch, call, tamper)
     with pytest.raises(NoSolution, match=re.escape(premise)):
         solve_column_system(sys)
@@ -193,7 +199,7 @@ def test_failed_premise_raises_and_verify_exits_1(monkeypatch, capsys, call, tam
 def test_generator_is_a_syzygy(d, a, b):
     params = random_instance(d, a, b, seed=4, field=F1009)
     gen = column_syzygy_generator(params)
-    sys = build_column_system(params, F1009.one)
+    sys = build_column_system(params)
     for row in sys.rows:
         acc = Poly.zero(F1009)
         for entry, g in zip(row, gen):

@@ -346,7 +346,7 @@ def test_syzygy_entries_match_shifted_products():
         # z-free shifts: the two-block column system (bivariate, with its
         # right-hand side and a zero entry) and the beta=0 route's tail z*Fz
         params = random_instance(9, 1, 0, seed=5, field=fld)
-        system = build_column_system(params, fld.from_int(3))
+        system = build_column_system(params)
         inst = build_divisor(params)
         v = params.v
         for pairs, degrees in (

@@ -14,11 +14,11 @@ from saito_forge.poly import Poly, det_unit, parse, render
 from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
                                ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
                                SaitoConstructionFailed, base_pair,
-                               build_saito_matrix, compute_constants,
-                               coupling_residual, det3, last_column, middle_column,
+                               build_saito_matrix, coupling_residual, det3, last_column, middle_column,
                                verify_saito)
-from reference import (beta0_residual_solve, in_kernel_span, last_column_residual, last_column_strata,
-                       middle_column_residual, paper_h6, paper_middle_c3, paper_middle_ingredients)
+from reference import (beta0_residual_solve, compute_constants, in_kernel_span, last_column_residual,
+                       last_column_strata, middle_column_residual, paper_h6, paper_middle_c3,
+                       paper_middle_ingredients)
 
 F1009 = PrimeField(1009)
 
@@ -91,8 +91,8 @@ def test_mu_needs_the_squared_edge_factor():
         x = parse("x", QQ, nvars=2)
         y = parse("y", QQ, nvars=2)
         e = x.scale(a_const) + y
-        sol = solve_column_system(build_column_system(params, mu))
-        ing = {"h1": sol.h1, "h2": g1 * e, "h3": sol.h3, "h4": g2 * e}
+        sol = solve_column_system(build_column_system(params))
+        ing = {"h1": sol.h1.scale(mu), "h2": g1 * e, "h3": sol.h3.scale(mu), "h4": g2 * e}
         ing["h6"] = paper_h6(params, ing, a_const, QQ.one)
         return coupling_residual(params, ing)
 
@@ -558,10 +558,13 @@ def test_middle_column_is_a_syzygy_at_even_degree(d):
 
 def wrong_mu(monkeypatch):
     import saito_forge.saito as saito
-    real = saito.compute_constants
-    fld = F1009
-    monkeypatch.setattr(saito, "compute_constants", lambda params: {
-        **real(params), "mu": fld.mul(real(params)["mu"], fld.from_int(2))})
+    real = saito.edge_constants
+
+    def doubled_mu(sys, sol):
+        consts = real(sys, sol)
+        return {**consts, "mu": F1009.mul(consts["mu"], F1009.from_int(2))}
+
+    monkeypatch.setattr(saito, "edge_constants", doubled_mu)
 
 
 def perturbed_g1(monkeypatch):
@@ -582,6 +585,33 @@ def test_inexact_division_is_a_route_failure(monkeypatch, capsys, breaks, beta, 
         build_saito_matrix(inst)
     assert f"({eq})" in str(exc.value) and not exc.value.residual.is_zero()
     code = main(["verify", "--d", "9", "--alpha", "1", "--beta", str(beta), "--seed", "5",
+                 "--field", "fp:1009"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["pass"] is False and data["saito"] == {"pass": False, "error": str(exc.value)}
+
+
+def test_vanishing_b_is_a_route_failure(monkeypatch, capsys):
+    # b = beta*[h1|y^v]/([[y]|y^(v-alpha)]*[g2|y^alpha]) at mu = 1: a solution
+    # with no y^v term in h1 leaves no mu, a route failure and not exit 2
+    from dataclasses import replace
+
+    import saito_forge.saito as saito
+    from saito_forge.cli import main
+
+    real = saito.solve_column_system
+
+    def no_h1_edge(sys):
+        sol = real(sys)
+        return replace(sol, h1=Poly(F1009, {m: c for m, c in sol.h1.terms.items() if m[0]}))
+
+    monkeypatch.setattr(saito, "solve_column_system", no_h1_edge)
+    monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
+    inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
+    with pytest.raises(DegenerateConstant) as exc:
+        build_saito_matrix(inst)
+    code = main(["verify", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "5",
                  "--field", "fp:1009"])
     captured = capsys.readouterr()
     assert code == 1 and "Traceback" not in captured.err
