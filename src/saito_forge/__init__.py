@@ -8,9 +8,8 @@ from .family import (DivisorInstance, ExhaustedRetries, FamilyParams,
                      instance_to_json, is_irreducible, legal_pairs,
                      random_instance, validate)
 from .poly import Poly, divides, is_squarefree_bivariate, parse, render
-from .column_system import ColumnSystem, build_column_system, solve_column_system
-from .saito import (SaitoConstructionFailed, SaitoMatrix, build_saito_matrix,
-                    coupling_residual, freeness_probe, verify_saito)
+from .column_system import ColumnSystem, RouteFailure, build_column_system, solve_column_system
+from .saito import SaitoMatrix, build_saito_matrix, coupling_residual, freeness_probe, verify_saito
 from .oracle import (MacaulayMatrix, SyzygyBasis, expected_multiplicity,
                      jacobian_generators, point_support_check,
                      predicted_quotient_hilbert, resolution_check,

@@ -117,6 +117,19 @@ def _instance_from_args(args) -> DivisorInstance:
         raise CliError(json.dumps(exc.report.to_json(), indent=2) if exc.report else str(exc))
 
 
+def _load(args) -> tuple[DivisorInstance, dict | None]:
+    """The instance of the arguments or of --in FILE, with None; or, when the
+    file's stored F disagrees with its parameters, the instance of those
+    parameters with the file's data."""
+    if not getattr(args, "infile", None):
+        return _instance_from_args(args), None
+    data = _read_instance_file(args.infile)
+    try:
+        return instance_from_json(data), None
+    except InconsistentInstance:
+        return instance_from_json({k: v for k, v in data.items() if k != "F"}), data
+
+
 def cmd_construct(args) -> int:
     inst = _instance_from_args(args)
     _emit(instance_to_json(inst), args.out)
@@ -185,20 +198,15 @@ def _verify(args, f: Poly, report: dict, inst: DivisorInstance | None) -> int:
 
 
 def cmd_verify(args) -> int:
-    if getattr(args, "infile", None):
-        data = _read_instance_file(args.infile)
-        try:
-            inst = instance_from_json(data)
-        except InconsistentInstance:
-            f = parse(data["F"], field_from_spec(data["field"]))
-            if f.is_zero() or not f.is_homogeneous():
-                raise CliError(f"stored F in {args.infile} is not a nonzero form")
-            if f.degree() != data["d"]:
-                raise CliError(f"stored F in {args.infile} has degree {f.degree()}, not d = {data['d']}")
-            return _verify(args, f, {"instance": data, "raw_f_mode": True}, None)
-    else:
-        inst = _instance_from_args(args)
-    return _verify(args, inst.f, {"instance": instance_to_json(inst)}, inst)
+    inst, data = _load(args)
+    if data is None:
+        return _verify(args, inst.f, {"instance": instance_to_json(inst)}, inst)
+    f = parse(data["F"], inst.f.field)
+    if f.is_zero() or not f.is_homogeneous():
+        raise CliError(f"stored F in {args.infile} is not a nonzero form")
+    if f.degree() != data["d"]:
+        raise CliError(f"stored F in {args.infile} has degree {f.degree()}, not d = {data['d']}")
+    return _verify(args, f, {"instance": data, "raw_f_mode": True}, None)
 
 
 def cmd_syzygies(args) -> int:
@@ -380,21 +388,13 @@ PrintLn "saito-forge export: all assertions passed";
 
 
 def cmd_export(args) -> int:
-    f_text = None
-    if getattr(args, "infile", None):
-        data = _read_instance_file(args.infile)
-        try:
-            inst = instance_from_json(data)
-        except InconsistentInstance:
-            # tampered F: still export, asserting against the stored F so the
-            # external run fails loudly (a deliberate control path)
-            data2 = dict(data)
-            f_text = data2.pop("F")
-            inst = instance_from_json(data2)
-            sys.stderr.write("warning: stored F disagrees with the assembly; "
-                             "exporting assertions against the stored F\n")
-    else:
-        inst = _instance_from_args(args)
+    inst, data = _load(args)
+    f_text = None if data is None else data["F"]
+    if data is not None:
+        # tampered F: still export, asserting against the stored F so the
+        # external run fails loudly (a deliberate control path)
+        sys.stderr.write("warning: stored F disagrees with the assembly; "
+                         "exporting assertions against the stored F\n")
     try:
         sm = build_saito_matrix(inst, route=args.route)
     except RouteFailure as exc:
@@ -419,8 +419,7 @@ def _add_instance_args(p, with_route=False):
     p.add_argument("--in", dest="infile", default=None, help="instance JSON file")
     p.add_argument("--out", default=None)
     if with_route:
-        p.add_argument("--route", default="auto",
-                       choices=["auto", "oracle", "explicit_odd", "explicit_beta0"])
+        p.add_argument("--route", default="auto", choices=["auto", "oracle"])
 
 
 def build_parser() -> argparse.ArgumentParser:

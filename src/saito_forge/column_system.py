@@ -24,7 +24,7 @@ plus the line of g, the cross product of the two rows (Cramer's rule for a
    whole system pins to zero.  The kernel is g scaled to 1 at j*.
 
 For validated parameters each premise is a theorem, and a failed one
-raises `NoSolution`: the Sylvester matrix is nonsingular, as g2 =
+raises `RouteFailure`: the Sylvester matrix is nonsingular, as g2 =
 y*g1 - d*F1 gives gcd(g1, g2) = gcd(F1y, F1) = 1 for a square-free F1 that
 x does not divide, and x does not divide g2; the residual kernel is exactly
 the span of x^b y^(v-a-b), as neither x nor y divides g3 (by its edge
@@ -43,13 +43,13 @@ from .poly import Poly, column_polys, divides, dot, monomial_index, shifted_colu
 
 class RouteFailure(Exception):
     """A Saito route cannot build its matrix: verify and sweep report it as a
-    failed check, export refuses.  Any other exception in a route is a bug."""
+    failed check, export refuses.  ``residual`` is the polynomial that failed
+    to vanish or divide, when there is one.  Any other exception in a route
+    is a bug."""
 
-
-class NoSolution(RouteFailure):
-    """The graded system has no solution: F2 does not have the degree its
-    row grading needs (an even-degree member), or a premise of the solve
-    fails, which with validated odd-degree parameters signals a bug."""
+    def __init__(self, message: str, residual: Poly | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def build_column_system(params: FamilyParams) -> ColumnSystem:
     fld = params.field
     f2 = params.f2
     if f2.degree() != v - a:
-        raise NoSolution(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
+        raise RouteFailure(f"graded system needs deg F2 = v - alpha = {v - a}, got {f2.degree()}")
     g1, g2 = base_pair(params)
     x = Poly.variable(fld, "x")
     y = Poly.variable(fld, "y")
@@ -132,7 +132,7 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
                                       (2 * a - 1,), zfree=True)
         particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
         if particular is None or kernel:
-            raise NoSolution("column system: the Sylvester matrix of g2 and x*g1 is singular")
+            raise RouteFailure("column system: the Sylvester matrix of g2 and x*g1 is singular")
         lift = Poly.monomial(fld, (0, v - a + 1, 0))
         p1, p3 = (lift * p for p in column_polys([particular], (a - 1, a - 1), fld, zfree=True)[0])
     gen = (xg1 * mono, -ng2 * mono, dot((ng2, xg1), (bracket, -yf2x)))
@@ -145,12 +145,12 @@ def solve_column_system(sys: ColumnSystem) -> ColumnSolution:
     particular, kernel = solve_affine(len(rows), cols[:-1], cols[-1], fld)
     edge = g3.coeff_of((0, v, 0))
     if particular is None or len(kernel) != 1 or fld.is_zero(edge):
-        raise NoSolution("column system: x divides g3, or the residual kernel is not "
-                         "spanned by x^beta y^(v-alpha-beta)")
+        raise RouteFailure("column system: x divides g3, or the residual kernel is not "
+                           "spanned by x^beta y^(v-alpha-beta)")
     m = column_polys([particular], (v - a,), fld, zfree=True)[0][0]
     exact, h5 = divides(mono, r + m * g3)
     if not exact:
-        raise NoSolution("column system: x^beta y^(v-alpha-beta) does not divide h5's multiple")
+        raise RouteFailure("column system: x^beta y^(v-alpha-beta) does not divide h5's multiple")
     kern, c = tuple(g.scale(fld.inv(edge)) for g in gen), h5.coeff_of((0, v, 0))
     h1, h3, h5 = (h - k.scale(c) for h, k in zip((p1 + m * xg1, p3 - m * ng2, h5), kern))
     return ColumnSolution(h1, h3, h5, (kern,))

@@ -152,10 +152,26 @@ def _random_form(field: Field, degree: int, rng: random.Random) -> Poly:
     return Poly(field, terms)
 
 
-def _require_char_policy(field: Field, d: int):
-    # no draw can pass validation over a field that fails the policy
-    if not check_char_policy(field, d):
+def _draw(d: int, alpha: int, beta: int, seed: int, field: Field, f1_of,
+          squarefree: bool = True) -> FamilyParams:
+    """The first of 100 seeded draws of (F1, F2) = (f1_of(rng), a random form)
+    that validates, with F1 square-free, or not square-free when
+    ``squarefree`` is False."""
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= pair_bound(d)):
+        raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
+    if not check_char_policy(field, d):  # no draw can pass validation over such a field
         raise InvalidParams(f"field {field.to_spec()} at d={d}: need char 0 or p > {3 * d}")
+    # string seeds hash deterministically across processes, tuples do not
+    rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:{'' if squarefree else 'nsf:'}{field!r}")
+    for _ in range(100):
+        f1 = f1_of(rng)
+        f2 = _random_form(field, d - d // 2 - alpha - 1, rng)
+        params = FamilyParams(d, alpha, beta, f1, f2, seed=seed)
+        rep = validate(params, drop_squarefree=not squarefree)
+        if rep.ok and (squarefree or not is_squarefree_bivariate(f1)):
+            return params
+    what = "valid" if squarefree else "non-square-free"
+    raise ExhaustedRetries(f"no {what} instance after 100 draws for (d={d}, alpha={alpha}, beta={beta})")
 
 
 def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ) -> FamilyParams:
@@ -165,18 +181,7 @@ def random_instance(d: int, alpha: int, beta: int, seed: int, field: Field = QQ)
     resampled until validation passes; the edge coefficients of F1, F2 are
     forced nonzero so the divisibility conditions hold by construction.
     """
-    if not (alpha >= 0 and beta >= 0 and alpha + beta <= pair_bound(d)):
-        raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
-    _require_char_policy(field, d)
-    # string seeds hash deterministically across processes, tuples do not
-    rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:{field!r}")
-    for _ in range(100):
-        f1 = _random_form(field, alpha, rng)
-        f2 = _random_form(field, d - d // 2 - alpha - 1, rng)
-        params = FamilyParams(d, alpha, beta, f1, f2, seed=seed)
-        if validate(params).ok:
-            return params
-    raise ExhaustedRetries(f"no valid instance after 100 draws for (d={d}, alpha={alpha}, beta={beta})")
+    return _draw(d, alpha, beta, seed, field, lambda rng: _random_form(field, alpha, rng))
 
 
 def random_non_squarefree_instance(d: int, alpha: int, beta: int, seed: int,
@@ -187,21 +192,13 @@ def random_non_squarefree_instance(d: int, alpha: int, beta: int, seed: int,
     """
     if alpha < 2:
         raise InvalidParams("a repeated factor in F1 needs alpha >= 2")
-    if not (beta >= 0 and alpha + beta <= pair_bound(d)):
-        raise InvalidParams(f"(d, alpha, beta) = ({d}, {alpha}, {beta}) violates the parameter bound")
-    _require_char_policy(field, d)
-    rng = random.Random(f"{d}:{alpha}:{beta}:{seed}:nsf:{field!r}")
-    x = Poly.variable(field, "x")
-    y = Poly.variable(field, "y")
-    for _ in range(100):
+    x, y = Poly.variable(field, "x"), Poly.variable(field, "y")
+
+    def f1_of(rng):
         lin = x + y.scale(field.random_nonzero(rng))
-        f1 = lin * lin * _random_form(field, alpha - 2, rng)
-        f2 = _random_form(field, d - d // 2 - alpha - 1, rng)
-        params = FamilyParams(d, alpha, beta, f1, f2, seed=seed)
-        rep = validate(params, drop_squarefree=True)
-        if rep.ok and not is_squarefree_bivariate(f1):
-            return params
-    raise ExhaustedRetries(f"no non-square-free instance after 100 draws for (d={d}, alpha={alpha}, beta={beta})")
+        return lin * lin * _random_form(field, alpha - 2, rng)
+
+    return _draw(d, alpha, beta, seed, field, f1_of, squarefree=False)
 
 
 def is_irreducible(f: Poly) -> bool:

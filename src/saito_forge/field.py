@@ -102,12 +102,12 @@ class Rationals:
     def render(self, a) -> str:
         return str(a)
 
-    def random(self, rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
-        return Fraction(rng.randint(lo, hi))
+    def random(self, rng: random.Random) -> Fraction:
+        return Fraction(rng.randint(-10, 10))
 
-    def random_nonzero(self, rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
+    def random_nonzero(self, rng: random.Random) -> Fraction:
         while True:
-            a = self.random(rng, lo, hi)
+            a = self.random(rng)
             if a != 0:
                 return a
 

@@ -29,17 +29,6 @@ ROUTE_EXPLICIT_BETA0 = "explicit_beta0"
 ROUTE_ORACLE = "oracle"
 
 
-class DegenerateConstant(RouteFailure):
-    """An odd route's scalars cannot be read (an edge vanished, impossible for
-    validated params), or a forced odd route is off its parity or beta."""
-
-
-class SaitoConstructionFailed(RouteFailure):
-    def __init__(self, message: str, residual: Poly | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass
 class VerifyReport:
     passed: bool
@@ -118,7 +107,7 @@ def _divide(divisor: Poly, p: Poly, what: str) -> Poly:
     an inexact one raises with p as its residual."""
     exact, q = divides(divisor, p)
     if not exact:
-        raise SaitoConstructionFailed(what, p)
+        raise RouteFailure(what, p)
     return q
 
 
@@ -153,7 +142,7 @@ def edge_constants(sys, sol) -> dict:
     ky = fld.mul(bracket.coeff_of((0, v - al, 0)), ng2.coeff_of((0, al, 0)))
     b_ky = fld.mul(fld.from_int(be), sol.h1.coeff_of((0, v, 0)))  # b * ky at mu = 1
     if fld.is_zero(kx) or fld.is_zero(ky) or (be >= 1 and fld.is_zero(b_ky)):
-        raise DegenerateConstant("vanishing edge coefficient: a, b or mu cannot be read")
+        raise RouteFailure("vanishing edge coefficient: a, b or mu cannot be read")
     a = fld.div(fld.mul(fld.from_int(d - be - 1), sol.h3.coeff_of((v, 0, 0))), kx)
     if be == 0:
         return {"a": None, "b": None, "mu": fld.one, "lambda": fld.neg(a)}
@@ -194,22 +183,19 @@ def last_column(params, ing) -> tuple:
 # ----- build routes ----------------------------------------------------------
 
 
-def _build_explicit(inst: DivisorInstance, route: str) -> SaitoMatrix:
+def _build_explicit(inst: DivisorInstance) -> SaitoMatrix:
     """Both odd-degree routes: h1, h3, h5 from the column system scaled by
     mu, h2 = g1*e, h4 = g2*e and h6 = -(eq2 with h6 = 0)/(x*y), with
-    e = a*x + b*y (explicit_odd) or e = -lambda*x (explicit_beta0) from
-    `edge_constants`.  Both closed-form columns must pair with the gradient
-    to zero, read off the `verify_saito` report."""
+    e = a*x + b*y (explicit_odd, beta >= 1) or e = -lambda*x
+    (explicit_beta0, beta = 0) from `edge_constants`.  Both closed-form
+    columns must pair with the gradient to zero, read off the `verify_saito`
+    report."""
     params = inst.params
     fld = params.field
     x, y = Poly.variable(fld, "x"), Poly.variable(fld, "y")
-    beta0 = route == ROUTE_EXPLICIT_BETA0
-    if not beta0 and (params.d % 2 == 0 or params.beta < 1):
-        raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
+    beta0 = params.beta == 0
     sys = build_column_system(params)
     sol = solve_column_system(sys)
-    if beta0 and params.beta != 0:
-        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
     consts = edge_constants(sys, sol)
     h1, h3, h5 = (h.scale(consts["mu"]) for h in (sol.h1, sol.h3, sol.h5))
     e = x.scale(fld.neg(consts["lambda"])) if beta0 else x.scale(consts["a"]) + y.scale(consts["b"])
@@ -226,8 +212,9 @@ def _build_explicit(inst: DivisorInstance, route: str) -> SaitoMatrix:
     eq3, eq4 = report.quotients[1:]
     for name, q, col in (("middle column (eq3)", eq3, col2), ("last column (eq4)", eq4, col3)):
         if q is None or not q.is_zero():
-            raise SaitoConstructionFailed(f"{name} is not a syzygy", gradient_pairing(inst.f, col))
+            raise RouteFailure(f"{name} is not a syzygy", gradient_pairing(inst.f, col))
     eq2 = None if beta0 else rest + xy * ing["h6"]
+    route = ROUTE_EXPLICIT_BETA0 if beta0 else ROUTE_EXPLICIT_ODD
     return _finish(inst, matrix, route, ing, consts, {"eq2": eq2, "eq3": eq3, "eq4": eq4}, report)
 
 
@@ -269,7 +256,7 @@ def _build_oracle(inst: DivisorInstance, ladder: JacobianLadder | None) -> Saito
     ladder = ladder or JacobianLadder(inst.f)
     pair = _saito_pair(inst.f, gradient_kernel(inst.f, t2, ladder), t3, ladder)
     if pair is None:
-        raise SaitoConstructionFailed(
+        raise RouteFailure(
             f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
     matrix, report, s2, s3 = pair
     return _finish(inst, matrix, ROUTE_ORACLE, {"f": inst.f, "syz2": s2, "syz3": s3},
@@ -289,27 +276,24 @@ def _finish(inst, matrix, route, ing, constants, residuals, report=None) -> Sait
     """Verify and wrap a built matrix, reusing its `_verify` ``report`` if given."""
     report = report or verify_saito(inst.f, matrix)
     if not report.passed:
-        raise SaitoConstructionFailed("; ".join(report.failures), report.det)
+        raise RouteFailure("; ".join(report.failures), report.det)
     return SaitoMatrix(matrix, route, report.unit, ing, constants, residuals, report)
 
 
 def build_saito_matrix(inst: DivisorInstance, route: str = "auto", ladder=None) -> SaitoMatrix:
     """Construct and verify a Saito matrix for a validated family member.
 
-    Route selection: odd d uses the explicit formulas, with the scalars
-    (a, b, mu) for beta >= 1 and lambda for beta = 0; even d the
-    syzygy-kernel oracle.  Pass route="oracle" to force the kernel route
-    (any parity), or an explicit route name to insist on it.  The oracle
-    reads its kernels off ``ladder``, the `JacobianLadder` of inst, if given."""
-    d, be = inst.params.d, inst.params.beta
-    if route == "auto":
-        route = (ROUTE_ORACLE if d % 2 == 0
-                 else (ROUTE_EXPLICIT_ODD if be >= 1 else ROUTE_EXPLICIT_BETA0))
-    if route in (ROUTE_EXPLICIT_ODD, ROUTE_EXPLICIT_BETA0):
-        return _build_explicit(inst, route)
-    if route == ROUTE_ORACLE:
+    The route follows from d and beta: odd d uses the explicit formulas,
+    with the scalars (a, b, mu) for beta >= 1 (explicit_odd) and lambda for
+    beta = 0 (explicit_beta0); even d the syzygy-kernel oracle.
+    route="oracle" forces the kernel route for cross-checks on any parity.
+    The oracle reads its kernels off ``ladder``, the `JacobianLadder` of
+    inst, if given."""
+    if route not in ("auto", ROUTE_ORACLE):
+        raise ValueError(f"unknown route {route!r}")
+    if route == ROUTE_ORACLE or inst.params.d % 2 == 0:
         return _build_oracle(inst, ladder)
-    raise ValueError(f"unknown route {route!r}")
+    return _build_explicit(inst)
 
 
 # ----- freeness of a bare F ----------------------------------------------------

@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 
-from saito_forge.column_system import (ColumnSolution, NoSolution, base_pair,
+from saito_forge.column_system import (ColumnSolution, RouteFailure, base_pair,
                                        build_column_system, solve_column_system, y_bracket)
 from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import Field, QQ
@@ -30,7 +30,7 @@ from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _elimina
                                 gradient_pairing, jacobian_generators, macaulay_matrix)
 from saito_forge.poly import (Poly, PolyError, UnknownVariable, _from_ints, column_polys, dot,
                               grlex_key, monomial_index, monomials, shifted_columns, space_dim)
-from saito_forge.saito import DegenerateConstant, edge_constants, last_column, middle_column
+from saito_forge.saito import edge_constants, last_column, middle_column
 
 
 def rref(rows: list, field: Field) -> list[int]:
@@ -254,7 +254,7 @@ def whole_system_solve(sys) -> ColumnSolution:
     nrows, cols = _module_columns(sys, v, [(0, sys.rhs)])
     particular, kernel = solve_affine(nrows, cols[:-1], cols[-1], fld)
     if particular is None:
-        raise NoSolution("graded column system is inconsistent")
+        raise RouteFailure("graded column system is inconsistent")
     (h1, h3, h5), *kern = column_polys([particular, *kernel], (v,) * 3, fld, zfree=True)
     return ColumnSolution(h1, h3, h5, tuple(kern))
 
@@ -317,7 +317,7 @@ def compute_constants(params) -> dict:
     d, al, be = params.d, params.alpha, params.beta
     v = params.v
     if d % 2 == 0 or be < 1:
-        raise DegenerateConstant("closed-form constants need odd d and beta >= 1")
+        raise RouteFailure("closed-form constants need odd d and beta >= 1")
     fld = params.field
     f1, f2 = params.f1, params.f2
     bracket_y = y_bracket(params)
@@ -329,7 +329,7 @@ def compute_constants(params) -> dict:
     for name, val in (("[F1|y^a]", f1_yedge), ("[F2|x^(v-a)]", f2_xedge),
                       ("y-bracket edge", by_edge), ("x-bracket edge", bx_edge)):
         if fld.is_zero(val):
-            raise DegenerateConstant(f"vanishing edge coefficient {name}")
+            raise RouteFailure(f"vanishing edge coefficient {name}")
     b = fld.one
     # mu carries a second [F1|y^a] factor so both pure-power matches close
     mu = fld.div(
@@ -341,7 +341,7 @@ def compute_constants(params) -> dict:
         fld.mul(fld.from_int((d - v + al) ** 2), fld.mul(fld.mul(f2_xedge, f2_xedge), bx_edge)),
     )
     if fld.is_zero(mu):
-        raise DegenerateConstant("mu vanished")
+        raise RouteFailure("mu vanished")
     return {"a": a, "b": b, "mu": mu}
 
 
@@ -352,12 +352,12 @@ def beta0_lambda(params, h3: Poly):
     [g3|x^v] = d*(d-v+a)*[F1|x^a]*[F2|x^(v-a)] is nonzero for validated params."""
     d, al, v = params.d, params.alpha, params.v
     if params.beta != 0:
-        raise DegenerateConstant("the explicit_beta0 route needs beta = 0")
+        raise RouteFailure("the explicit_beta0 route needs beta = 0")
     fld = params.field
     g3_edge = fld.mul(fld.from_int(d * (d - v + al)),
                       fld.mul(params.f1.coeff_of((al, 0, 0)), params.f2.coeff_of((v - al, 0, 0))))
     if fld.is_zero(g3_edge):
-        raise DegenerateConstant("vanishing edge coefficient [g3|x^v]")
+        raise RouteFailure("vanishing edge coefficient [g3|x^v]")
     return fld.div(fld.neg(fld.mul(fld.from_int(d - 1), h3.coeff_of((v, 0, 0)))), g3_edge)
 
 

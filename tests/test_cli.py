@@ -251,32 +251,20 @@ def test_export_cocoa(capsys):
     assert "det(A) <> (5) * F" in out
 
 
-def test_forced_route_mismatch_exits_1(capsys):
-    code, out = run(capsys, "verify", "--d", "6", "--seed", "1",
-                    "--field", "fp:1009", "--route", "explicit_odd")
-    assert code == 1
-    data = json.loads(out)
-    assert data["saito"]["pass"] is False and "error" in data["saito"]
+@pytest.mark.parametrize("command,route", [("verify", "explicit_odd"), ("export", "explicit_beta0")])
+def test_named_closed_form_route_exits_2(command, route):
+    # the closed-form route follows from d and beta, so --route names only auto and oracle
+    proc = run_subprocess([command, "--d", "9", "--alpha", "1", "--beta", "0", "--seed", "1",
+                           "--field", "fp:1009", "--route", route])
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr and proc.stdout == ""
+    assert f"--route: invalid choice: '{route}'" in proc.stderr
 
 
-def test_forced_beta0_route_on_beta_one_exits_1():
-    # the beta = 0 route's scalar lambda exists only at beta = 0
-    proc = run_subprocess(["verify", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "1",
-                           "--field", "fp:1009", "--route", "explicit_beta0"])
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr
-    data = json.loads(proc.stdout)
-    assert data["pass"] is False
-    assert data["saito"] == {"pass": False, "error": "the explicit_beta0 route needs beta = 0"}
-
-
-def test_forced_odd_route_on_beta_zero_exits_1(capsys):
-    # the explicit_odd route's scalars exist only at beta >= 1
-    code, out = run(capsys, "verify", "--d", "9", "--alpha", "1", "--beta", "0", "--seed", "1",
-                    "--field", "fp:1009", "--route", "explicit_odd")
-    data = json.loads(out)
-    assert code == 1 and data["pass"] is False
-    assert data["saito"] == {"pass": False,
-                             "error": "closed-form constants need odd d and beta >= 1"}
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_route_help_lists_auto_and_oracle(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--route {auto,oracle}" in capsys.readouterr().out
 
 
 def test_missing_arguments(capsys):
@@ -420,14 +408,22 @@ def test_point_support_bound_below_n_is_inconclusive(capsys):
     assert main(["verify", "--degree-bound", "5", *WORKED]) == 0
 
 
-def test_export_unbuildable_route_exits_1_without_script(tmp_path):
+def test_export_unbuildable_route_exits_1_without_script(monkeypatch, capsys, tmp_path):
+    from saito_forge import saito
+    from saito_forge.column_system import RouteFailure
+
+    def no_solution(system):
+        raise RouteFailure("graded column system is inconsistent")
+
+    monkeypatch.setattr(saito, "solve_column_system", no_solution)
     out = tmp_path / "check.m2"
-    proc = run_subprocess(["export", "--d", "6", "--seed", "1", "--field", "fp:1009",
-                           "--route", "explicit_odd", "--out", str(out)])
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert not out.exists() and proc.stdout == ""
+    code = main(["export", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "1",
+                 "--field", "fp:1009", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists() and captured.out == ""
 
 
 def test_route_bug_is_not_reported_as_failed_check(monkeypatch):
@@ -446,10 +442,10 @@ def test_route_bug_is_not_reported_as_failed_check(monkeypatch):
 def test_verify_reports_route_failure_without_traceback(monkeypatch, capsys):
     # the explicit routes solve a graded column system; make it inconsistent
     from saito_forge import saito
-    from saito_forge.column_system import NoSolution
+    from saito_forge.column_system import RouteFailure
 
     def no_solution(system):
-        raise NoSolution("graded column system is inconsistent")
+        raise RouteFailure("graded column system is inconsistent")
 
     monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
     monkeypatch.setattr(saito, "solve_column_system", no_solution)
@@ -463,7 +459,7 @@ def test_verify_reports_route_failure_without_traceback(monkeypatch, capsys):
 
 def test_sweep_records_route_failure_and_continues(monkeypatch, capsys):
     from saito_forge import cli
-    from saito_forge.saito import DegenerateConstant
+    from saito_forge.column_system import RouteFailure
 
     monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
     argv = ["sweep", "--d", "5..7", "--seed", "1", "--field", "fp:1009"]
@@ -474,7 +470,7 @@ def test_sweep_records_route_failure_and_continues(monkeypatch, capsys):
 
     def degenerate_at_6(inst, route="auto"):
         if inst.params.d == 6:
-            raise DegenerateConstant("mu vanished")
+            raise RouteFailure("mu vanished")
         return real(inst, route)
 
     monkeypatch.setattr(cli, "build_saito_matrix", degenerate_at_6)

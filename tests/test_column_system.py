@@ -5,7 +5,7 @@ import pytest
 
 from saito_forge import column_system
 from saito_forge.cli import main
-from saito_forge.column_system import NoSolution, build_column_system, solve_column_system
+from saito_forge.column_system import RouteFailure, build_column_system, solve_column_system
 from saito_forge.family import FamilyParams, legal_pairs, random_instance
 from saito_forge.field import PrimeField, QQ
 from saito_forge.poly import Poly, monomials, parse
@@ -65,7 +65,7 @@ def test_row_degrees():
 
 def test_wrong_f2_degree_rejected():
     params = random_instance(6, 0, 0, seed=1, field=F1009)  # even d: deg F2 = v-a-1
-    with pytest.raises(NoSolution):
+    with pytest.raises(RouteFailure, match=re.escape("graded system needs deg F2 = v - alpha = 3, got 2")):
         build_column_system(params)
 
 
@@ -184,7 +184,7 @@ def test_failed_premise_raises_and_verify_exits_1(monkeypatch, capsys, call, tam
     params = random_instance(9, 1, 1, seed=3, field=F1009)
     sys = build_column_system(params)
     calls = break_solve(monkeypatch, call, tamper)
-    with pytest.raises(NoSolution, match=re.escape(premise)):
+    with pytest.raises(RouteFailure, match=re.escape(premise)):
         solve_column_system(sys)
     calls.clear()
     monkeypatch.setenv("SAITO_FORGE_THREADS", "1")

@@ -1,19 +1,18 @@
 import json
 import random
+import re
 from itertools import product
 
 import pytest
 
-from saito_forge.column_system import NoSolution
+from saito_forge.column_system import RouteFailure
 from saito_forge.family import (DivisorInstance, FamilyParams, build_divisor, legal_pairs,
                                 random_instance)
 from saito_forge.field import PrimeField, QQ, _is_prime
 from saito_forge.oracle import (SyzygyBasis, SyzygyVector, gradient_kernel, gradient_pairing,
                                 jacobian_generators, syzygy_kernel)
 from saito_forge.poly import Poly, det_unit, parse, render
-from saito_forge.saito import (DegenerateConstant, ROUTE_EXPLICIT_BETA0,
-                               ROUTE_EXPLICIT_ODD, ROUTE_ORACLE,
-                               SaitoConstructionFailed, base_pair,
+from saito_forge.saito import (ROUTE_EXPLICIT_BETA0, ROUTE_EXPLICIT_ODD, ROUTE_ORACLE, base_pair,
                                build_saito_matrix, coupling_residual, det3, last_column, middle_column,
                                verify_saito)
 from reference import (beta0_residual_solve, compute_constants, in_kernel_span, last_column_residual,
@@ -59,10 +58,9 @@ def test_constants_worked_case():
 
 
 def test_constants_need_odd_beta_pos():
-    with pytest.raises(DegenerateConstant):
-        compute_constants(random_instance(7, 1, 0, seed=1, field=QQ))
-    with pytest.raises(DegenerateConstant):
-        compute_constants(random_instance(8, 0, 1, seed=1, field=F1009))
+    for d, a, b, fld in ((7, 1, 0, QQ), (8, 0, 1, F1009)):
+        with pytest.raises(RouteFailure, match="closed-form constants need odd d and beta >= 1"):
+            compute_constants(random_instance(d, a, b, seed=1, field=fld))
 
 
 def test_mu_needs_the_squared_edge_factor():
@@ -209,19 +207,11 @@ def test_route_agreement_odd(d, a, b, fld):
         assert in_kernel_span(basis, vec, fld)
 
 
-def test_explicit_route_override_even_rejected():
-    inst = build_divisor(random_instance(6, 0, 0, seed=1, field=F1009))
-    # the odd route's constants need odd d; the beta=0 route's graded system
-    # needs deg F2 = v - alpha, which fails one short on even d
-    with pytest.raises(DegenerateConstant):
-        build_saito_matrix(inst, route="explicit_odd")
-    with pytest.raises(NoSolution):
-        build_saito_matrix(inst, route="explicit_beta0")
-
-
 def test_unknown_route():
-    with pytest.raises(ValueError):
-        build_saito_matrix(worked_instance(), route="nonsense")
+    # the closed-form route follows from d and beta: it is never named
+    for route in ("nonsense", "explicit_odd", "explicit_beta0"):
+        with pytest.raises(ValueError, match=f"unknown route '{route}'"):
+            build_saito_matrix(worked_instance(), route=route)
 
 
 def reference_oracle_search(inst, phases):
@@ -247,7 +237,7 @@ def reference_oracle_search(inst, phases):
                     return saito._finish(inst, matrix, ROUTE_ORACLE, ing,
                                          {"a": None, "b": None, "mu": None, "lambda": None},
                                          {"eq2": None, "eq3": None, "eq4": None}, None)
-    raise SaitoConstructionFailed(
+    raise RouteFailure(
         f"no kernel pair at degrees ({t2}, {t3}) assembles a unit determinant")
 
 
@@ -279,7 +269,7 @@ def search_outcome(search, inst):
     """The report and ingredients a search builds, or its failure message."""
     try:
         sm = search(inst)
-    except SaitoConstructionFailed as exc:
+    except RouteFailure as exc:
         return str(exc)
     return sm.to_json(), sm.ingredients
 
@@ -350,7 +340,7 @@ def test_oracle_failure_message(monkeypatch, stand_in):
         monkeypatch.setattr(saito, "gradient_kernel", stand_in)
     monkeypatch.setattr(saito, "det_unit", lambda f, matrix: (det3(matrix), None))
     inst = build_divisor(random_instance(8, 1, 0, seed=55, field=F1009))
-    with pytest.raises(SaitoConstructionFailed) as exc:
+    with pytest.raises(RouteFailure) as exc:
         build_saito_matrix(inst)
     assert str(exc.value) == "no kernel pair at degrees (3, 4) assembles a unit determinant"
 
@@ -463,9 +453,8 @@ def test_explicit_build_reports_a_column_that_is_no_syzygy(monkeypatch, name, eq
 
     monkeypatch.setattr(saito, name, broken)
     inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
-    with pytest.raises(SaitoConstructionFailed) as exc:
+    with pytest.raises(RouteFailure, match=re.escape(f"({eq}) is not a syzygy") + "$") as exc:
         build_saito_matrix(inst)
-    assert str(exc.value).endswith(f"({eq}) is not a syzygy")
     assert exc.value.residual == gradient_pairing(inst.f, built[-1]) != Poly.zero(inst.f.field)
 
 
@@ -494,7 +483,7 @@ def test_perturbation_sensitivity(d, a, b, fld):
         ing[key] = ing[key] + bump
         try:
             col2 = middle_column(inst.params, ing, grad)
-        except SaitoConstructionFailed:  # the c3 division is inexact
+        except RouteFailure:  # the c3 division is inexact
             detected = True
         else:
             col3 = last_column(inst.params, ing)
@@ -514,7 +503,7 @@ def test_beta0_last_column_needs_h4_a_multiple_of_x():
     inst = build_divisor(random_instance(9, 1, 0, seed=5, field=F1009))
     ing = dict(build_saito_matrix(inst).ingredients)
     ing["h4"] = ing["h4"] + Poly.monomial(F1009, (0, 2, 0))
-    with pytest.raises(SaitoConstructionFailed, match="x does not divide its h4 term"):
+    with pytest.raises(RouteFailure, match="x does not divide its h4 term"):
         last_column(inst.params, ing)
 
 
@@ -581,9 +570,9 @@ def test_inexact_division_is_a_route_failure(monkeypatch, capsys, breaks, beta, 
 
     breaks(monkeypatch)
     inst = build_divisor(random_instance(9, 1, beta, seed=5, field=F1009))
-    with pytest.raises(SaitoConstructionFailed) as exc:
+    with pytest.raises(RouteFailure, match=re.escape(f"({eq})")) as exc:
         build_saito_matrix(inst)
-    assert f"({eq})" in str(exc.value) and not exc.value.residual.is_zero()
+    assert not exc.value.residual.is_zero()
     code = main(["verify", "--d", "9", "--alpha", "1", "--beta", str(beta), "--seed", "5",
                  "--field", "fp:1009"])
     captured = capsys.readouterr()
@@ -609,7 +598,7 @@ def test_vanishing_b_is_a_route_failure(monkeypatch, capsys):
     monkeypatch.setattr(saito, "solve_column_system", no_h1_edge)
     monkeypatch.setenv("SAITO_FORGE_THREADS", "1")
     inst = build_divisor(random_instance(9, 1, 1, seed=5, field=F1009))
-    with pytest.raises(DegenerateConstant) as exc:
+    with pytest.raises(RouteFailure, match="vanishing edge coefficient: a, b or mu cannot be read") as exc:
         build_saito_matrix(inst)
     code = main(["verify", "--d", "9", "--alpha", "1", "--beta", "1", "--seed", "5",
                  "--field", "fp:1009"])
