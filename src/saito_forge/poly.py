@@ -20,9 +20,12 @@ from shifted forms, as sparse columns indexed in that order.
 Sums, products, negation, scaling, partials, ``dot``, ``det3`` and
 ``divides`` run on the numerators, as ``column_polys`` reads `linalg`'s
 integer kernel vectors, and each result is normalised once: one gcd divided
-out of its content and ``den``, or ``% p``.  No ``Fraction`` is built.
-``det_unit`` tests det == c*F with c = det[lm F] / lc F, the same
-predicate as F | det with a constant quotient.
+out of its content and ``den``, or ``% p``.  A product or a division with a
+one-term operand, most of those the construction makes, is one exponent
+shift of the other operand's map.  ``render`` reduces each numerator
+against ``den`` by one gcd.  No ``Fraction`` is built.  ``det_unit`` tests
+det == c*F with c = det[lm F] / lc F, the same predicate as F | det with a
+constant quotient.
 
 Common factors of binary forms are one Sylvester-rank test, ``coprime_forms``
 (two forms share a factor exactly when their resultant vanishes); it decides
@@ -156,9 +159,6 @@ class Poly:
         c = self.num.get((ex, ey, ez), 0)
         return c if self.field.char else Fraction(c, self.den)
 
-    def sorted_terms(self):
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=grlex_key, reverse=True)]
-
     def leading_term(self):
         if not self.num:
             return None
@@ -168,7 +168,7 @@ class Poly:
     # ----- arithmetic ----------------------------------------------------
 
     def _check_compat(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _add(self, other: "Poly", sign: int) -> "Poly":
@@ -272,7 +272,15 @@ class Poly:
 
 
 def _imul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
-    """The int map a*b, or ``out`` with sign*a*b added to it; zero entries stay."""
+    """The int map sign*a*b, or ``out`` with sign*a*b added to it; zero
+    entries stay.  With no ``out`` and a one-term operand the product is one
+    exponent shift of the other map: no two of its terms meet."""
+    if out is None and (len(a) == 1 or len(b) == 1):
+        if len(a) != 1:
+            a, b = b, a
+        ((x1, y1, z1), c1), = a.items()
+        c1 *= sign
+        return {(x1 + x2, y1 + y2, z1 + z2): c1 * c2 for (x2, y2, z2), c2 in b.items()}
     out = {} if out is None else out
     get = out.get
     for (x1, y1, z1), c1 in a.items():
@@ -300,16 +308,30 @@ def _from_ints(field: Field, ints: dict, den: int) -> "Poly":
 def divides(d: "Poly", p: "Poly"):
     """Exact multivariate division test: (True, q) with p = d*q, else (False, None).
 
-    Iterated leading-term elimination under the graded-lex order on the
-    numerators, d's made primitive over the rationals; for homogeneous d and
-    p the first non-eliminable leading term certifies non-divisibility, as
-    does, by Gauss's lemma, a quotient term that is not an integer.
+    A one-term d = c*x^i y^j z^k / den divides exactly when every term of p
+    holds x^i y^j z^k, and q is one exponent shift of p's numerators: over
+    the rationals num*den / (c*p.den), the sign of c moved into the
+    numerators, over a prime field num * c^-1.  Any other d takes iterated
+    leading-term elimination under the graded-lex order on the numerators,
+    d's made primitive over the rationals; for homogeneous d and p the first
+    non-eliminable leading term certifies non-divisibility, as does, by
+    Gauss's lemma, a quotient term that is not an integer.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if d.field != p.field:
-        raise FieldMismatch(f"{d.field} vs {p.field}")
-    char, g = p.field.char, 1 if p.field.char else gcd(*d.num.values())
+    d._check_compat(p)
+    char = p.field.char
+    if len(d.num) == 1:
+        ((i, j, k), c), = d.num.items()
+        if not all(x >= i and y >= j and z >= k for x, y, z in p.num):
+            return False, None
+        if char:
+            s, den = pow(c, char - 2, char), 1
+        else:
+            s, den = (d.den if c > 0 else -d.den), abs(c) * p.den
+        return True, _from_ints(p.field, {(x - i, y - j, z - k): v * s
+                                          for (x, y, z), v in p.num.items()}, den)
+    g = 1 if char else gcd(*d.num.values())
     dnum = {m: c // g for m, c in d.num.items()}
     dm = max(dnum, key=grlex_key)
     inv = pow(dnum[dm], char - 2, char) if char else None
@@ -418,29 +440,22 @@ def is_squarefree_bivariate(p: "Poly") -> bool:
 
 
 def render(p: "Poly") -> str:
-    if not p.num:
+    """The canonical text form, read off the numerators: each coefficient
+    is its numerator's magnitude over ``den``, reduced by one gcd."""
+    num, den = p.num, p.den
+    if not num:
         return "0"
-    f = p.field
     parts = []
-    for i, (m, c) in enumerate(p.sorted_terms()):
-        negative = f.char == 0 and c < 0
-        mag = f.neg(c) if negative else c
-        factors = []
-        for v, e in zip(VAR_NAMES, m):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
-        if not factors:
-            body = f.render(mag)
-        elif mag == f.one:
-            body = "*".join(factors)
-        else:
-            body = "*".join([f.render(mag)] + factors)
-        if i == 0:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append((" - " if negative else " + ") + body)
+    for m in sorted(num, key=grlex_key, reverse=True):
+        c = num[m]
+        parts.append(" - " if c < 0 else " + ")  # a prime-field value is positive
+        c = abs(c)
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(VAR_NAMES, m) if e]
+        if c != den or not factors:
+            g = gcd(c, den)
+            factors.insert(0, str(c // g) if g == den else f"{c // g}/{den // g}")
+        parts.append("*".join(factors))
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
 
 

@@ -8,8 +8,9 @@ paper's formulas for the odd routes' scalars (a, b, mu, lambda) and for the
 generator g of the column system's solution line, which the routes read
 off the column system instead, the diagnostics of the closed-form Saito
 columns and of the column system's cokernel, the paper's formulas for the
-entries the routes divide out with the pure-power split they use, and
-polynomial arithmetic on plain ``{mono: scalar}`` maps.
+entries the routes divide out with the pure-power split they use,
+polynomial arithmetic on plain ``{mono: scalar}`` maps, and the text form
+rendered from the field scalars of `Poly.terms`.
 
 A syzygy vector (a, b, c, e) of degree t has deg a = deg b = deg c = t and
 deg e = t - 1.  Its shifts by the monomials of degree t' - t are columns of
@@ -28,8 +29,9 @@ from saito_forge.field import Field, QQ
 from saito_forge.linalg import Echelon, canonical_kernel, eliminate, pivot_columns, solve_affine
 from saito_forge.oracle import (IdealLadder, SyzygyBasis, SyzygyVector, _eliminated_blocks,
                                 gradient_pairing, jacobian_generators, macaulay_matrix)
-from saito_forge.poly import (Poly, PolyError, UnknownVariable, _from_ints, column_polys, dot,
-                              grlex_key, monomial_index, monomials, shifted_columns, space_dim)
+from saito_forge.poly import (VAR_NAMES, Poly, PolyError, UnknownVariable, _from_ints,
+                              column_polys, dot, grlex_key, monomial_index, monomials,
+                              shifted_columns, space_dim)
 from saito_forge.saito import edge_constants, last_column, middle_column
 
 
@@ -571,3 +573,33 @@ def ref_divides(d: dict, p: dict, fld):
         quot[q] = fld.mul(rem[m], inv)
         rem = ref_add(rem, ref_mul({q: quot[q]}, d, fld), fld, -1)
     return True, quot
+
+
+def fraction_render(p: Poly) -> str:
+    """The canonical text form built from the field scalars of ``p.terms``
+    (one ``Fraction`` per term over the rationals), term by term."""
+    if not p.num:
+        return "0"
+    f = p.field
+    parts = []
+    for i, m in enumerate(sorted(p.terms, key=grlex_key, reverse=True)):
+        c = p.terms[m]
+        negative = f.char == 0 and c < 0
+        mag = f.neg(c) if negative else c
+        factors = []
+        for v, e in zip(VAR_NAMES, m):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append(f"{v}^{e}")
+        if not factors:
+            body = f.render(mag)
+        elif mag == f.one:
+            body = "*".join(factors)
+        else:
+            body = "*".join([f.render(mag)] + factors)
+        if i == 0:
+            parts.append(("-" if negative else "") + body)
+        else:
+            parts.append((" - " if negative else " + ") + body)
+    return "".join(parts)

@@ -2,19 +2,21 @@
 products, scaling, `dot`, `det3`, partials and the integer columns of
 `shifted_columns`, ranked by `eliminate`, all run on integer numerators, as
 do the kernel relations (`eliminate` with ``kernel``, `canonical_kernel`,
-`solve_affine`, read back by `column_polys`) and `divides`.  Checked on the
-d = 9 member with true denominators in F1 and F2, by counting stand-ins for
-the `Fraction` the package modules construct with."""
+`solve_affine`, read back by `column_polys`) and `divides`, and so does
+rendering the report's polynomials.  Checked on the d = 9 member with true
+denominators in F1 and F2, by counting stand-ins for the `Fraction` the
+package modules construct with."""
 
 from fractions import Fraction
 
 import pytest
 
 from saito_forge import field, linalg, poly
-from saito_forge.family import FamilyParams, build_divisor
+from saito_forge.family import FamilyParams, build_divisor, instance_to_json
 from saito_forge.field import QQ
 from saito_forge.linalg import canonical_kernel, eliminate, solve_affine
-from saito_forge.poly import Poly, column_polys, det3, divides, dot, parse, shifted_columns
+from saito_forge.poly import (Poly, column_polys, det3, divides, dot, parse, render,
+                              shifted_columns)
 from saito_forge.saito import build_saito_matrix
 
 
@@ -98,6 +100,19 @@ def test_kernel_relations_and_division_build_no_fraction(built):
     assert dot((a, b, c), grad) == grad[0] * Poly.monomial(QQ, (t, 0, 0)) - 2 * dot(
         column_polys([({7: 1}, 1)], (t, t, t), QQ)[0], grad)
     assert quotients == [(True, grad[0]), (False, None)]
+
+
+def test_rendering_builds_no_fraction(built):
+    inst, sm = rational_member()
+    fresh = inst.f * inst.params.f1.scale(Fraction(-7, 3))  # no terms view read yet
+    built.clear()
+    text = render(fresh)
+    matrix = sm.to_json()
+    instance = instance_to_json(inst)
+    assert built == []
+    assert "/" in text and text.startswith("-") and parse(text) == fresh
+    assert any("/" in e for row in matrix["matrix"] for e in row)
+    assert "/" in instance["F1"] and "/" in instance["F2"]
 
 
 def test_the_counter_counts(built):

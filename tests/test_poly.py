@@ -80,6 +80,23 @@ def test_roundtrip_random(fld):
         assert parse(render(p), fld) == p
 
 
+@pytest.mark.parametrize("fld", [QQ, F1009])
+def test_render_matches_the_fraction_reference(fld):
+    """Rendering from the numerators gives the text `reference.fraction_render`
+    builds from the field scalars, and parses back: negative coefficients,
+    den > 1, unit coefficients and constants, and numerators past 64 bits."""
+    rng = random.Random(100)
+    big = fld.div(fld.from_int(-3**90), fld.from_int(2**75 * 7))
+    cases = [parse(t, fld) for t in ("-1", "1", "-x + 1", "-1/2*x^2*y - 3*y^3 + 5/4",
+                                      "x*y*z - 7/3*z^3 - 2")]
+    for _ in range(300):
+        p = rand_form(fld, rng, rng.randint(0, 5), rng.choice((2, 3)))
+        cases += [p, -p, p.scale(big)]
+    for p in cases:
+        assert render(p) == reference.fraction_render(p)
+        assert parse(render(p), fld) == p
+
+
 # ----- ring arithmetic ------------------------------------------------------
 
 def test_arith_examples():
@@ -126,6 +143,19 @@ def rand_form(fld, rng, deg, nvars):
             terms[m] = (fld.random(rng) if fld.char
                         else Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
     return Poly(fld, terms)
+
+
+# one-term operand coefficients: units, a non-unit integer, a rational with den > 1
+ONE_TERM_COEFFS = (Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 6))
+
+
+def rand_one_term(fld, rng, coeff=None, nvars=3):
+    """c * x^i y^j z^k (k = 0 with two variables) with c from ONE_TERM_COEFFS
+    mapped into the field."""
+    c = rng.choice(ONE_TERM_COEFFS) if coeff is None else coeff
+    c = fld.div(fld.from_int(c.numerator), fld.from_int(c.denominator))
+    exps = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3) if nvars == 3 else 0)
+    return Poly.monomial(fld, exps, c)
 
 
 def ref_add(p, q, sign=1):
@@ -193,7 +223,9 @@ def test_kernels_match_field_reference(fld, nvars):
         c = fld.random_nonzero(rng) if fld.char else Fraction(rng.randint(-9, 9) or 1,
                                                                rng.randint(1, 9))
         r = ref_add(q, p, -1)  # p + r cancels every term of p
-        results = [(p + q, ref_add(p, q)), (p - q, ref_add(p, q, -1)),
+        t = rand_one_term(fld, rng, nvars=nvars)  # a one-term operand on either side
+        results = [(t * p, ref_mul(t, p)), (p * t, ref_mul(p, t)), (t * t, ref_mul(t, t)),
+                   (p + q, ref_add(p, q)), (p - q, ref_add(p, q, -1)),
                    (-p, Poly(fld, {m: fld.neg(v) for m, v in p.terms.items()})),
                    (p * q, ref_mul(p, q)), (p * r, ref_mul(p, r)),
                    (p.scale(c), Poly(fld, {m: fld.mul(v, c) for m, v in p.terms.items()})),
@@ -330,6 +362,31 @@ def test_divides_random_products(fld):
             continue
         ok, q2 = divides(d, d * q)
         assert ok and q2 == q
+
+
+@pytest.mark.parametrize("fld", [QQ, F1009])
+def test_one_term_division_matches_the_reference(fld):
+    """One-term divisors with every coefficient kind, exact and short in
+    each variable, and one-term dividends, against `reference.ref_divides`."""
+    rng = random.Random(56)
+    for k in range(120):
+        t = rand_one_term(fld, rng, ONE_TERM_COEFFS[k % len(ONE_TERM_COEFFS)])
+        p = rand_form(fld, rng, rng.randint(0, 3), 3)
+        var = Poly.variable(fld, "xyz"[k % 3])
+        # a term free of var: t*var does not divide it, t does
+        free = Poly.monomial(fld, [(0, 2, 1), (1, 0, 2), (2, 1, 0)][k % 3])
+        short = t * free
+        for d, dividend in ((t, t * p), (t, t * p + short), (t * var, t * var * p + short),
+                            (p, t), (p, p * t)):
+            if d.is_zero():
+                continue
+            got = divides(d, dividend)
+            ok, quot = reference.ref_divides(dict(d.terms), dict(dividend.terms), fld)
+            assert got == (ok, None if quot is None else Poly(fld, quot))
+            if ok:
+                assert_canonical(got[1])
+        assert divides(t, t * p + short) == (True, p + free)
+        assert divides(t * var, t * var * p + short) == (False, None)
 
 
 # ----- square-freeness ------------------------------------------------------

@@ -40,6 +40,17 @@ def field_and_maps(draw, n=2, nvars=3):
     return (fld, *[draw(term_maps(fld, nvars)) for _ in range(n)])
 
 
+@st.composite
+def field_one_term_and_maps(draw):
+    """Over q or fp:1009, a one-term map with coefficient 1, -1, a non-unit
+    integer or a rational with den > 1, and two term maps."""
+    fld = FIELDS[draw(st.sampled_from(["q", "fp:1009"]))]
+    c = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(-12), Fraction(7, 6)]))
+    mono = draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+    one = {mono: fld.div(fld.from_int(c.numerator), fld.from_int(c.denominator))}
+    return fld, one, draw(term_maps(fld)), draw(term_maps(fld))
+
+
 def assert_canonical(p: Poly):
     assert all(type(c) is int and c for c in p.num.values())
     if p.field.char:
@@ -108,6 +119,35 @@ def test_divides_matches_the_reference(case):
             check(quot, ref_quot)
     assert divides(d, d * q)[0]
     assert snapshot(d, q, r) == before
+
+
+@SETTINGS
+@hypothesis.given(field_one_term_and_maps())
+def test_one_term_operands_match_the_reference(case):
+    """Products and divisions with a one-term operand on either side, and
+    one-term divisions short in x, in y and in z."""
+    fld, t, a, b = case
+    m, p, q = Poly(fld, t), Poly(fld, a), Poly(fld, b)
+    a, b = ref_terms(a, fld), ref_terms(b, fld)
+    before = snapshot(m, p, q)
+    check(m * p, ref_mul(t, a, fld))
+    check(p * m, ref_mul(a, t, fld))
+    check(m * m, ref_mul(t, t, fld))
+    short = []  # m*var divides no term m*u with u free of var
+    for i, var in enumerate("xyz"):
+        mv = m * Poly.variable(fld, var)
+        free = m * Poly.monomial(fld, tuple(0 if k == i else 1 for k in range(3)))
+        short += [(mv, mv * p + free), (mv, free)]
+    for d, dividend in [(m, m * p), (m, m * p + q), (m, m), (p, m), (p, p * m)] + short:
+        if d.is_zero():
+            continue
+        ok, quot = divides(d, dividend)
+        ref_ok, ref_quot = ref_divides(dict(d.terms), dict(dividend.terms), fld)
+        assert ok == ref_ok
+        if ok:
+            check(quot, ref_quot)
+    assert all(divides(d, dividend) == (False, None) for d, dividend in short)
+    assert snapshot(m, p, q) == before
 
 
 @SETTINGS
